@@ -79,10 +79,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_spec=True):
+    def common(p, needs_spec=True, coeff=True):
         if needs_spec:
             p.add_argument("--d", type=int, required=True, help="potential degree")
             p.add_argument("--ell", type=int, required=True, help="boundary index")
+        if needs_spec and coeff:
             p.add_argument(
                 "--coeff",
                 type=_parse_coeff,
@@ -99,7 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
         )
 
     p_stokes = sub.add_parser("stokes", help="trace and render the Stokes complex")
-    common(p_stokes)
+    # the limit Stokes complex depends on (d, ell) alone: no --coeff
+    common(p_stokes, coeff=False)
     p_stokes.add_argument("--window", type=_parse_window, default=None)
     p_stokes.add_argument(
         "--u-grid",
@@ -159,7 +161,6 @@ def cmd_stokes(args) -> int:
         command="stokes",
         d=args.d,
         ell=args.ell,
-        coefficients=args.coeff,
         window=args.window or [],
         formats=_formats(args, ("json", "svg")),
         out_dir=args.out,

@@ -13,8 +13,6 @@ __all__ = [
     "nearest_on_polyline",
     "polyline_cumlen",
     "segments_intersect",
-    "segment_crosses_polyline",
-    "one_sided_hausdorff",
 ]
 
 
@@ -101,34 +99,6 @@ def segments_intersect(a: complex, b: complex, c: complex, d: complex) -> bool:
     if d4 == 0 and on_seg(a, b, d):
         return True
     return False
-
-
-def segment_crosses_polyline(a: complex, b: complex, samples) -> int:
-    """Number of polyline segments the segment [a, b] intersects."""
-    pts = polyline_arrays(samples)
-    if pts.size < 2:
-        return 0
-    # coarse bounding-box rejection, then exact tests
-    lo_r, hi_r = min(a.real, b.real), max(a.real, b.real)
-    lo_i, hi_i = min(a.imag, b.imag), max(a.imag, b.imag)
-    p, q = pts[:-1], pts[1:]
-    mask = ~(
-        (np.maximum(p.real, q.real) < lo_r)
-        | (np.minimum(p.real, q.real) > hi_r)
-        | (np.maximum(p.imag, q.imag) < lo_i)
-        | (np.minimum(p.imag, q.imag) > hi_i)
-    )
-    count = 0
-    for c, d in zip(p[mask], q[mask]):
-        if segments_intersect(a, b, complex(c), complex(d)):
-            count += 1
-    return count
-
-
-def one_sided_hausdorff(samples_a, samples_b, stride: int = 1) -> float:
-    """max over points of A (subsampled) of the distance to polyline B."""
-    pts = polyline_arrays(samples_a)[::stride]
-    return max(distance_to_polyline(complex(z), samples_b) for z in pts)
 
 
 def crossings_count(a: complex, b: complex, p: np.ndarray, q: np.ndarray) -> int:

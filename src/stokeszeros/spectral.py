@@ -533,7 +533,8 @@ class EigenfunctionEvaluator:
     def __init__(self, pair: Eigenpair):
         self.pair = pair
         self.spec = pair.spec
-        self.field = self.spec.shifted_field(pair.lam).coefficients
+        self.pot = self.spec.shifted_field(pair.lam)
+        self.field = self.pot.coefficients
         self.f = pair.scale_factor
         self.h = pair.h
         self._anchors = None
@@ -608,33 +609,27 @@ class EigenfunctionEvaluator:
             anchors.extend(seg_anchors)
         self._anchors = anchors
         self._anchor_z = np.array([st.z for st in anchors], dtype=complex)
-        self._anchor_env = np.array(
-            [self.h * self._u_hat(st.z) for st in anchors]
-        )
+        self._anchor_env = self.h * self._u_hat(self._anchor_z)
 
     def log_envelope(self, z: complex) -> float:
         """Estimated log |y(z)| from the limiting envelope h * u(z/f)."""
-        return self.h * self._u_hat(complex(z))
+        return float(self.h * self._u_hat(np.array([z], dtype=complex))[0])
 
-    def _u_hat(self, z: complex) -> float:
-        """Bilinear envelope estimate at an unscaled point."""
+    def _u_hat(self, z: np.ndarray) -> np.ndarray:
+        """Bilinear envelope estimates at an array of unscaled points."""
         if self._ugrid is None:
             self._ugrid = _limit_ugrid_cached(self.spec.d, self.spec.ell)
         zs, ug = self._ugrid
-        w = complex(z) / self.f
+        wr, wi = _divide(np.asarray(z, dtype=complex), self.f)
         x0 = zs[0, 0].real
         y0 = zs[0, 0].imag
         dx = zs[0, 1].real - x0
         dy = zs[1, 0].imag - y0
-        ix = (w.real - x0) / dx
-        iy = (w.imag - y0) / dy
-        nx = ug.shape[1] - 1
-        ny = ug.shape[0] - 1
-        ix = min(max(ix, 0.0), nx - 1e-9)
-        iy = min(max(iy, 0.0), ny - 1e-9)
-        i0, j0 = int(iy), int(ix)
+        ix = np.clip((wr - x0) / dx, 0.0, ug.shape[1] - 1 - 1e-9)
+        iy = np.clip((wi - y0) / dy, 0.0, ug.shape[0] - 1 - 1e-9)
+        i0, j0 = iy.astype(np.intp), ix.astype(np.intp)
         ty, tx = iy - i0, ix - j0
-        return float(
+        return (
             ug[i0, j0] * (1 - tx) * (1 - ty)
             + ug[i0, j0 + 1] * tx * (1 - ty)
             + ug[i0 + 1, j0] * (1 - tx) * ty
@@ -649,11 +644,6 @@ class EigenfunctionEvaluator:
     # where hops cannot reach
     _HOP_BUDGET = 8.0
 
-    def _chord_ridge(self, za: complex, zb: complex) -> float:
-        """Highest envelope point along the straight hop (sampled)."""
-        n = 8
-        return max(self._u_hat(za + (zb - za) * k / n) for k in range(n + 1))
-
     def _monitored_hop(self, st: TransportState, z: complex, budget: float):
         """Transport a hop while integrating its possible divergence.
 
@@ -663,7 +653,7 @@ class EigenfunctionEvaluator:
         relative accuracy the hop has lost.  Returns None once the loss
         exceeds the budget.
         """
-        pot = self.spec.shifted_field(self.pair.lam)
+        pot = self.pot
         total = abs(z - st.z)
         if total == 0:
             return st
@@ -697,32 +687,35 @@ class EigenfunctionEvaluator:
         survives, the point is deep in a decay sector and the calibrated
         WKB form takes over.
         """
-        env_z = self.h * self._u_hat(z)
+        env_z = self.h * self._u_hat(np.array([z]))[0]
         if anchors is self._anchors and self._anchor_z is not None:
             # anchors far deeper than the target cannot be reached, anchors
             # far above it cannot descend; pre-screen vectorized with slack
             # for the envelope-grid error
             mask = self._anchor_env <= env_z + self._HOP_BUDGET + 10.0
             if not mask.any():
-                mask = np.ones(len(anchors), dtype=bool)
+                mask[:] = True
             dists = np.abs(self._anchor_z - z)
             dists[~mask] = np.inf
-            order = np.argsort(dists)[:24]
-            ranked = [anchors[i] for i in order if np.isfinite(dists[i])]
+            ranked = np.argsort(dists)[:24]
+            ranked = ranked[np.isfinite(dists[ranked])]
+            za = self._anchor_z[ranked]
         else:
-            ranked = sorted(anchors, key=lambda st: abs(st.z - z))[:24]
-        poly = _limit_poly_cached(self.spec.d, self.spec.ell)
-        scored = []
-        for st in ranked:
-            ridge = self.h * self._chord_ridge(st.z, z)
-            w = complex(0.5 * (st.z + z)) / self.f
-            speed = math.sqrt(abs(poly(w)))
-            cost = speed * abs(z - st.z) / abs(self.f)
-            admissible = ridge <= env_z + self._HOP_BUDGET + 4.0
-            scored.append((not admissible, cost, st))
-        scored.sort(key=lambda t: (t[0], t[1]))
-        for _, _, st in scored[:5]:
-            got = self._monitored_hop(st, z, self._HOP_BUDGET)
+            ranked = sorted(range(len(anchors)), key=lambda i: abs(anchors[i].z - z))[:24]
+            za = np.array([anchors[i].z for i in ranked], dtype=complex)
+        # chord ridge: highest envelope among 9 samples of each straight hop
+        chords = za[:, None] + (z - za)[:, None] * (np.arange(9) / 8)
+        ridge = self.h * self._u_hat(chords).max(axis=1)
+        # phase distance: limit speed sqrt|Q| at the chord midpoint
+        wr, wi = _divide(0.5 * (za + z), self.f)
+        qr, qi = np.zeros_like(wr), np.zeros_like(wi)
+        for c in reversed(_limit_poly_cached(self.spec.d, self.spec.ell).coefficients):
+            qr, qi = qr * wr - qi * wi + c.real, qr * wi + qi * wr + c.imag
+        speed = np.sqrt(np.hypot(qr, qi))
+        cost = speed * np.hypot(z.real - za.real, z.imag - za.imag) / abs(self.f)
+        admissible = ridge <= env_z + self._HOP_BUDGET + 4.0
+        for i in np.lexsort((cost, ~admissible))[:5]:
+            got = self._monitored_hop(anchors[ranked[i]], z, self._HOP_BUDGET)
             if got is not None:
                 return got
         if self._ray_seeds:
@@ -743,7 +736,7 @@ class EigenfunctionEvaluator:
             key=lambda ts: abs(wrap_angle(cmath.phase(z) - ts[0])),
         )
         z0 = seed.z
-        pot = self.spec.shifted_field(self.pair.lam)
+        pot = self.pot
         # branch-continued sqrt(W) and W^{1/4} along the straight hop
         n_pts = 48
         w_prev = cmath.sqrt(pot(z0))
@@ -787,26 +780,13 @@ class EigenfunctionEvaluator:
             self._point_cache[key] = self._hop_from(self._anchors, z)
         return self._point_cache[key]
 
-    def trace_boundary(self, points, watcher) -> TransportState:
-        """Sweep along a polyline from an anchored start, feeding the
-        transport steps to ``watcher`` (dense output for winding counts)."""
-        state = self.eval(points[0])
-        return transport(
-            self.field,
-            [state.z] + [complex(p) for p in points[1:]],
-            state.y,
-            state.dy,
-            state.log_scale,
-            watcher=watcher,
-        )
-
     def values(self, points) -> list:
         """Transport states at the requested points (anchored hops)."""
         return [self.eval(z) for z in points]
 
     def residual(self, z: complex, step: float = 1e-4) -> float:
         """Relative defect |y'' - (P - lambda) y| via a five-point stencil."""
-        pot = self.spec.shifted_field(self.pair.lam)
+        pot = self.pot
         sts = [self.eval(z + dz) for dz in (-step, 0.0, step)]
         base = sts[1].log_scale
         vals = [st.y * cmath.exp(st.log_scale - base) for st in sts]
@@ -814,6 +794,23 @@ class EigenfunctionEvaluator:
         rhs = pot(z) * vals[1]
         denom = 1.0 + abs(vals[1]) * abs(pot(z))
         return abs(ypp - rhs) / denom
+
+
+def _divide(z: np.ndarray, f: complex) -> tuple:
+    """Real and imaginary parts of z / f, rounded as Python divides complex.
+
+    numpy divides complex arrays through a reciprocal, which rounds
+    differently; spelling Smith's quotient out keeps every envelope value,
+    and so every hop ranking, bit-identical to scalar ``complex(z) / f``.
+    """
+    zr, zi = z.real, z.imag
+    if abs(f.real) >= abs(f.imag):
+        ratio = f.imag / f.real
+        denom = f.real + f.imag * ratio
+        return (zr + zi * ratio) / denom, (zi - zr * ratio) / denom
+    ratio = f.real / f.imag
+    denom = f.real * ratio + f.imag
+    return (zr * ratio + zi) / denom, (zi * ratio - zr) / denom
 
 
 def _segment_points(a: complex, b: complex, spacing: float) -> list:
@@ -856,9 +853,6 @@ class RescaledEigenfunction:
         # derivative in the rescaled variable
         return TransportState(complex(w), st.y, st.dy * self.f, st.log_scale)
 
-    def trace_boundary(self, points, watcher) -> TransportState:
-        return self.ev.trace_boundary([self.f * complex(p) for p in points], watcher)
-
     def anchored_state(self, w: complex) -> TransportState:
         """Independently anchored transport state at a rescaled point."""
         return self.ev.eval(self.f * complex(w))
@@ -866,8 +860,7 @@ class RescaledEigenfunction:
     def phase_rate(self, w: complex) -> float:
         """Upper bound on |d arg Y / ds| per rescaled arclength, away from
         zeros: the local wavenumber |sqrt(P - lambda)| in rescaled units."""
-        pot = self.ev.spec.shifted_field(self.pair.lam)
-        return abs(cmath.sqrt(pot(self.f * complex(w)))) * abs(self.f)
+        return abs(cmath.sqrt(self.ev.pot(self.f * complex(w)))) * abs(self.f)
 
     def log_envelope(self, w: complex) -> float:
         return self.ev.log_envelope(self.f * complex(w))

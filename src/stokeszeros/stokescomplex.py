@@ -86,13 +86,6 @@ class StokesComplex:
     def exceptional_lines(self) -> list:
         return [i for i, ln in enumerate(self.lines) if ln.is_exceptional]
 
-    def exceptional_union(self) -> dict:
-        """Exceptional line indices plus all turning-point indices."""
-        return {
-            "lines": self.exceptional_lines,
-            "turning_points": list(range(len(self.turning_points))),
-        }
-
     def exceptional_arcs(self) -> list:
         """Sample polylines of the exceptional lines (E without the points)."""
         return [self.lines[i].samples for i in self.exceptional_lines]
@@ -103,12 +96,6 @@ class StokesComplex:
         for i in self.exceptional_lines:
             best = min(best, distance_to_polyline(z, self.lines[i].samples))
         return best
-
-    def region_of_label(self, label: str) -> Region:
-        for r in self.regions:
-            if r.label == label:
-                return r
-        raise DomainError(f"no region labeled {label}")
 
     def to_dict(self, max_samples_per_line: int = 400) -> dict:
         def thin(samples):

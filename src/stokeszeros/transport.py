@@ -68,13 +68,6 @@ class TaylorStep:
             acc = acc * t + c
         return acc
 
-    def deriv_at(self, frac: float) -> complex:
-        t = self.dz * frac
-        acc = 0j
-        for k in range(len(self.coeffs) - 1, 0, -1):
-            acc = acc * t + k * self.coeffs[k]
-        return acc
-
 
 def _series(bcoeffs: list, y: complex, dy: complex, order: int) -> list:
     c = [0j] * (order + 1)

@@ -292,11 +292,16 @@ class PhaseIntegral:
 
     def _zeta_w(self, z: complex) -> tuple:
         # every path leaves 0 through the fixed off-cut anchor, so all
-        # evaluations share one single-valued branch on the cut complement
+        # evaluations share one single-valued branch on the cut complement;
+        # an immediate a -> b -> a reversal is dropped rather than integrated
+        # out and back, so u(0) = 0 exactly and not up to roundoff
+        route = self._route(self._base, complex(z))
         path = [0j]
-        if self._base != 0:
-            path.append(self._base)
-        path.extend(self._route(self._base, complex(z))[1:])
+        for p in route if self._base != 0 else route[1:]:
+            if len(path) > 1 and p == path[-2]:
+                path.pop()
+            else:
+                path.append(p)
         w = self._sigma * cmath.sqrt(self.q(0j))
         total = 0j
         for a, b in zip(path[:-1], path[1:]):
@@ -317,34 +322,6 @@ class PhaseIntegral:
         if key not in self._cache:
             self._cache[key] = float(self._u_raw(z))
         return self._cache[key]
-
-    def zeta_along(self, curve, decay: bool = False) -> tuple:
-        """(zeta values, sqrt branch values) continued along a polyline.
-
-        zeta is normalized to 0 at the first vertex.  With ``decay`` the
-        starting branch is chosen so Re zeta decreases along the curve
-        (the half-plane image convention for recessive solutions);
-        otherwise the branch continues the basepoint normalization as far
-        as sign continuity along the curve allows.
-        """
-        pts = [complex(p) for p in curve]
-        w0 = cmath.sqrt(self.q(pts[0]))
-        if decay:
-            direction = (pts[1] - pts[0]) / abs(pts[1] - pts[0])
-            if (w0 * direction).real > 0:
-                w0 = -w0
-        else:
-            w0 *= self._sigma
-        zetas = [0j]
-        ws = [w0]
-        w = w0
-        acc = 0j
-        for a, b in zip(pts[:-1], pts[1:]):
-            part, w = _integrate_segment(self.q, a, b, w, self.tol, self.tps)
-            acc += part
-            zetas.append(acc)
-            ws.append(w)
-        return zetas, ws
 
     def e0_period(self) -> complex:
         """Loop integral of sqrt(Q) around the short exceptional line."""

@@ -104,3 +104,13 @@ def test_console_entry_point_help():
     )
     assert proc.returncode == 0
     assert "stokes" in proc.stdout and "verify" in proc.stdout
+
+
+def test_stokes_rejects_coeff(tmp_path, capsys):
+    # the limit complex depends only on (d, ell): --coeff would be ignored
+    code = run_cli(
+        ["stokes", "--d", "4", "--ell", "1", "--coeff", "2=5,0", "--out", str(tmp_path)]
+    )
+    assert code == 2
+    assert "--coeff" in capsys.readouterr().err
+    assert not (tmp_path / "stokes.json").exists()

@@ -196,6 +196,40 @@ def test_eigenfunction_residual():
         assert ev.residual(z) < 1e-6
 
 
+def _bilinear_envelope(ev, z):
+    """h times the bilinear interpolation of the envelope grid at z / f."""
+    zs, ug = ev._ugrid
+    w = complex(z) / ev.f
+    x0, y0 = zs[0, 0].real, zs[0, 0].imag
+    dx, dy = zs[0, 1].real - x0, zs[1, 0].imag - y0
+    ix = min(max((w.real - x0) / dx, 0.0), ug.shape[1] - 1 - 1e-9)
+    iy = min(max((w.imag - y0) / dy, 0.0), ug.shape[0] - 1 - 1e-9)
+    i, j = int(iy), int(ix)
+    ty, tx = iy - i, ix - j
+    return ev.h * float(
+        ug[i, j] * (1 - tx) * (1 - ty)
+        + ug[i, j + 1] * tx * (1 - ty)
+        + ug[i + 1, j] * (1 - tx) * ty
+        + ug[i + 1, j + 1] * tx * ty
+    )
+
+
+def test_envelope_lookup_matches_bilinear_reference():
+    ev = EigenfunctionEvaluator(solve_eigenpair(PT_CUBIC, 2))
+    ev.log_envelope(0j)
+    zs, _ = ev._ugrid
+    rng = np.random.default_rng(11)
+    nodes = [complex(zs[i, j]) for i, j in rng.integers(0, 55, size=(20, 2))]
+    interior = [complex(x, y) for x, y in rng.uniform(-2.6, 2.6, size=(40, 2))]
+    outside = [4 + 0.3j, -3.5 - 4j, 0.2 + 6j, -9.0, 3 - 3j, -2.6 + 2.8j]
+    points = [w * ev.f for w in nodes + interior + outside]
+    looked_up = ev._u_hat(np.array(points))
+    for z, u in zip(points, looked_up):
+        expected = _bilinear_envelope(ev, z)
+        assert ev.log_envelope(z) == expected
+        assert ev.h * u == expected
+
+
 def test_rescale_hermite_zero_positions():
     # H2 zeros at +/- 1/sqrt(2); lambda_2 = 5
     pair = solve_eigenpair(HARMONIC, 2)
