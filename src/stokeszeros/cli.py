@@ -16,8 +16,13 @@ from pathlib import Path
 
 from .errors import StokesZerosError, DomainError
 from .render import render_stokes_svg, render_zeros_svg
-from .spectral import EigenfunctionEvaluator, ProblemSpec, rescale, solve_eigenpair
-from .stokescomplex import stokes_complex
+from .spectral import (
+    EigenfunctionEvaluator,
+    ProblemSpec,
+    _limit_complex_cached,
+    rescale,
+    solve_eigenpair,
+)
 from .wkb import growth_constant
 from .zeros import compare_to_limit, empirical_measure, locate_zeros
 
@@ -165,7 +170,7 @@ def cmd_stokes(args) -> int:
         formats=_formats(args, ("json", "svg")),
         out_dir=args.out,
     )
-    sc = stokes_complex(cfg.d, cfg.ell)
+    sc = _limit_complex_cached(cfg.d, cfg.ell)
     out = Path(cfg.out_dir)
     payload = {"config": asdict(cfg), "stokes_complex": sc.to_dict()}
     if "json" in cfg.formats:
@@ -291,7 +296,7 @@ def cmd_zeros(args) -> int:
     if cfg.n_max < cfg.n_min:
         raise DomainError("empty index range")
     spec = cfg.spec()
-    sc = stokes_complex(cfg.d, cfg.ell)
+    sc = _limit_complex_cached(cfg.d, cfg.ell)
     out = Path(cfg.out_dir)
     all_zeros = []
     per_n = []

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, IntegrationError
 from .polynomials import ComplexPolynomial, roots
-from .quaddiff import build_quad_diff, stokes_directions
+from .quaddiff import stokes_directions
 from .stokescomplex import stokes_complex
 from .transport import TransportState, transport, transport_states
 from .wkb import PhaseIntegral, eigenvalue_estimate
@@ -326,49 +326,64 @@ def _real_brent(f, a, b, fa, fb, xtol):
     return 0.5 * (a + b)
 
 
-def _solve_real(spec: ProblemSpec, n: int, frame: ShootingFrame) -> complex:
+def _search(spec: ProblemSpec, n: int, frame: ShootingFrame, lam=None) -> complex:
+    """Eigenvalue n in one fixed frame, from its growth-law seed or from lam.
+
+    Self-adjoint spectra are real: a bracket about the start widens until
+    the modulus-normalized miss changes sign and is then closed by
+    :func:`_real_brent`.  Otherwise a secant iteration runs on the
+    holomorphic miss function.  Without ``lam`` the search starts wide from
+    the seed; with it, it polishes ``lam`` in a new frame.
+    """
     seed = eigenvalue_estimate(spec.d, spec.ell, n, offset=0.5)
-    gap = seed * (2.0 * spec.d / (spec.d + 2.0)) / (n + 0.5)
-    half = 0.42 * gap
-    f = lambda lam: miss_surrogate(spec, lam, frame)
-    a, b = seed - half, seed + half
-    fa, fb = f(a), f(b)
-    grow = 0
-    while (fa > 0) == (fb > 0):
-        grow += 1
-        if grow > 9:
-            raise IntegrationError(f"no sign change around seed {seed:.6g} (n={n})")
-        half *= 1.6
-        a, b = seed - half, seed + half
+    if spec.is_self_adjoint:
+        f = lambda x: miss_surrogate(spec, x, frame)
+        if lam is None:
+            gap = seed * (2.0 * spec.d / (spec.d + 2.0)) / (n + 0.5)
+            x, half, grow, tries = seed, 0.42 * gap, 1.6, 9
+        else:
+            x = lam.real
+            half, grow, tries = 1e-6 * (1.0 + abs(x)), 2.2, 40
+        a, b = x - half, x + half
         fa, fb = f(a), f(b)
-    lam = _real_brent(f, a, b, fa, fb, xtol=1e-12 * (1.0 + abs(seed)))
-    return complex(lam)
+        tried = 0
+        while (fa > 0) == (fb > 0):
+            tried += 1
+            if tried > tries:
+                raise IntegrationError(
+                    f"no sign change within {half:.3g} of {x:.6g} (n={n})"
+                )
+            half *= grow
+            a, b = x - half, x + half
+            fa, fb = f(a), f(b)
+        return complex(_real_brent(f, a, b, fa, fb, xtol=1e-12 * (1.0 + abs(x))))
 
-
-def _solve_complex(spec: ProblemSpec, n: int, frame: ShootingFrame) -> complex:
-    seed = eigenvalue_estimate(spec.d, spec.ell, n, offset=0.5)
-    l0 = complex(seed)
-    l1 = complex(seed) * (1.0 + 1e-3) + 1e-6
-    f0 = miss_function(spec, l0, frame)
-    f1 = miss_function(spec, l1, frame)
-    for _ in range(60):
+    f = lambda z: miss_function(spec, z, frame)
+    if lam is None:
+        l0, l1 = complex(seed), complex(seed) * (1.0 + 1e-3) + 1e-6
+        tol, iters = 1e-11, 60
+    else:
+        l0, l1 = lam * (1.0 + 1e-7), lam
+        tol, iters = 1e-12, 40
+    f0, f1 = f(l0), f(l1)
+    # keep secant steps from tunnelling to a neighbouring eigenvalue
+    max_step = 0.2 * abs(seed) + 1.0
+    for _ in range(iters):
         if f1 == f0:
             l1 += 1e-8 * (1.0 + abs(l1))
-            f1 = miss_function(spec, l1, frame)
+            f1 = f(l1)
             continue
         l2 = l1 - f1 * (l1 - l0) / (f1 - f0)
-        # keep secant steps from tunnelling to a neighbouring eigenvalue
-        max_step = 0.2 * abs(seed) + 1.0
         if abs(l2 - l1) > max_step:
             l2 = l1 + max_step * (l2 - l1) / abs(l2 - l1)
         l0, f0 = l1, f1
-        l1 = l2
-        f1 = miss_function(spec, l1, frame)
-        if abs(l1 - l0) <= 1e-11 * (1.0 + abs(l1)):
-            break
-    else:
-        raise IntegrationError(f"secant search did not converge for n={n}")
-    return l1
+        l1, f1 = l2, f(l2)
+        if abs(l1 - l0) <= tol * (1.0 + abs(l1)):
+            return l1
+    raise IntegrationError(
+        f"secant search did not converge for n={n}: lambda={l1:.12g}, "
+        f"last step {abs(l1 - l0):.3g}"
+    )
 
 
 def _count_real_zeros(spec: ProblemSpec, lam: complex, y0, dy0, x_max: float) -> int:
@@ -410,25 +425,25 @@ def _real_bracket(spec: ProblemSpec, lam: complex) -> tuple:
 def solve_eigenpair(spec: ProblemSpec, n: int) -> Eigenpair:
     """Locate eigenvalue n and package normalized initial data.
 
-    The search is seeded by the asymptotic growth law and polished by
-    bracketing (self-adjoint) or a damped secant iteration (general case).
-    The seed radius doubles until the eigenvalue is stable to 1e-9
-    relative, which makes the WKB truncation error measurable.
+    One search (:func:`_search`: a widening bracket for self-adjoint
+    problems, a damped secant iteration otherwise) starts from the
+    asymptotic growth law; the same search then polishes the eigenvalue
+    while the seed radius doubles, until it is stable to 1e-9 relative,
+    which makes the WKB truncation error measurable.  A search that does
+    not converge raises :class:`IntegrationError`.
     """
     if n < 0:
         raise DomainError("eigenvalue index must be nonnegative")
     seed = eigenvalue_estimate(spec.d, spec.ell, n, offset=0.5)
     frame = ShootingFrame.for_scale(spec, seed)
-    solver = _solve_real if spec.is_self_adjoint else _solve_complex
-    lam = solver(spec, n, frame)
+    lam = _search(spec, n, frame)
     for _ in range(3):
         frame2 = frame.doubled(spec)
-        lam2 = _polish(spec, lam, frame2)
-        if abs(lam2 - lam) <= 1e-9 * (1.0 + abs(lam2)):
-            lam = lam2
-            frame = frame2
-            break
+        lam2 = _search(spec, n, frame2, lam)
+        stable = abs(lam2 - lam) <= 1e-9 * (1.0 + abs(lam2))
         lam, frame = lam2, frame2
+        if stable:
+            break
 
     sl, sr, wr = _miss_parts(spec, lam, frame)
     # normalized initial data lives at the origin: climb there from the
@@ -456,36 +471,6 @@ def solve_eigenpair(spec: ProblemSpec, n: int) -> Eigenpair:
                 f"index check failed: wanted n={n}, counted {got} real zeros"
             )
     return pair
-
-
-def _polish(spec: ProblemSpec, lam: complex, frame: ShootingFrame) -> complex:
-    if spec.is_self_adjoint:
-        f = lambda x: miss_surrogate(spec, x, frame)
-        x = lam.real
-        step = 1e-6 * (1.0 + abs(x))
-        fa, fb = f(x - step), f(x + step)
-        a, b = x - step, x + step
-        grow = 0
-        while (fa > 0) == (fb > 0):
-            grow += 1
-            if grow > 40:
-                raise IntegrationError("lost the eigenvalue while polishing")
-            step *= 2.2
-            a, b = x - step, x + step
-            fa, fb = f(a), f(b)
-        return complex(_real_brent(f, a, b, fa, fb, xtol=1e-12 * (1.0 + abs(x))))
-    l0, l1 = lam * (1.0 + 1e-7), lam
-    f0 = miss_function(spec, l0, frame)
-    f1 = miss_function(spec, l1, frame)
-    for _ in range(40):
-        if f1 == f0:
-            break
-        l2 = l1 - f1 * (l1 - l0) / (f1 - f0)
-        l0, f0 = l1, f1
-        l1, f1 = l2, miss_function(spec, l2, frame)
-        if abs(l1 - l0) <= 1e-12 * (1.0 + abs(l1)):
-            break
-    return l1
 
 
 def find_eigenvalues(spec: ProblemSpec, n_range, on_error: str = "raise") -> list:
@@ -551,8 +536,6 @@ class EigenfunctionEvaluator:
         return _limit_complex_cached(self.spec.d, self.spec.ell)
 
     def _build_skeleton(self):
-        # envelope grid for routing penalties (rescaled coordinates)
-        self._ugrid = _limit_ugrid_cached(self.spec.d, self.spec.ell)
         f = self.f
         pair = self.pair
         spacing = self._SPACING * abs(f)
@@ -709,7 +692,7 @@ class EigenfunctionEvaluator:
         # phase distance: limit speed sqrt|Q| at the chord midpoint
         wr, wi = _divide(0.5 * (za + z), self.f)
         qr, qi = np.zeros_like(wr), np.zeros_like(wi)
-        for c in reversed(_limit_poly_cached(self.spec.d, self.spec.ell).coefficients):
+        for c in reversed(self._limit_complex().quaddiff.polynomial.coefficients):
             qr, qi = qr * wr - qi * wi + c.real, qr * wi + qi * wr + c.imag
         speed = np.sqrt(np.hypot(qr, qi))
         cost = speed * np.hypot(z.real - za.real, z.imag - za.imag) / abs(self.f)
@@ -780,10 +763,6 @@ class EigenfunctionEvaluator:
             self._point_cache[key] = self._hop_from(self._anchors, z)
         return self._point_cache[key]
 
-    def values(self, points) -> list:
-        """Transport states at the requested points (anchored hops)."""
-        return [self.eval(z) for z in points]
-
     def residual(self, z: complex, step: float = 1e-4) -> float:
         """Relative defect |y'' - (P - lambda) y| via a five-point stencil."""
         pot = self.pot
@@ -820,6 +799,10 @@ def _segment_points(a: complex, b: complex, spacing: float) -> list:
 
 @lru_cache(maxsize=32)
 def _limit_complex_cached(d: int, ell: int):
+    """The limit Stokes complex of (d, ell): the one route to it, built once.
+
+    Every caller shares the returned object, so none may mutate it.
+    """
     return stokes_complex(d, ell)
 
 
@@ -832,11 +815,6 @@ def _limit_phase_cached(d: int, ell: int):
 def _limit_ugrid_cached(d: int, ell: int):
     pi = _limit_phase_cached(d, ell)
     return pi.u_grid(-2.7 - 2.7j, 55, 55, 0.1, 0.1)
-
-
-@lru_cache(maxsize=32)
-def _limit_poly_cached(d: int, ell: int):
-    return build_quad_diff(d, ell).polynomial
 
 
 class RescaledEigenfunction:

@@ -20,13 +20,14 @@ from .quaddiff import build_quad_diff
 from .spectral import (
     EigenfunctionEvaluator,
     ProblemSpec,
+    _limit_complex_cached,
+    _limit_phase_cached,
     envelope_deviation,
     rescale,
     solve_eigenpair,
 )
-from .stokescomplex import stokes_complex
 from .transport import transport
-from .wkb import PhaseIntegral, WKBParameters, growth_constant, h0_bound, wkb_approximant
+from .wkb import WKBParameters, growth_constant, h0_bound, wkb_approximant
 from .zeros import compare_to_limit, empirical_measure, hille_disc_check, locate_zeros
 
 __all__ = ["CriterionResult", "CRITERIA", "run_criteria", "suites"]
@@ -45,11 +46,6 @@ class CriterionResult:
 @lru_cache(maxsize=64)
 def _evaluator(spec: ProblemSpec, n: int) -> EigenfunctionEvaluator:
     return EigenfunctionEvaluator(solve_eigenpair(spec, n))
-
-
-@lru_cache(maxsize=16)
-def _complex_cached(d: int, ell: int):
-    return stokes_complex(d, ell)
 
 
 def _strip_zeros(spec: ProblemSpec, n: int, half_height: float = 0.08, pad: float = 0.1):
@@ -104,7 +100,7 @@ def check_topology() -> CriterionResult:
     measured = {}
     ok = True
     for d, ell in pairs:
-        sc = _complex_cached(d, ell)  # raises on census/symmetry violations
+        sc = _limit_complex_cached(d, ell)  # raises on census/symmetry violations
         worst_pairing = 0.0
         for k, v in enumerate(sc.turning_points):
             if abs(v.real) <= 1e-8:
@@ -162,7 +158,7 @@ def check_semicircle() -> CriterionResult:
     """Harmonic n=50 rescaled zeros against the semicircle law: KS <= 0.06."""
     spec = ProblemSpec(2, 1)
     resc, zs = _strip_zeros(spec, 50)
-    sc = _complex_cached(2, 1)
+    sc = _limit_complex_cached(2, 1)
     rep = compare_to_limit(empirical_measure(zs, 50), sc)
     ks = rep.arcs[0].ks_distance
     # direct cross-check against the closed-form semicircle distribution
@@ -190,7 +186,7 @@ def check_log_growth() -> CriterionResult:
     measured = {}
     for (d, ell), pts in cases.items():
         spec = ProblemSpec(d, ell)
-        phase = PhaseIntegral(_complex_cached(d, ell))
+        phase = _limit_phase_cached(d, ell)
         devs = {}
         for n in (10, 40):
             resc = rescale(_evaluator(spec, n))
@@ -211,7 +207,7 @@ def check_clustering() -> CriterionResult:
     spec = ProblemSpec(4, 1)
     resc = rescale(_evaluator(spec, 40))
     zs = locate_zeros(resc, (-1.6, 1.6, -1.6, 1.6), resolution=0.015)
-    sc = _complex_cached(4, 1)
+    sc = _limit_complex_cached(4, 1)
     rep = compare_to_limit(empirical_measure(zs, 40), sc, delta=0.1)
     e0 = rep.arcs[0]
     rel = abs(e0.empirical_mass - e0.limit_mass) / e0.limit_mass

@@ -2,12 +2,14 @@
 
 Winding numbers over rectangle boundaries drive a quadtree subdivision
 until every cell isolates one zero (then Newton-polished) or bottoms out at
-the resolution (then reported with its multiplicity).  Boundaries are
-sampled pointwise: each sample must be independently accurate (plain
-callables trivially are; eigenfunction evaluators anchor every evaluation),
-so the wrapped phase increments telescope and per-sample errors cancel.
-Base densities follow the local wavenumber and refinement fires on large
-phase or modulus jumps, which rules out silently aliased turns.
+the resolution (then reported with its multiplicity).  One boundary
+sampler serves plain callables and eigenfunction evaluators alike.  It
+samples pointwise, and each sample must be independently accurate (plain
+callables trivially are; evaluators anchor every evaluation), so the
+wrapped phase increments telescope and per-sample errors cancel.  Base
+densities follow the local wavenumber where the function reports one (24
+samples per edge otherwise), and refinement fires on large phase or
+modulus jumps, which rules out silently aliased turns.
 """
 
 from __future__ import annotations
@@ -102,19 +104,58 @@ def _rect_loop(rect) -> list:
     ]
 
 
-def _winding_from_fetch(fetch, rect, edge_samples) -> float:
+def _fetch(f):
+    """Point evaluation ``z -> (log|f(z)|, arg f(z))`` of f.
+
+    Eigenfunction evaluators give an independently anchored state, whose
+    log-scale keeps the modulus in range; plain callables are called.
+    """
+    anchored = getattr(f, "anchored_state", None)
+
+    def fetch(z):
+        if anchored is None:
+            v, log_scale = f(z), 0.0
+        else:
+            st = anchored(z)
+            v, log_scale = st.y, st.log_scale
+        if v == 0:
+            raise GeometryError("zero exactly on the counting boundary")
+        return math.log(abs(v)) + log_scale, cmath.phase(v)
+
+    return fetch
+
+
+def _edge_budgets(f, rect):
+    """Per-edge base sample counts from the local phase rate."""
+    loop = _rect_loop(rect)
+    budgets = []
+    for a, b in zip(loop[:-1], loop[1:]):
+        if hasattr(f, "phase_rate"):
+            rate = max(
+                f.phase_rate(a + (b - a) * k / 8.0) for k in range(9)
+            )
+            budgets.append(abs(b - a) * rate / 0.9 + 16)
+        else:
+            budgets.append(24)
+    return budgets
+
+
+def _winding(f, rect, boost: int = 1) -> float:
     """Total arg change / 2pi along the rectangle boundary.
 
-    ``fetch(z) -> (log|f|, arg f)`` must be an independently accurate point
-    evaluation; the winding then telescopes, so individual sample errors
-    cancel and only aliasing (prevented by the phase-informed base density
-    plus adaptive refinement) could corrupt the count.
+    Every sample is an independently accurate point evaluation (see
+    :func:`_fetch`), so the wrapped phase increments telescope and
+    individual sample errors cancel.  The base density, ``boost`` times the
+    edge budget, keeps the true arg change per interval well under pi away
+    from zeros; refinement of large phase or modulus jumps and the
+    modulus-dip guard handle the neighbourhoods of zeros.
     """
+    fetch = _fetch(f)
     loop = _rect_loop(rect)
     acc = _ArgAccumulator()
 
-    for edge_idx, (a, b) in enumerate(zip(loop[:-1], loop[1:])):
-        n = max(8, int(edge_samples[edge_idx]))
+    for (a, b), budget in zip(zip(loop[:-1], loop[1:]), _edge_budgets(f, rect)):
+        n = max(8, int(budget * boost))
         params = [k / n for k in range(n + 1)]
         values = [fetch(a + (b - a) * t) for t in params]
         k = 0
@@ -148,67 +189,6 @@ def _winding_from_fetch(fetch, rect, edge_samples) -> float:
     lv, av = fetch(loop[0])
     acc.feed(lv, av)
     return acc.total / (2 * math.pi)
-
-
-def _fetch_callable(f):
-    def fetch(z):
-        v = f(z)
-        if v == 0:
-            raise GeometryError("zero exactly on the counting boundary")
-        return math.log(abs(v)), cmath.phase(v)
-
-    return fetch
-
-
-def _fetch_evaluator(ev):
-    def fetch(z):
-        st = ev.anchored_state(z)
-        if st.y == 0:
-            raise GeometryError("zero exactly on the counting boundary")
-        return st.log_abs_y(), cmath.phase(st.y)
-
-    return fetch
-
-
-def _edge_budgets(f, rect):
-    """Per-edge base sample counts from the local phase rate."""
-    loop = _rect_loop(rect)
-    budgets = []
-    for a, b in zip(loop[:-1], loop[1:]):
-        if hasattr(f, "phase_rate"):
-            rate = max(
-                f.phase_rate(a + (b - a) * k / 8.0) for k in range(9)
-            )
-            budgets.append(abs(b - a) * rate / 0.9 + 16)
-        else:
-            budgets.append(24)
-    return budgets
-
-
-def _winding_callable(f, rect, base_samples: int = 24) -> float:
-    """Winding for a plain callable (kept for direct use in tests)."""
-    return _winding_from_fetch(
-        _fetch_callable(f), rect, [base_samples] * 4
-    )
-
-
-def _winding_evaluator(ev, rect, boost: int = 1) -> float:
-    """Winding for a scale-safe evaluator: phase-informed pointwise fetch.
-
-    Every boundary sample is an independently anchored evaluation, so the
-    accumulated wrapped increments telescope and per-sample errors cancel;
-    the base density keeps the true arg change per interval well under pi
-    away from zeros, and refinement plus the modulus-dip guard handle the
-    neighbourhoods of zeros.
-    """
-    budgets = [b * boost for b in _edge_budgets(ev, rect)]
-    return _winding_from_fetch(_fetch_evaluator(ev), rect, budgets)
-
-
-def _winding(f, rect, boost: int = 1) -> float:
-    if hasattr(f, "anchored_state"):
-        return _winding_evaluator(f, rect, boost)
-    return _winding_callable(f, rect, base_samples=24 * boost)
 
 
 def count_zeros_rect(f, rect, max_refine: int = 3) -> int:

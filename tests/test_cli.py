@@ -1,14 +1,35 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import stokeszeros
+from stokeszeros import stokescomplex
 from stokeszeros.cli import main
+
+ZEROS_SMALL = [
+    "zeros",
+    "--d", "2", "--ell", "1",
+    "--n-min", "3", "--n-max", "3",
+    "--window=-1.1,1.1,-0.2,0.2",
+    "--resolution", "0.01",
+]
 
 
 def run_cli(args):
     return main(args)
+
+
+def _clear_program_caches():
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "stokeszeros":
+            for obj in vars(mod).values():
+                clear = getattr(obj, "cache_clear", None)
+                if callable(clear):
+                    clear()
 
 
 def test_stokes_command(tmp_path):
@@ -51,16 +72,7 @@ def test_spectrum_empty_range_is_usage_error(tmp_path):
 
 
 def test_zeros_command_small(tmp_path):
-    code = run_cli(
-        [
-            "zeros",
-            "--d", "2", "--ell", "1",
-            "--n-min", "3", "--n-max", "3",
-            "--window=-1.1,1.1,-0.2,0.2",
-            "--resolution", "0.01",
-            "--out", str(tmp_path),
-        ]
-    )
+    code = run_cli(ZEROS_SMALL + ["--out", str(tmp_path)])
     assert code == 0
     data = json.loads((tmp_path / "zeros.json").read_text())
     assert data["results"][0]["count"] == 3
@@ -85,22 +97,51 @@ def test_verify_suite_filter(tmp_path):
     assert names == ["harmonic-oracle", "asymptotic-law"]
 
 
+def test_zeros_command_builds_limit_complex_once(tmp_path, monkeypatch):
+    # the eigen-solve, the evaluator and compare_to_limit share one complex
+    builds = []
+    real_build = stokescomplex.build_stokes_complex
+
+    def counting_build(*args, **kwargs):
+        builds.append(args)
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(stokescomplex, "build_stokes_complex", counting_build)
+    _clear_program_caches()
+    try:
+        assert run_cli(ZEROS_SMALL + ["--out", str(tmp_path)]) == 0
+    finally:
+        _clear_program_caches()
+    assert len(builds) == 1
+
+
 def test_deterministic_outputs(tmp_path):
-    # identical configs (including the output directory) byte-match
-    args = ["stokes", "--d", "3", "--ell", "1", "--out", str(tmp_path)]
-    assert run_cli(args) == 0
-    first_json = (tmp_path / "stokes.json").read_bytes()
-    first_svg = (tmp_path / "stokes.svg").read_bytes()
-    assert run_cli(args) == 0
-    assert (tmp_path / "stokes.json").read_bytes() == first_json
-    assert (tmp_path / "stokes.svg").read_bytes() == first_svg
+    # identical configs (including the output directory) byte-match; the
+    # second zeros run reuses the cached limit complex, which must stay as
+    # the first run left it
+    cases = (
+        (["stokes", "--d", "3", "--ell", "1"], ("stokes.json", "stokes.svg")),
+        (ZEROS_SMALL, ("zeros.json", "zeros.svg")),
+    )
+    for args, names in cases:
+        args = args + ["--out", str(tmp_path)]
+        assert run_cli(args) == 0
+        first = {name: (tmp_path / name).read_bytes() for name in names}
+        assert run_cli(args) == 0
+        for name in names:
+            assert (tmp_path / name).read_bytes() == first[name]
 
 
 def test_console_entry_point_help():
+    # the subprocess does not inherit pytest's pythonpath setting
+    src = str(Path(stokeszeros.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, inherited))))
     proc = subprocess.run(
         [sys.executable, "-m", "stokeszeros.cli", "--help"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "stokes" in proc.stdout and "verify" in proc.stdout

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from stokeszeros.errors import DomainError
+from stokeszeros import spectral
+from stokeszeros.errors import DomainError, IntegrationError
 from stokeszeros.polynomials import ComplexPolynomial
 from stokeszeros.spectral import (
     EigenfunctionEvaluator,
@@ -280,6 +281,35 @@ def test_index_certification_rejects_bad_index():
     # sanity: requesting a valid index works and counts its real zeros
     pair = solve_eigenpair(QUARTIC, 7)
     assert pair.n == 7
+
+
+def test_pt_quartic_lambda_40_is_real():
+    # README: lambda_40 = 482.4251... (real to 1e-13)
+    lam = solve_eigenpair(ProblemSpec(4, 1), 40).lam
+    assert abs(lam.imag) <= 1e-13
+    assert 482.4251 <= lam.real < 482.4252
+
+
+def test_failed_polish_raises(monkeypatch):
+    # a doubled frame that carries no root information must not hand back
+    # the seed frame's eigenvalue as if the polish had converged
+    real_miss = spectral.miss_function
+    frames = []
+
+    def flat_after_first_frame(spec, lam, frame=None):
+        if not frames:
+            frames.append(frame)
+        if frame == frames[0]:
+            return real_miss(spec, lam, frame)
+        return 1 + 0j
+
+    monkeypatch.setattr(spectral, "miss_function", flat_after_first_frame)
+    solve_eigenpair.cache_clear()
+    try:
+        with pytest.raises(IntegrationError, match="n=2"):
+            solve_eigenpair(ProblemSpec(3, 1), 2)
+    finally:
+        solve_eigenpair.cache_clear()
 
 
 def test_invalid_spec_rejected():
