@@ -50,6 +50,14 @@ class RunConfig:
         return ProblemSpec(self.d, self.ell, tuple(a))
 
 
+# the artifact formats each command can write, its default when --format is absent
+_WRITES = {
+    "stokes": ("json", "svg"),
+    "spectrum": ("json", "csv"),
+    "zeros": ("json", "csv", "svg"),
+}
+
+
 def _parse_coeff(text: str):
     try:
         key, val = text.split("=")
@@ -84,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_spec=True, coeff=True):
+    def common(p, formats=(), needs_spec=True, coeff=True):
         if needs_spec:
             p.add_argument("--d", type=int, required=True, help="potential degree")
             p.add_argument("--ell", type=int, required=True, help="boundary index")
@@ -98,15 +106,16 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="lower-order coefficient a_k (repeatable)",
             )
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument(
-            "--format",
-            default=None,
-            help="comma-separated subset of json,csv,svg",
-        )
+        if formats:
+            p.add_argument(
+                "--format",
+                default=None,
+                help=f"comma-separated subset of {','.join(formats)}",
+            )
 
     p_stokes = sub.add_parser("stokes", help="trace and render the Stokes complex")
     # the limit Stokes complex depends on (d, ell) alone: no --coeff
-    common(p_stokes, coeff=False)
+    common(p_stokes, _WRITES["stokes"], coeff=False)
     p_stokes.add_argument("--window", type=_parse_window, default=None)
     p_stokes.add_argument(
         "--u-grid",
@@ -117,12 +126,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_spec = sub.add_parser("spectrum", help="eigenvalues by complex shooting")
-    common(p_spec)
+    common(p_spec, _WRITES["spectrum"])
     p_spec.add_argument("--n-min", type=int, default=0)
     p_spec.add_argument("--n-max", type=int, default=9)
 
     p_zeros = sub.add_parser("zeros", help="zero clouds of rescaled eigenfunctions")
-    common(p_zeros)
+    common(p_zeros, _WRITES["zeros"])
     p_zeros.add_argument("--n-min", type=int, default=10)
     p_zeros.add_argument("--n-max", type=int, default=10)
     p_zeros.add_argument("--window", type=_parse_window, default=_parse_window("1.6"))
@@ -130,6 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_zeros.add_argument("--delta", type=float, default=0.1)
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
+    # verify always writes report.json: no --format
     common(p_verify, needs_spec=False)
     p_verify.add_argument(
         "--suite",
@@ -145,13 +155,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _formats(args, default):
+def _formats(args, writable):
+    """The formats chosen with --format; each must be one the command writes."""
     if args.format is None:
-        return list(default)
+        return list(writable)
     chosen = [f.strip() for f in args.format.split(",") if f.strip()]
     for f in chosen:
-        if f not in ("json", "csv", "svg"):
-            raise DomainError(f"unknown format {f!r}")
+        if f not in writable:
+            raise DomainError(f"{args.command} writes {','.join(writable)}, not {f!r}")
     return chosen
 
 
@@ -167,7 +178,7 @@ def cmd_stokes(args) -> int:
         d=args.d,
         ell=args.ell,
         window=args.window or [],
-        formats=_formats(args, ("json", "svg")),
+        formats=_formats(args, _WRITES["stokes"]),
         out_dir=args.out,
     )
     sc = _limit_complex_cached(cfg.d, cfg.ell)
@@ -217,7 +228,7 @@ def cmd_spectrum(args) -> int:
         coefficients=args.coeff,
         n_min=args.n_min,
         n_max=args.n_max,
-        formats=_formats(args, ("json", "csv")),
+        formats=_formats(args, _WRITES["spectrum"]),
         out_dir=args.out,
     )
     if cfg.n_max < cfg.n_min:
@@ -290,7 +301,7 @@ def cmd_zeros(args) -> int:
         window=args.window,
         resolution=args.resolution,
         delta=args.delta,
-        formats=_formats(args, ("json", "csv", "svg")),
+        formats=_formats(args, _WRITES["zeros"]),
         out_dir=args.out,
     )
     if cfg.n_max < cfg.n_min:

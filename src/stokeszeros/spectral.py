@@ -503,6 +503,10 @@ def find_eigenvalues(spec: ProblemSpec, n_range, on_error: str = "raise") -> lis
 # eigenfunction evaluation
 
 
+class _HopDiverged(Exception):
+    """Raised by a hop's watcher to abort a transport that lost its accuracy."""
+
+
 class EigenfunctionEvaluator:
     """Scale-safe evaluation of one eigenfunction anywhere in the plane.
 
@@ -633,8 +637,10 @@ class EigenfunctionEvaluator:
         Roundoff enters each stretch at ~1e-14 of the local solution and
         then grows at the dominant local rate |Re(sqrt(W) t)|; comparing
         that bound with the actual modulus slope measures exactly how much
-        relative accuracy the hop has lost.  Returns None once the loss
-        exceeds the budget.
+        relative accuracy the hop has lost.  The hop is one transport; the
+        modulus at the ends of its equal pieces is read from the Taylor
+        steps' dense output, and the transport is aborted (None returned)
+        once the loss exceeds the budget.
         """
         pot = self.pot
         total = abs(z - st.z)
@@ -643,23 +649,37 @@ class EigenfunctionEvaluator:
         direction = (z - st.z) / total
         pieces = max(6, int(total * self.h / (2.0 * abs(self.f))))
         pieces = min(pieces, 200)
+        piece = total / pieces
+        # piece k ends at distance k * piece; the final piece may legitimately
+        # dive into a zero of y, its own amplification is bounded by one
+        # piece's phase, so only the ends of pieces 1 .. pieces-1 are read
+        k = 1
+        prev_z = st.z
+        prev_log = st.log_abs_y()
         divergence = 0.0
-        cur = st
-        for k in range(1, pieces + 1):
-            target = st.z + (z - st.z) * (k / pieces)
-            mid = 0.5 * (cur.z + target)
-            rate = abs((cmath.sqrt(pot(mid)) * direction).real)
-            prev_log = cur.log_abs_y()
-            cur = transport(self.field, [cur.z, target], cur.y, cur.dy, cur.log_scale)
-            if k < pieces:
-                # the final stretch may legitimately dive into a zero of y;
-                # its own amplification is bounded by one piece's phase
-                divergence += max(
-                    0.0, rate * (total / pieces) - (cur.log_abs_y() - prev_log)
-                )
-            if divergence > budget:
-                return None
-        return cur
+        start = 0.0  # distance of the current step's start from st.z
+
+        def watch(step):
+            nonlocal k, prev_z, prev_log, divergence, start
+            length = abs(step.dz)
+            while k < pieces and k * piece <= start + length:
+                target = st.z + (z - st.z) * (k / pieces)
+                rate = abs((cmath.sqrt(pot(0.5 * (prev_z + target))) * direction).real)
+                y = step.value_at((k * piece - start) / length)
+                log_y = math.log(abs(y)) + step.log_scale if y != 0 else -math.inf
+                divergence += max(0.0, rate * piece - (log_y - prev_log))
+                if divergence > budget:
+                    raise _HopDiverged
+                k += 1
+                prev_z, prev_log = target, log_y
+            start += length
+
+        try:
+            return transport(
+                self.field, [st.z, z], st.y, st.dy, st.log_scale, watcher=watch
+            )
+        except _HopDiverged:
+            return None
 
     def _hop_from(self, anchors, z: complex) -> TransportState:
         """Evaluate by transporting from an admissible anchor.

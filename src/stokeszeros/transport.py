@@ -7,16 +7,18 @@ solution coefficients obey
     c_{k+2} = ( sum_{j<=min(k,m)} b_j c_{k-j} ) / ((k+1)(k+2)).
 
 High order (~40 terms) lets a step cover several local wavelengths at
-~1e-14 truncation, and the series doubles as dense output for phase
-tracking.  Solutions reach magnitudes far beyond floating-point range, so a
-state carries (mantissa y, mantissa y', accumulated log scale); the true
-solution is  y * exp(log_scale).
+~1e-14 truncation, and the series doubles as dense output: watchers read
+the solution anywhere inside a step, to count zeros along a path or to
+monitor a hop's modulus between its ends.  Solutions reach magnitudes far
+beyond floating-point range, so a state carries (mantissa y, mantissa y',
+accumulated log scale); the true solution is  y * exp(log_scale).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import IntegrationError
 
@@ -69,16 +71,23 @@ class TaylorStep:
         return acc
 
 
+@lru_cache(maxsize=None)
+def _series_plan(m: int, order: int) -> tuple:
+    """The recurrence's loop bounds for field degree m: (k, js, (k+1)(k+2))."""
+    return tuple(
+        (k, tuple(range(min(k, m) + 1)), (k + 1) * (k + 2)) for k in range(order - 1)
+    )
+
+
 def _series(bcoeffs: list, y: complex, dy: complex, order: int) -> list:
     c = [0j] * (order + 1)
     c[0] = y
     c[1] = dy
-    m = len(bcoeffs) - 1
-    for k in range(order - 1):
+    for k, js, denom in _series_plan(len(bcoeffs) - 1, order):
         acc = 0j
-        for j in range(min(k, m) + 1):
+        for j in js:
             acc += bcoeffs[j] * c[k - j]
-        c[k + 2] = acc / ((k + 1) * (k + 2))
+        c[k + 2] = acc / denom
     return c
 
 
@@ -124,7 +133,9 @@ def transport(
         Initial accumulated log-magnitude (the true solution is
         ``y * exp(log_scale)``).
     watcher : callable, optional
-        Called with each accepted :class:`TaylorStep`.
+        Called with each accepted :class:`TaylorStep` before the state
+        advances over it.  A watcher may raise to abort the transport: the
+        exception propagates to the caller and no state is returned.
 
     Returns
     -------
@@ -154,7 +165,7 @@ def transport(
             coeffs = _series(bc, state.y, state.dy, order)
 
             h = min(remaining, cap)
-            scale_ref = abs(coeffs[0]) + abs(coeffs[1]) * min(h, cap) + 1e-300
+            scale_ref = abs(coeffs[0]) + abs(coeffs[1]) * h + 1e-300
             for k in range(order, order - 3, -1):
                 mk = abs(coeffs[k])
                 if mk > 0:

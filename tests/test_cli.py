@@ -155,3 +155,32 @@ def test_stokes_rejects_coeff(tmp_path, capsys):
     assert code == 2
     assert "--coeff" in capsys.readouterr().err
     assert not (tmp_path / "stokes.json").exists()
+
+
+def test_verify_rejects_format(tmp_path, capsys):
+    # verify always writes report.json: --format would be ignored
+    code = run_cli(["verify", "--criteria", "1", "--format", "csv", "--out", str(tmp_path)])
+    assert code == 2
+    assert "--format" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, unwritten",
+    [
+        (["stokes", "--d", "4", "--ell", "1"], "csv"),
+        (["spectrum", "--d", "2", "--ell", "1", "--n-max", "1"], "svg"),
+        (["zeros"] + ZEROS_SMALL[1:], "bogus"),
+    ],
+)
+def test_format_outside_command_set_is_usage_error(tmp_path, capsys, command, unwritten):
+    code = run_cli(command + ["--format", f"json,{unwritten}", "--out", str(tmp_path)])
+    assert code == 2
+    assert repr(unwritten) in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_stokes_writes_only_chosen_format(tmp_path):
+    code = run_cli(["stokes", "--d", "4", "--ell", "1", "--format", "svg", "--out", str(tmp_path)])
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["stokes.svg"]

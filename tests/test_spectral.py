@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from stokeszeros.spectral import (
     wkb_seed,
 )
 from stokeszeros.stokescomplex import stokes_complex
+from stokeszeros.transport import transport
 from stokeszeros.wkb import PhaseIntegral
 
 HARMONIC = ProblemSpec(2, 1)
@@ -229,6 +231,77 @@ def test_envelope_lookup_matches_bilinear_reference():
         expected = _bilinear_envelope(ev, z)
         assert ev.log_envelope(z) == expected
         assert ev.h * u == expected
+
+
+def _piecewise_hop(ev, st, z, budget):
+    """The hop rule with one transport per piece: the reference for one transport."""
+    total = abs(z - st.z)
+    if total == 0:
+        return st
+    direction = (z - st.z) / total
+    pieces = min(max(6, int(total * ev.h / (2.0 * abs(ev.f)))), 200)
+    divergence = 0.0
+    cur = st
+    for k in range(1, pieces + 1):
+        target = st.z + (z - st.z) * (k / pieces)
+        mid = 0.5 * (cur.z + target)
+        rate = abs((cmath.sqrt(ev.pot(mid)) * direction).real)
+        prev_log = cur.log_abs_y()
+        cur = transport(ev.field, [cur.z, target], cur.y, cur.dy, cur.log_scale)
+        if k < pieces:
+            divergence += max(0.0, rate * (total / pieces) - (cur.log_abs_y() - prev_log))
+        if divergence > budget:
+            return None
+    return cur
+
+
+def _hop_pairs():
+    """(anchor, target) pairs of the PT quartic n = 1: near and far hops."""
+    ev = EigenfunctionEvaluator(solve_eigenpair(ProblemSpec(4, 1), 1))
+    ev.eval(0j)  # builds the anchor skeleton
+    far = ev._anchors[int(np.argmin(np.abs(ev._anchor_z - (0.75 + 0.7j) * ev.f)))]
+    pairs = []
+    # rescaled targets away from the zeros, where log|y| is well conditioned
+    for w in (0.3 + 0.2j, -0.7 + 0.4j, 1.1 - 0.6j, -1.2 - 1.2j, 0.2 - 1.4j, 1.3 + 1.3j):
+        z = w * ev.f
+        near = np.argsort(np.abs(ev._anchor_z - z))[:3]
+        pairs += [(ev._anchors[i], z) for i in near] + [(far, z)]
+    return ev, pairs
+
+
+def test_one_transport_hop_matches_piecewise_rule():
+    ev, pairs = _hop_pairs()
+    outcomes = set()  # rejected or not, at the evaluator's own budget
+    # tighter budgets put some decisions near the threshold, where a
+    # misread piece end would flip them
+    for (st, z), budget in itertools.product(pairs, (0.02, 0.1, 0.5, ev._HOP_BUDGET)):
+        got = ev._monitored_hop(st, z, budget)
+        ref = _piecewise_hop(ev, st, z, budget)
+        assert (got is None) == (ref is None), (st.z, z, budget)
+        if budget == ev._HOP_BUDGET:
+            outcomes.add(got is None)
+        if got is not None:
+            assert got.z == ref.z
+            assert abs(got.log_abs_y() - ref.log_abs_y()) <= 1e-12
+            assert abs(cmath.phase(got.y / ref.y)) <= 1e-12
+    assert outcomes == {True, False}
+
+
+def test_monitored_hop_is_one_transport(monkeypatch):
+    ev, pairs = _hop_pairs()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("watcher"))  # by keyword, where tracers read it
+        return transport(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "transport", counted)
+    outcomes = set()
+    for st, z in pairs:
+        calls.clear()
+        outcomes.add(ev._monitored_hop(st, z, ev._HOP_BUDGET) is None)
+        assert len(calls) == 1 and calls[0] is not None
+    assert outcomes == {True, False}
 
 
 def test_rescale_hermite_zero_positions():
