@@ -82,6 +82,13 @@ def _parse_window(text: str):
     raise argparse.ArgumentTypeError("window is 'halfwidth' or 'x0,x1,y0,y1'")
 
 
+def _parse_grid_size(text: str) -> int:
+    n = int(text)
+    if n != 0 and n < 2:
+        raise argparse.ArgumentTypeError(f"grid size is 0 (off) or at least 2, got {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stokeszeros",
@@ -119,10 +126,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_stokes.add_argument("--window", type=_parse_window, default=None)
     p_stokes.add_argument(
         "--u-grid",
-        type=int,
+        type=_parse_grid_size,
         default=0,
         metavar="N",
-        help="also sample the envelope u on an NxN grid into ufield.json",
+        help="also sample the envelope u on an NxN grid (N >= 2) into ufield.json",
     )
 
     p_spec = sub.add_parser("spectrum", help="eigenvalues by complex shooting")

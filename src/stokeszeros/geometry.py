@@ -13,6 +13,7 @@ __all__ = [
     "nearest_on_polyline",
     "polyline_cumlen",
     "segments_intersect",
+    "SegmentSet",
 ]
 
 
@@ -101,40 +102,75 @@ def segments_intersect(a: complex, b: complex, c: complex, d: complex) -> bool:
     return False
 
 
-def crossings_count(a: complex, b: complex, p: np.ndarray, q: np.ndarray) -> int:
-    """Number of segments (p[i], q[i]) that the open segment (a, b) crosses.
+class SegmentSet:
+    """Fixed segments (p_i, q_i) in flat float arrays, tested many at a time.
 
-    Strict crossings only (orientation products negative on both sides);
-    touching endpoints do not count.
+    One numpy broadcast tests the lines of a chunk of query segments
+    against every segment of the set; only the segments a line separates
+    are tested further.  The orientation products are those of the scalar
+    test, term for term in float64, so an answer never depends on how the
+    queries are batched.  Crossings are strict: touching endpoints and
+    collinear overlaps do not count.
     """
 
-    def orient(u, v, w):
-        return (v.real - u.real) * (w.imag - u.imag) - (v.imag - u.imag) * (
-            w.real - u.real
-        )
+    CHUNK = 8  # query segments per broadcast: bounds the (chunk, n) temporaries
 
-    d1 = orient(p, q, a)
-    d2 = orient(p, q, b)
-    d3 = (b.real - a.real) * (p.imag - a.imag) - (b.imag - a.imag) * (p.real - a.real)
-    d4 = (b.real - a.real) * (q.imag - a.imag) - (b.imag - a.imag) * (q.real - a.real)
-    return int(np.count_nonzero((d1 * d2 < 0) & (d3 * d4 < 0)))
+    def __init__(self, px, py, qx, qy):
+        self.px, self.py, self.qx, self.qy = px, py, qx, qy
 
+    @classmethod
+    def from_polylines(cls, polylines) -> "SegmentSet":
+        arrs = [np.asarray(pl, dtype=complex) for pl in polylines]
+        p = np.concatenate([a[:-1] for a in arrs] + [np.zeros(0, complex)])
+        q = np.concatenate([a[1:] for a in arrs] + [np.zeros(0, complex)])
+        return cls(p.real.copy(), p.imag.copy(), q.real.copy(), q.imag.copy())
 
-def crossing_fractions(a: complex, b: complex, p: np.ndarray, q: np.ndarray) -> list:
-    """Parameters t in (0,1) where segment a + t(b-a) strictly crosses (p[i], q[i])."""
+    def band(self, y0: float, y1: float) -> "SegmentSet":
+        """The segments whose y-range meets [y0, y1], widened by 1e-9.
 
-    def orient(u, v, w):
-        return (v.real - u.real) * (w.imag - u.imag) - (v.imag - u.imag) * (
-            w.real - u.real
-        )
+        A segment outside the band cannot be crossed by a query inside it,
+        and the margin is far above the rounding of the orientation tests,
+        so for such queries the band answers exactly as the whole set does.
+        """
+        m = 1e-9 * max(1.0, abs(y0), abs(y1))
+        keep = (np.maximum(self.py, self.qy) >= y0 - m) & (np.minimum(self.py, self.qy) <= y1 + m)
+        return SegmentSet(self.px[keep], self.py[keep], self.qx[keep], self.qy[keep])
 
-    d1 = orient(p, q, a)
-    d2 = orient(p, q, b)
-    d3 = (b.real - a.real) * (p.imag - a.imag) - (b.imag - a.imag) * (p.real - a.real)
-    d4 = (b.real - a.real) * (q.imag - a.imag) - (b.imag - a.imag) * (q.real - a.real)
-    mask = (d1 * d2 < 0) & (d3 * d4 < 0)
-    if not np.any(mask):
-        return []
-    denom = d1[mask] - d2[mask]
-    ts = d1[mask] / np.where(denom == 0, 1.0, denom)
-    return sorted(float(t) for t in ts if 0.0 < t < 1.0)
+    def _crossings(self, ax, ay, bx, by):
+        """(query k, d1, d2) for every strict crossing, one chunk at a time.
+
+        d1 and d2 are the orientations of a_k and b_k against the crossed
+        segment.  The query's own line is tested against every segment
+        first; only the segments it separates are tested the other way.
+        """
+        for lo in range(0, len(ax), self.CHUNK):
+            sl = slice(lo, lo + self.CHUNK)
+            ux, uy = (bx[sl] - ax[sl])[:, None], (by[sl] - ay[sl])[:, None]
+            d3 = ux * (self.py - ay[sl, None]) - uy * (self.px - ax[sl, None])
+            d4 = ux * (self.qy - ay[sl, None]) - uy * (self.qx - ax[sl, None])
+            k, i = np.nonzero(d3 * d4 < 0)
+            k += lo
+            px, py = self.px[i], self.py[i]
+            ex, ey = self.qx[i] - px, self.qy[i] - py
+            d1 = ex * (ay[k] - py) - ey * (ax[k] - px)
+            d2 = ex * (by[k] - py) - ey * (bx[k] - px)
+            hit = d1 * d2 < 0
+            yield k[hit], d1[hit], d2[hit]
+
+    def crosses(self, ax, ay, bx, by) -> np.ndarray:
+        """Whether each open query segment a_k -> b_k crosses a segment."""
+        out = np.zeros(len(ax), dtype=bool)
+        for k, _, _ in self._crossings(ax, ay, bx, by):
+            out[k] = True
+        return out
+
+    def fractions(self, ax, ay, bx, by) -> list:
+        """Per query, the sorted t in (0, 1) where a_k + t (b_k - a_k) crosses."""
+        out = [[] for _ in range(len(ax))]
+        for ks, d1, d2 in self._crossings(ax, ay, bx, by):
+            for k, t in zip(ks.tolist(), (d1 / (d1 - d2)).tolist()):
+                if 0.0 < t < 1.0:
+                    out[k].append(t)
+        for ts in out:
+            ts.sort()
+        return out

@@ -23,7 +23,7 @@ from .polynomials import ComplexPolynomial, roots
 from .quaddiff import stokes_directions
 from .stokescomplex import stokes_complex
 from .transport import TransportState, transport, transport_states
-from .wkb import PhaseIntegral, eigenvalue_estimate
+from .wkb import PhaseIntegral, eigenvalue_estimate, horner_parts
 
 __all__ = [
     "ProblemSpec",
@@ -711,9 +711,7 @@ class EigenfunctionEvaluator:
         ridge = self.h * self._u_hat(chords).max(axis=1)
         # phase distance: limit speed sqrt|Q| at the chord midpoint
         wr, wi = _divide(0.5 * (za + z), self.f)
-        qr, qi = np.zeros_like(wr), np.zeros_like(wi)
-        for c in reversed(self._limit_complex().quaddiff.polynomial.coefficients):
-            qr, qi = qr * wr - qi * wi + c.real, qr * wi + qi * wr + c.imag
+        qr, qi = horner_parts(self._limit_complex().quaddiff.polynomial, wr, wi)
         speed = np.sqrt(np.hypot(qr, qi))
         cost = speed * np.hypot(z.real - za.real, z.imag - za.imag) / abs(self.f)
         admissible = ridge <= env_z + self._HOP_BUDGET + 4.0

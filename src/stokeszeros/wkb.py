@@ -22,12 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CertificateError, DomainError, QuadratureError
-from .geometry import (
-    crossing_fractions,
-    crossings_count,
-    polyline_cumlen,
-    wrap_angle,
-)
+from .geometry import SegmentSet, polyline_cumlen, wrap_angle
 from .polynomials import gamma
 from .quaddiff import QuadDiff, turning_points
 from .stokescomplex import StokesComplex, is_admissible
@@ -90,34 +85,69 @@ def index_estimate(d: int, ell: int, lam: float) -> float:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
-def _sqrt_continued(q: QuadDiff, pts: np.ndarray, w_ref: complex) -> np.ndarray:
-    """Branch-continued sqrt(Q) at an ordered dense sequence of points."""
-    vals = np.empty(len(pts), dtype=complex)
+def horner_parts(p, x, y) -> tuple:
+    """Real and imaginary parts of the polynomial p at the points x + iy.
+
+    The Horner pass is spelled out in float64 real arithmetic, exactly as
+    Python multiplies and adds complex scalars; numpy's own complex
+    multiply rounds differently, and the envelope and the hop ranking must
+    match the scalar evaluation ``p(z)`` bit for bit.
+    """
+    re, im = np.zeros_like(x), np.zeros_like(y)
+    for c in reversed(p.coefficients):
+        re, im = re * x - im * y + c.real, re * y + im * x + c.imag
+    return re, im
+
+
+def _sqrt_q(q, z: np.ndarray) -> np.ndarray:
+    """sqrt(Q) at an array of points, principal branch, as one array."""
+    qz = np.empty(z.shape, dtype=complex)
+    qz.real, qz.imag = horner_parts(_poly_of(q), z.real, z.imag)
+    return np.sqrt(qz)
+
+
+def _panel_roots(q, panels) -> np.ndarray:
+    """sqrt(Q) at the 16 GL nodes of each panel (a, b), one row per panel."""
+    mid = np.array([0.5 * (a + b) for a, b in panels], dtype=complex)
+    half = np.array([0.5 * (b - a) for a, b in panels], dtype=complex)
+    return _sqrt_q(q, mid[:, None] + half[:, None] * _GL_NODES)
+
+
+def _continued(roots: np.ndarray, w_ref: complex) -> list:
+    """The roots, each sign chosen nearest the one before, starting at w_ref."""
+    vals = roots.tolist()
     ref = w_ref
-    for i, z in enumerate(pts):
-        w = cmath.sqrt(q(complex(z)))
+    for i, w in enumerate(vals):
         if abs(w - ref) > abs(w + ref):
             w = -w
-        vals[i] = w
-        ref = w
+        vals[i] = ref = w
     return vals
 
 
-def _panel_integral(q: QuadDiff, a: complex, b: complex, w_ref: complex):
-    """(integral of sqrt(Q) over [a,b], branch at b) on one GL panel."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    pts = mid + half * _GL_NODES
-    vals = _sqrt_continued(q, pts, w_ref)
-    integral = half * np.sum(_GL_WEIGHTS * vals)
-    w_end = cmath.sqrt(q(b))
-    if abs(w_end - vals[-1]) > abs(w_end + vals[-1]):
-        w_end = -w_end
-    return integral, w_end
+def _pieces(panels, roots, w_ref: complex, end_root: complex):
+    """GL-16 integral over consecutive panels, each continued from w_ref.
+
+    Returns the summed integral and the branch at the last panel's end,
+    continued from that panel's last node.
+    """
+    vals = [_continued(r, w_ref) for r in roots[:-1]]
+    vals.append(_continued(np.append(roots[-1], end_root), w_ref))
+    w_end = vals[-1].pop()
+    parts = [
+        0.5 * (b - a) * np.sum(_GL_WEIGHTS * np.array(v, dtype=complex))
+        for (a, b), v in zip(panels, vals)
+    ]
+    return sum(parts[1:], parts[0]), w_end
 
 
 def _integrate_segment(q: QuadDiff, a: complex, b: complex, w_ref: complex, tol: float, tps):
-    """Adaptive branch-continued integral of sqrt(Q) along [a, b]."""
+    """Adaptive branch-continued integral of sqrt(Q) along [a, b].
+
+    Each panel is integrated whole and as two halves; Q at the nodes of
+    every panel and half is evaluated as one array up front, and only the
+    branch continuation runs node by node, into every half from the
+    branch at the panel's start.
+    """
     length = abs(b - a)
     if length == 0:
         return 0j, w_ref
@@ -137,20 +167,18 @@ def _integrate_segment(q: QuadDiff, a: complex, b: complex, w_ref: complex, tol:
         else:
             out.append((x, y))
     out.sort(key=lambda seg: abs(seg[0] - a))
-    for x, y in out:
-        coarse, _ = _panel_integral(q, x, y, w)
-        m = 0.5 * (x + y)
-        f1, _ = _panel_integral(q, x, m, w)
-        f2, w_end = _panel_integral(q, m, y, w)
-        fine = f1 + f2
+    trios = [[(x, y), (x, 0.5 * (x + y)), (0.5 * (x + y), y)] for x, y in out]
+    roots = _panel_roots(q, [p for trio in trios for p in trio]).reshape(len(out), 3, -1)
+    ends = _sqrt_q(q, np.array([y for _, y in out], dtype=complex))
+    for (whole, left, right), r, end in zip(trios, roots, ends):
+        coarse, _ = _pieces([whole], r[:1], w, end)
+        fine, w_end = _pieces([left, right], r[1:], w, end)
         if abs(fine - coarse) > tol * (1.0 + abs(fine)):
             # one more halving level is always enough at GL-16 for the
             # square-root singularities kept at panel-length distance
-            g1, _ = _panel_integral(q, x, 0.5 * (x + m), w)
-            g2, _ = _panel_integral(q, 0.5 * (x + m), m, w)
-            g3, _ = _panel_integral(q, m, 0.5 * (m + y), w)
-            g4, w_end = _panel_integral(q, 0.5 * (m + y), y, w)
-            fine = g1 + g2 + g3 + g4
+            (x, m), (_, y) = left, right
+            quarters = [(x, 0.5 * (x + m)), (0.5 * (x + m), m), (m, 0.5 * (m + y)), (0.5 * (m + y), y)]
+            fine, w_end = _pieces(quarters, _panel_roots(q, quarters), w, end)
         total += fine
         w = w_end
     return total, w
@@ -179,10 +207,7 @@ class PhaseIntegral:
             )
         else:
             self.minsep = self.scale
-        self._exc_segments = []
-        for arc in sc.exceptional_arcs():
-            pts = np.asarray(arc, dtype=complex)
-            self._exc_segments.append((pts[:-1], pts[1:]))
+        self._exc = SegmentSet.from_polylines(sc.exceptional_arcs())
         self._build_waypoints()
         self._cache = {}
         # the basepoint 0 may sit on the cut (the short exceptional line of a
@@ -190,6 +215,11 @@ class PhaseIntegral:
         # nudged into the cut complement so the branch side is unambiguous
         delta = 1e-6 * self.scale
         self._base = 1j * delta if sc.distance_to_exceptional(0j) < 10 * delta else 0j
+        # every route leaves from the anchor, so its clear edges are fixed
+        fan = self._edges_ok(self._base, self._waypoints)
+        self._base_fan = [
+            (i, abs(self._base - p)) for i, p in enumerate(self._waypoints) if fan[i]
+        ]
         # basepoint branch: u must decay along the omega+ boundary ray
         self._sigma = 1.0
         theta_plus = sc.boundary_rays[1]
@@ -213,53 +243,74 @@ class PhaseIntegral:
         self._waypoints = pts
         n = len(pts)
         self._adj = [[] for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self._edge_ok(pts[i], pts[j]):
-                    d = abs(pts[i] - pts[j])
-                    self._adj[i].append((j, d))
-                    self._adj[j].append((i, d))
+        for i in range(n - 1):
+            ok = self._edges_ok(pts[i], pts[i + 1 :])
+            for j in np.flatnonzero(ok).tolist():
+                j += i + 1
+                d = abs(pts[i] - pts[j])
+                self._adj[i].append((j, d))
+                self._adj[j].append((i, d))
 
-    def _edge_ok(self, a: complex, b: complex, shrink: float = 1e-7, end_at_tp: bool = False) -> bool:
-        u = b - a
-        aa, bb = a + shrink * u, b - shrink * u
-        # a query point may sit on (or be) a turning point: clear the last
-        # stretch of the approach from the distance test, the quadrature
-        # handles the integrable endpoint singularity itself
-        cb = bb
-        if end_at_tp and abs(u) > 0:
-            cb = b - min(self._clearance, 0.8 * abs(u)) * (u / abs(u))
-        seg = cb - aa
-        denom = (seg * seg.conjugate()).real
+    def _edges_ok(self, a, b, end_at_tp: bool = False) -> np.ndarray:
+        """Whether each edge a_k -> b_k is clear for quadrature.
+
+        An edge is clear when it keeps ``_clearance`` away from every
+        turning point and, shrunk by 1e-7 of its length at both ends,
+        crosses no exceptional segment.  ``a`` and ``b`` broadcast against
+        each other.  The arithmetic is Python's complex arithmetic spelled
+        out in float64, so every answer equals a scalar test of that edge.
+        """
+        a, b = np.broadcast_arrays(
+            np.atleast_1d(np.asarray(a, dtype=complex)), np.asarray(b, dtype=complex)
+        )
+        ax, ay, bx, by = a.real, a.imag, b.real, b.imag
+        ux, uy = bx - ax, by - ay
+        sx, sy = 1e-7 * ux - 0.0 * uy, 1e-7 * uy + 0.0 * ux
+        aax, aay = ax + sx, ay + sy
+        bbx, bby = bx - sx, by - sy
+        cx, cy = bbx, bby
+        if end_at_tp:
+            # a query point may sit on (or be) a turning point: clear the last
+            # stretch of the approach from the distance test, the quadrature
+            # handles the integrable endpoint singularity itself
+            r = np.hypot(ux, uy)
+            live = r > 0
+            rr = np.where(live, r, 1.0)
+            nx, ny = (ux + uy * 0.0) / rr, (uy - ux * 0.0) / rr
+            m = np.where(0.8 * r < self._clearance, 0.8 * r, self._clearance)
+            cx = np.where(live, bx - (m * nx - 0.0 * ny), bbx)
+            cy = np.where(live, by - (m * ny + 0.0 * nx), bby)
+        gx, gy = cx - aax, cy - aay
+        denom = gx * gx - gy * -gy
+        flat = denom == 0
+        denom = np.where(flat, 1.0, denom)
+        ok = np.ones(ax.shape, dtype=bool)
         for v in self.tps:
-            if denom == 0:
-                dist = abs(aa - v)
-            else:
-                t = ((v - aa) * seg.conjugate()).real / denom
-                t = min(max(t, 0.0), 1.0)
-                dist = abs(aa + t * seg - v)
-            if dist < self._clearance:
-                return False
-        for p, qarr in self._exc_segments:
-            if crossings_count(aa, bb, p, qarr):
-                return False
-        return True
+            vx, vy = v.real, v.imag
+            t = ((vx - aax) * gx - (vy - aay) * -gy) / denom
+            t = np.where(0.0 > t, 0.0, t)
+            t = np.where(1.0 < t, 1.0, t)
+            fx = aax + (t * gx - 0.0 * gy) - vx
+            fy = aay + (t * gy + 0.0 * gx) - vy
+            dist = np.where(flat, np.hypot(aax - vx, aay - vy), np.hypot(fx, fy))
+            ok &= ~(dist < self._clearance)
+        ok[ok] = ~self._exc.crosses(aax[ok], aay[ok], bbx[ok], bby[ok])
+        return ok
 
-    def _route(self, start: complex, end: complex) -> list:
+    def _route(self, end: complex) -> list:
+        """Shortest clear waypoint path from the anchor ``_base`` to ``end``."""
+        start = self._base
         end_at_tp = min(abs(end - v) for v in self.tps) < self._clearance
-        if self._edge_ok(start, end, end_at_tp=end_at_tp):
+        if self._edges_ok(start, end, end_at_tp)[0]:
             return [start, end]
         pts = self._waypoints
         n = len(pts)
         S, T = n, n + 1
         adj = {i: list(self._adj[i]) for i in range(n)}
-        adj[S] = []
+        adj[S] = self._base_fan
         adj[T] = []
-        for i, p in enumerate(pts):
-            if self._edge_ok(start, p):
-                adj[S].append((i, abs(start - p)))
-            if self._edge_ok(p, end, end_at_tp=end_at_tp):
-                adj[i].append((T, abs(p - end)))
+        for i in np.flatnonzero(self._edges_ok(pts, end, end_at_tp)).tolist():
+            adj[i].append((T, abs(pts[i] - end)))
         dist = {S: 0.0}
         prev = {}
         heap = [(0.0, S)]
@@ -295,7 +346,7 @@ class PhaseIntegral:
         # evaluations share one single-valued branch on the cut complement;
         # an immediate a -> b -> a reversal is dropped rather than integrated
         # out and back, so u(0) = 0 exactly and not up to roundoff
-        route = self._route(self._base, complex(z))
+        route = self._route(complex(z))
         path = [0j]
         for p in route if self._base != 0 else route[1:]:
             if len(path) > 1 and p == path[-2]:
@@ -378,14 +429,19 @@ class PhaseIntegral:
         return total
 
     def u_grid(self, corner: complex, nx: int, ny: int, dx: float, dy: float):
-        """March u over a rectangular grid (cheap, for routing heuristics).
+        """March u over a rectangular grid, one row at a time.
 
-        Branch signs are flipped across exceptional-set crossings so the
+        The bottom row is marched left to right and every later row steps
+        up from the row below it.  Each step is a trapezoid rule whose
+        branch sign flips where the step crosses the exceptional set, so the
         grid reproduces the creases of u; accuracy is grid-limited.  The
-        grid is jittered off axis-aligned positions so that no node lands
-        exactly on an exceptional line, which would defeat the
-        crossing-parity bookkeeping; the returned coordinates include the
-        jitter.
+        crossings of a whole row of steps are found in one call, against
+        only the exceptional segments that meet the row's band of y (an
+        exact prefilter).  Nodes next to a turning point are routed and
+        integrated instead.  The grid is jittered off axis-aligned
+        positions so that no node lands exactly on an exceptional line,
+        which would defeat the crossing-parity bookkeeping; the returned
+        coordinates include the jitter.
         """
         corner = complex(corner) + (3.7e-4 * dx + 2.3e-4j * dy)
         zs = np.array(
@@ -402,12 +458,8 @@ class PhaseIntegral:
         u[0, 0] = zeta0.real
         wgrid[0, 0] = w00
 
-        def advance(z_from, z_to, u_from, w_from):
+        def advance(z_from, z_to, u_from, w_from, ts):
             delta = z_to - z_from
-            ts = []
-            for p, qarr in self._exc_segments:
-                ts.extend(crossing_fractions(z_from, z_to, p, qarr))
-            ts = sorted(ts)
             # integrate piecewise, flipping the branch sign at every crease
             breaks = [0.0] + ts + [1.0]
             sign = 1.0
@@ -426,20 +478,26 @@ class PhaseIntegral:
 
         near = 0.25 * self.minsep
 
-        def fill(iy, ix, z_from, u_from, w_from):
-            z_to = complex(zs[iy, ix])
-            if min(abs(z_to - v) for v in self.tps) < near:
-                # trapezoid marching is unreliable next to a turning point
-                zeta, w = self._zeta_w(z_to)
-                u[iy, ix], wgrid[iy, ix] = zeta.real, w
-            else:
-                u[iy, ix], wgrid[iy, ix] = advance(z_from, z_to, u_from, w_from)
+        def march(iy, ixs, jy, jxs):
+            # the steps (jy, jx) -> (iy, ix), taken in order
+            a, b = zs[jy, jxs], zs[iy, ixs]
+            rows = np.concatenate([zs[jy].imag, zs[iy].imag])
+            band = self._exc.band(rows.min(), rows.max())
+            crossings = band.fractions(a.real, a.imag, b.real, b.imag)
+            for ix, jx, ts in zip(ixs.tolist(), jxs.tolist(), crossings):
+                z_to = complex(zs[iy, ix])
+                if min(abs(z_to - v) for v in self.tps) < near:
+                    # trapezoid marching is unreliable next to a turning point
+                    zeta, w = self._zeta_w(z_to)
+                    u[iy, ix], wgrid[iy, ix] = zeta.real, w
+                else:
+                    u[iy, ix], wgrid[iy, ix] = advance(
+                        complex(zs[jy, jx]), z_to, u[jy, jx], wgrid[jy, jx], ts
+                    )
 
-        for ix in range(1, nx):
-            fill(0, ix, complex(zs[0, ix - 1]), u[0, ix - 1], wgrid[0, ix - 1])
+        march(0, np.arange(1, nx), 0, np.arange(nx - 1))
         for iy in range(1, ny):
-            for ix in range(nx):
-                fill(iy, ix, complex(zs[iy - 1, ix]), u[iy - 1, ix], wgrid[iy - 1, ix])
+            march(iy, np.arange(nx), iy - 1, np.arange(nx))
         return zs, u
 
 

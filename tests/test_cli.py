@@ -184,3 +184,12 @@ def test_stokes_writes_only_chosen_format(tmp_path):
     code = run_cli(["stokes", "--d", "4", "--ell", "1", "--format", "svg", "--out", str(tmp_path)])
     assert code == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["stokes.svg"]
+
+
+@pytest.mark.parametrize("size", ["1", "-2"])
+def test_stokes_rejects_degenerate_u_grid(tmp_path, capsys, size):
+    # N = 1 has no grid spacing and N < 0 no grid: both are usage errors
+    code = run_cli(["stokes", "--d", "2", "--ell", "1", "--u-grid", size, "--out", str(tmp_path)])
+    assert code == 2
+    assert "--u-grid" in capsys.readouterr().err
+    assert not tmp_path.exists() or list(tmp_path.iterdir()) == []

@@ -1,5 +1,7 @@
 import cmath
+import heapq
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from stokeszeros.wkb import (
     growth_bound,
     growth_constant,
     h0_bound,
+    horner_parts,
     index_estimate,
     limit_density,
     liouville_g,
@@ -259,3 +262,334 @@ def test_growth_bound_trivial_cases():
 def test_growth_bound_dominates_cosh():
     # y'' = y with y(0)=1, y'(0)=0 has |y(1)| = cosh(1) <= e
     assert math.cosh(1.0) <= growth_bound(1.0, 0.0, 1.0, 1.0, 1.0)
+
+
+# -- bit identity with the scalar phase integral --------------------------------
+# In-test copies of the scalar code that the array kernels replaced: one
+# crossing test per exceptional arc, one edge test per edge, and one Q
+# evaluation per quadrature node.  The envelope grid ranks every hop, so the
+# kernels must reproduce it bit for bit, not just closely.
+
+
+def _ref_orient(u, v, w):
+    return (v.real - u.real) * (w.imag - u.imag) - (v.imag - u.imag) * (w.real - u.real)
+
+
+def _ref_orientations(a, b, p, q):
+    d1 = _ref_orient(p, q, a)
+    d2 = _ref_orient(p, q, b)
+    d3 = (b.real - a.real) * (p.imag - a.imag) - (b.imag - a.imag) * (p.real - a.real)
+    d4 = (b.real - a.real) * (q.imag - a.imag) - (b.imag - a.imag) * (q.real - a.real)
+    return d1, d2, (d1 * d2 < 0) & (d3 * d4 < 0)
+
+
+def _ref_crossings_count(a, b, p, q):
+    return int(np.count_nonzero(_ref_orientations(a, b, p, q)[2]))
+
+
+def _ref_crossing_fractions(a, b, p, q):
+    d1, d2, mask = _ref_orientations(a, b, p, q)
+    if not np.any(mask):
+        return []
+    denom = d1[mask] - d2[mask]
+    ts = d1[mask] / np.where(denom == 0, 1.0, denom)
+    return sorted(float(t) for t in ts if 0.0 < t < 1.0)
+
+
+def _ref_sqrt_continued(q, pts, w_ref):
+    vals = np.empty(len(pts), dtype=complex)
+    ref = w_ref
+    for i, z in enumerate(pts):
+        w = cmath.sqrt(q(complex(z)))
+        if abs(w - ref) > abs(w + ref):
+            w = -w
+        vals[i] = w
+        ref = w
+    return vals
+
+
+def _ref_panel_integral(q, a, b, w_ref):
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    vals = _ref_sqrt_continued(q, mid + half * nodes, w_ref)
+    integral = half * np.sum(weights * vals)
+    w_end = cmath.sqrt(q(b))
+    if abs(w_end - vals[-1]) > abs(w_end + vals[-1]):
+        w_end = -w_end
+    return integral, w_end
+
+
+def _ref_integrate_segment(q, a, b, w_ref, tol, tps):
+    if abs(b - a) == 0:
+        return 0j, w_ref
+    total = 0j
+    w = w_ref
+    stack = [(a, b)]
+    out = []
+    while stack:
+        x, y = stack.pop()
+        dist = min((abs(0.5 * (x + y) - v) for v in tps), default=1e18)
+        if abs(y - x) > max(0.5 * dist, 1e-9):
+            m = 0.5 * (x + y)
+            stack.append((m, y))
+            stack.append((x, m))
+        else:
+            out.append((x, y))
+    out.sort(key=lambda seg: abs(seg[0] - a))
+    for x, y in out:
+        coarse, _ = _ref_panel_integral(q, x, y, w)
+        m = 0.5 * (x + y)
+        f1, _ = _ref_panel_integral(q, x, m, w)
+        f2, w_end = _ref_panel_integral(q, m, y, w)
+        fine = f1 + f2
+        if abs(fine - coarse) > tol * (1.0 + abs(fine)):
+            g1, _ = _ref_panel_integral(q, x, 0.5 * (x + m), w)
+            g2, _ = _ref_panel_integral(q, 0.5 * (x + m), m, w)
+            g3, _ = _ref_panel_integral(q, m, 0.5 * (m + y), w)
+            g4, w_end = _ref_panel_integral(q, 0.5 * (m + y), y, w)
+            fine = g1 + g2 + g3 + g4
+        total += fine
+        w = w_end
+    return total, w
+
+
+class _ScalarPhase:
+    """The scalar routing, quadrature and grid march over a PhaseIntegral's
+    turning points, waypoints, anchor and branch sign."""
+
+    def __init__(self, phase):
+        self.phase = phase
+        self.refused_by_crossing = 0
+        self.arcs = []
+        for arc in phase.sc.exceptional_arcs():
+            pts = np.asarray(arc, dtype=complex)
+            self.arcs.append((pts[:-1], pts[1:]))
+        pts = phase._waypoints
+        self.adj = [[] for _ in pts]
+        for i in range(len(pts)):
+            for j in range(i + 1, len(pts)):
+                if self.edge_ok(pts[i], pts[j]):
+                    d = abs(pts[i] - pts[j])
+                    self.adj[i].append((j, d))
+                    self.adj[j].append((i, d))
+
+    def edge_ok(self, a, b, shrink=1e-7, end_at_tp=False):
+        clearance = self.phase._clearance
+        u = b - a
+        aa, bb = a + shrink * u, b - shrink * u
+        cb = bb
+        if end_at_tp and abs(u) > 0:
+            cb = b - min(clearance, 0.8 * abs(u)) * (u / abs(u))
+        seg = cb - aa
+        denom = (seg * seg.conjugate()).real
+        for v in self.phase.tps:
+            if denom == 0:
+                dist = abs(aa - v)
+            else:
+                t = ((v - aa) * seg.conjugate()).real / denom
+                t = min(max(t, 0.0), 1.0)
+                dist = abs(aa + t * seg - v)
+            if dist < clearance:
+                return False
+        if any(_ref_crossings_count(aa, bb, p, q) for p, q in self.arcs):
+            self.refused_by_crossing += 1
+            return False
+        return True
+
+    def route(self, start, end):
+        phase = self.phase
+        end_at_tp = min(abs(end - v) for v in phase.tps) < phase._clearance
+        if self.edge_ok(start, end, end_at_tp=end_at_tp):
+            return [start, end]
+        pts = phase._waypoints
+        n = len(pts)
+        S, T = n, n + 1
+        adj = {i: list(self.adj[i]) for i in range(n)}
+        adj[S], adj[T] = [], []
+        for i, p in enumerate(pts):
+            if self.edge_ok(start, p):
+                adj[S].append((i, abs(start - p)))
+            if self.edge_ok(p, end, end_at_tp=end_at_tp):
+                adj[i].append((T, abs(p - end)))
+        dist, prev, heap, seen = {S: 0.0}, {}, [(0.0, S)], set()
+        while heap:
+            d, node = heapq.heappop(heap)
+            if node in seen:
+                continue
+            seen.add(node)
+            if node == T:
+                break
+            for nb, w in adj.get(node, []):
+                if d + w < dist.get(nb, math.inf):
+                    dist[nb] = d + w
+                    prev[nb] = node
+                    heapq.heappush(heap, (d + w, nb))
+        chain = [T]
+        while chain[-1] != S:
+            chain.append(prev[chain[-1]])
+        chain.reverse()
+        return [start] + [pts[i] for i in chain[1:-1]] + [end]
+
+    def zeta_w(self, z):
+        phase = self.phase
+        route = self.route(phase._base, complex(z))
+        path = [0j]
+        for p in route if phase._base != 0 else route[1:]:
+            if len(path) > 1 and p == path[-2]:
+                path.pop()
+            else:
+                path.append(p)
+        w = phase._sigma * cmath.sqrt(phase.q(0j))
+        total = 0j
+        for a, b in zip(path[:-1], path[1:]):
+            part, w = _ref_integrate_segment(phase.q, a, b, w, phase.tol, phase.tps)
+            total += part
+        return total, w
+
+    def u_grid(self, corner, nx, ny, dx, dy):
+        phase = self.phase
+        corner = complex(corner) + (3.7e-4 * dx + 2.3e-4j * dy)
+        zs = np.array(
+            [[corner + ix * dx + 1j * iy * dy for ix in range(nx)] for iy in range(ny)],
+            dtype=complex,
+        )
+        u = np.zeros((ny, nx))
+        wgrid = np.zeros((ny, nx), dtype=complex)
+        zeta0, w00 = self.zeta_w(complex(zs[0, 0]))
+        u[0, 0], wgrid[0, 0] = zeta0.real, w00
+        self.crossing_steps = self.routed_nodes = 0
+
+        def advance(z_from, z_to, u_from, w_from):
+            delta = z_to - z_from
+            ts = []
+            for p, qarr in self.arcs:
+                ts.extend(_ref_crossing_fractions(z_from, z_to, p, qarr))
+            ts = sorted(ts)
+            self.crossing_steps += bool(ts)
+            breaks = [0.0] + ts + [1.0]
+            sign, du, w_prev = 1.0, 0.0, w_from
+            for t0, t1 in zip(breaks[:-1], breaks[1:]):
+                w_new = cmath.sqrt(phase.q(z_from + t1 * delta))
+                if abs(w_new - w_prev) > abs(w_new + w_prev):
+                    w_new = -w_new
+                du += (sign * 0.5 * (w_prev + w_new) * (t1 - t0) * delta).real
+                w_prev = w_new
+                if t1 < 1.0:
+                    sign = -sign
+            return u_from + du, sign * w_prev
+
+        near = 0.25 * phase.minsep
+
+        def fill(iy, ix, z_from, u_from, w_from):
+            z_to = complex(zs[iy, ix])
+            if min(abs(z_to - v) for v in phase.tps) < near:
+                self.routed_nodes += 1
+                zeta, w = self.zeta_w(z_to)
+                u[iy, ix], wgrid[iy, ix] = zeta.real, w
+            else:
+                u[iy, ix], wgrid[iy, ix] = advance(z_from, z_to, u_from, w_from)
+
+        for ix in range(1, nx):
+            fill(0, ix, complex(zs[0, ix - 1]), u[0, ix - 1], wgrid[0, ix - 1])
+        for iy in range(1, ny):
+            for ix in range(nx):
+                fill(iy, ix, complex(zs[iy - 1, ix]), u[iy - 1, ix], wgrid[iy - 1, ix])
+        return zs, u
+
+
+@pytest.mark.parametrize("d, ell", [(2, 1), (4, 1), (6, 3)])
+def test_u_grid_bits_match_scalar_march(d, ell):
+    phase = PhaseIntegral(stokes_complex(d, ell))
+    ref = _ScalarPhase(phase)
+    assert repr(phase._adj) == repr(ref.adj)
+    grid = (-1.4 - 1.4j, 15, 15, 0.2, 0.2)
+    zs, u = phase.u_grid(*grid)
+    zs_ref, u_ref = ref.u_grid(*grid)
+    # the grid holds turning points and its steps cross exceptional lines
+    assert ref.routed_nodes > 0 and ref.crossing_steps > 0
+    assert zs.tobytes() == zs_ref.tobytes()
+    assert u.tobytes() == u_ref.tobytes()
+    rng = np.random.default_rng(d + ell)
+    for _ in range(6):
+        z = complex(rng.uniform(-2.4, 2.4), rng.uniform(-2.4, 2.4))
+        assert repr(phase.u(z)) == repr(float(ref.zeta_w(z)[0].real))
+
+
+@pytest.mark.parametrize("tol", [1e-11, 0.0])
+def test_segment_quadrature_bits_match_scalar(tol):
+    # tol = 0 refines every panel, a branch the envelope grid rarely takes
+    from stokeszeros.wkb import _integrate_segment
+
+    rng = np.random.default_rng(7)
+    for d, ell in [(2, 1), (4, 1), (6, 3)]:
+        q = build_quad_diff(d, ell)
+        tps = PhaseIntegral(stokes_complex(d, ell)).tps
+        for _ in range(4):
+            a, b = (complex(*rng.uniform(-2, 2, 2)) for _ in range(2))
+            w = cmath.sqrt(q(a))
+            got = _integrate_segment(q, a, b, w, tol, tps)
+            assert repr(got) == repr(_ref_integrate_segment(q, a, b, w, tol, tps))
+
+
+@pytest.mark.parametrize("d, ell", [(4, 1), (6, 3)])
+def test_batched_edge_test_matches_scalar(d, ell):
+    phase = PhaseIntegral(stokes_complex(d, ell))
+    ref = _ScalarPhase(phase)
+    rng = np.random.default_rng(11)
+
+    def points(k):
+        return rng.uniform(-2.5, 2.5, k) + 1j * rng.uniform(-2.5, 2.5, k)
+
+    a, b = points(300), points(300)
+    # ends on and next to a turning point, approached from all sides
+    tps = np.array(phase.tps)
+    ends = tps[rng.integers(len(tps), size=200)]
+    ends[100:] += phase._clearance * rng.uniform(0, 0.9, 100) * np.exp(2j * np.pi * rng.uniform(size=100))
+    starts = ends + rng.uniform(0.05, 2.0, 200) * np.exp(2j * np.pi * rng.uniform(size=200))
+    got = phase._edges_ok(a, b)
+    want = [ref.edge_ok(complex(x), complex(y)) for x, y in zip(a, b)]
+    assert got.tolist() == want
+    assert 0 < sum(want) < len(want)
+    # some edges are refused by the exceptional set alone
+    assert ref.refused_by_crossing > 0
+    got = phase._edges_ok(starts, ends, end_at_tp=True)
+    want = [ref.edge_ok(complex(x), complex(y), end_at_tp=True) for x, y in zip(starts, ends)]
+    assert got.tolist() == want
+    assert 0 < sum(want) < len(want)
+    # the same edges without the end exemption
+    got = phase._edges_ok(starts, ends)
+    assert got.tolist() == [ref.edge_ok(complex(x), complex(y)) for x, y in zip(starts, ends)]
+
+
+def test_array_q_and_sqrt_match_scalar_bits():
+    # platform guard: the quadrature, the grid and the edge tests take Q,
+    # sqrt(Q) and moduli as arrays; a numpy that rounds them differently
+    # from the scalar path must fail here, not shift the envelope silently
+    rng = np.random.default_rng(3)
+    z = rng.uniform(-3, 3, 4000) + 1j * rng.uniform(-3, 3, 4000)
+    z[:400] = z[:400].real  # zero imaginary parts, where the branch is decided
+    z[400:800] = 1j * z[400:800].imag
+    polys = [stokes_complex(d, ell).quaddiff.polynomial for d, ell in [(2, 1), (3, 1), (4, 1), (6, 3)]]
+    polys.append(ComplexPolynomial(rng.normal(size=7) + 1j * rng.normal(size=7)))
+    for p in polys:
+        qz = np.empty(z.shape, dtype=complex)
+        qz.real, qz.imag = horner_parts(p, z.real, z.imag)
+        want = [p(complex(x)) for x in z]
+        assert qz.tobytes() == np.array(want, dtype=complex).tobytes()
+        roots = np.sqrt(qz)
+        assert roots.tobytes() == np.array([cmath.sqrt(w) for w in want], dtype=complex).tobytes()
+        mods = np.hypot(qz.real, qz.imag)
+        assert mods.tobytes() == np.array([abs(w) for w in want]).tobytes()
+
+
+def test_envelope_grid_memory_is_bounded():
+    # the crossing kernel broadcasts a few query segments at a time
+    sc = stokes_complex(6, 3)
+    tracemalloc.start()
+    try:
+        PhaseIntegral(sc).u_grid(-2.7 - 2.7j, 55, 55, 0.1, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
