@@ -20,6 +20,7 @@ from .spectral import (
     EigenfunctionEvaluator,
     ProblemSpec,
     _limit_complex_cached,
+    _limit_phase_cached,
     rescale,
     solve_eigenpair,
 )
@@ -72,21 +73,42 @@ def _parse_coeff(text: str):
         ) from exc
 
 
-def _parse_window(text: str):
+def _checked(convert, ok, rule: str):
+    """An argparse type: ``convert`` the text, then require ``ok(value)``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _window(text: str) -> list:
     parts = [float(p) for p in text.split(",")]
     if len(parts) == 1:
         w = abs(parts[0])
         return [-w, w, -w, w]
-    if len(parts) == 4:
-        return parts
-    raise argparse.ArgumentTypeError("window is 'halfwidth' or 'x0,x1,y0,y1'")
+    return parts
 
 
-def _parse_grid_size(text: str) -> int:
-    n = int(text)
-    if n != 0 and n < 2:
-        raise argparse.ArgumentTypeError(f"grid size is 0 (off) or at least 2, got {n}")
-    return n
+_parse_window = _checked(
+    _window,
+    lambda w: len(w) == 4 and w[0] < w[1] and w[2] < w[3],
+    "window is 'halfwidth' or 'x0,x1,y0,y1' with x0 < x1 and y0 < y1",
+)
+_parse_index = _checked(int, lambda n: n >= 0, "an eigenvalue index is at least 0")
+_parse_positive = _checked(float, lambda x: x > 0, "the value must be positive")
+_parse_grid_size = _checked(int, lambda n: n == 0 or n >= 2, "grid size is 0 (off) or at least 2")
+_parse_criteria = _checked(
+    lambda text: [int(p) for p in text.split(",")],
+    lambda ks: all(1 <= k <= 10 for k in ks),
+    "criteria are comma-separated numbers in 1..10",
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -134,15 +156,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectrum", help="eigenvalues by complex shooting")
     common(p_spec, _WRITES["spectrum"])
-    p_spec.add_argument("--n-min", type=int, default=0)
-    p_spec.add_argument("--n-max", type=int, default=9)
+    p_spec.add_argument("--n-min", type=_parse_index, default=0)
+    p_spec.add_argument("--n-max", type=_parse_index, default=9)
 
     p_zeros = sub.add_parser("zeros", help="zero clouds of rescaled eigenfunctions")
     common(p_zeros, _WRITES["zeros"])
-    p_zeros.add_argument("--n-min", type=int, default=10)
-    p_zeros.add_argument("--n-max", type=int, default=10)
+    p_zeros.add_argument("--n-min", type=_parse_index, default=10)
+    p_zeros.add_argument("--n-max", type=_parse_index, default=10)
     p_zeros.add_argument("--window", type=_parse_window, default=_parse_window("1.6"))
-    p_zeros.add_argument("--resolution", type=float, default=0.015)
+    p_zeros.add_argument("--resolution", type=_parse_positive, default=0.015)
     p_zeros.add_argument("--delta", type=float, default=0.1)
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
@@ -156,6 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--criteria",
+        type=_parse_criteria,
         default=None,
         help="comma-separated criterion numbers (1..10)",
     )
@@ -198,12 +221,10 @@ def cmd_stokes(args) -> int:
         _write(out / "stokes.svg", render_stokes_svg(sc, window))
     census = payload["stokes_complex"]["census"]
     if getattr(args, "u_grid", 0):
-        from .wkb import PhaseIntegral
-
         n = args.u_grid
         window = cfg.window or [-2.5, 2.5, -2.5, 2.5]
         x0, x1, y0, y1 = window
-        phase = PhaseIntegral(sc)
+        phase = _limit_phase_cached(cfg.d, cfg.ell)
         zs, ug = phase.u_grid(
             complex(x0, y0), n, n, (x1 - x0) / (n - 1), (y1 - y0) / (n - 1)
         )
@@ -369,10 +390,7 @@ def cmd_zeros(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_criteria
 
-    numbers = None
-    if args.criteria:
-        numbers = [int(x) for x in args.criteria.split(",")]
-    results = run_criteria(numbers=numbers, suite=args.suite)
+    results = run_criteria(numbers=args.criteria, suite=args.suite)
     report = []
     failed = 0
     for r in results:
@@ -408,6 +426,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        ks = [k for k, _, _ in getattr(args, "coeff", [])]
+        for k in ks:
+            if ks.count(k) > 1:
+                # the spec would keep only the last value of a repeated a_k
+                parser.error(f"--coeff sets a_{k} more than once")
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors already
         return int(exc.code or 0)

@@ -8,11 +8,10 @@ import numpy as np
 
 __all__ = [
     "wrap_angle",
-    "polyline_arrays",
     "distance_to_polyline",
     "nearest_on_polyline",
     "polyline_cumlen",
-    "segments_intersect",
+    "mid_arclength_index",
     "SegmentSet",
 ]
 
@@ -25,81 +24,49 @@ def wrap_angle(angle: float) -> float:
     return a - math.pi
 
 
-def polyline_arrays(samples) -> np.ndarray:
-    return np.asarray(samples, dtype=complex)
+def _project(z: complex, pts: np.ndarray) -> tuple:
+    """Per segment of the polyline: the clamped parameter t and the foot of z."""
+    a = pts[:-1]
+    ab = pts[1:] - a
+    denom = (ab * ab.conjugate()).real
+    t = ((z - a) * ab.conjugate()).real / np.where(denom == 0, 1.0, denom)
+    t = np.clip(t, 0.0, 1.0)
+    return t, a + t * ab
 
 
 def distance_to_polyline(z: complex, samples) -> float:
     """Distance from z to a polyline (vectorized over segments)."""
-    pts = polyline_arrays(samples)
+    pts = np.asarray(samples, dtype=complex)
     if pts.size == 1:
         return abs(z - pts[0])
-    a = pts[:-1]
-    b = pts[1:]
-    ab = b - a
-    denom = (ab * ab.conjugate()).real
-    t = ((z - a) * ab.conjugate()).real / np.where(denom == 0, 1.0, denom)
-    t = np.clip(t, 0.0, 1.0)
-    feet = a + t * ab
+    _, feet = _project(z, pts)
     return float(np.min(np.abs(z - feet)))
 
 
 def nearest_on_polyline(z: complex, samples) -> tuple:
     """(distance, arclength position, foot point) of the closest point."""
-    pts = polyline_arrays(samples)
+    pts = np.asarray(samples, dtype=complex)
     if pts.size == 1:
         return abs(z - pts[0]), 0.0, complex(pts[0])
-    a = pts[:-1]
-    b = pts[1:]
-    ab = b - a
-    seglen = np.abs(ab)
-    denom = (ab * ab.conjugate()).real
-    t = ((z - a) * ab.conjugate()).real / np.where(denom == 0, 1.0, denom)
-    t = np.clip(t, 0.0, 1.0)
-    feet = a + t * ab
+    t, feet = _project(z, pts)
     dists = np.abs(z - feet)
     k = int(np.argmin(dists))
-    cum = np.concatenate([[0.0], np.cumsum(seglen)])
+    seglen = np.abs(np.diff(pts))
+    cum = polyline_cumlen(pts)
     return float(dists[k]), float(cum[k] + t[k] * seglen[k]), complex(feet[k])
 
 
 def polyline_cumlen(samples) -> np.ndarray:
-    pts = polyline_arrays(samples)
+    pts = np.asarray(samples, dtype=complex)
     if pts.size == 1:
         return np.zeros(1)
     return np.concatenate([[0.0], np.cumsum(np.abs(np.diff(pts)))])
 
 
-def _orient(a: complex, b: complex, c: complex) -> float:
-    return (b.real - a.real) * (c.imag - a.imag) - (b.imag - a.imag) * (c.real - a.real)
-
-
-def segments_intersect(a: complex, b: complex, c: complex, d: complex) -> bool:
-    """True if the closed segments [a,b] and [c,d] intersect."""
-    d1 = _orient(c, d, a)
-    d2 = _orient(c, d, b)
-    d3 = _orient(a, b, c)
-    d4 = _orient(a, b, d)
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
-        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
-    ):
-        return True
-
-    def on_seg(p, q, r):
-        return (
-            min(p.real, q.real) - 1e-15 <= r.real <= max(p.real, q.real) + 1e-15
-            and min(p.imag, q.imag) - 1e-15 <= r.imag <= max(p.imag, q.imag) + 1e-15
-        )
-
-    if d1 == 0 and on_seg(c, d, a):
-        return True
-    if d2 == 0 and on_seg(c, d, b):
-        return True
-    if d3 == 0 and on_seg(a, b, c):
-        return True
-    if d4 == 0 and on_seg(a, b, d):
-        return True
-    return False
+def mid_arclength_index(samples) -> int:
+    """Index of the sample nearest half the polyline's arclength."""
+    cum = polyline_cumlen(samples)
+    return int(np.argmin(np.abs(cum - 0.5 * cum[-1])))
 
 
 class SegmentSet:

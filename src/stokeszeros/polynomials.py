@@ -156,7 +156,7 @@ def roots(p: ComplexPolynomial, tol: float = 1e-12) -> list:
     return clustered
 
 
-def _aberth(p: ComplexPolynomial, tol: float, max_iter: int = 400) -> list:
+def _aberth(p: ComplexPolynomial, tol: float) -> list:
     n = p.degree
     cd = p.coefficients[-1]
     c0 = p.coefficients[0]
@@ -167,7 +167,7 @@ def _aberth(p: ComplexPolynomial, tol: float, max_iter: int = 400) -> list:
     zs = [radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
     dp = p.derivative()
 
-    for _ in range(max_iter):
+    for _ in range(400):
         max_step = 0.0
         for k in range(n):
             zk = zs[k]

@@ -16,12 +16,14 @@ from functools import lru_cache
 from typing import Optional
 
 from .errors import DomainError, TraceError
+from .geometry import wrap_angle
 from .polynomials import ComplexPolynomial, roots
 
 __all__ = [
     "QuadDiff",
     "build_quad_diff",
     "turning_points",
+    "min_separation",
     "StokesDirections",
     "stokes_directions",
     "TraceCaps",
@@ -29,14 +31,6 @@ __all__ = [
     "trace_trajectory",
     "launch_directions",
 ]
-
-
-def _wrap(angle: float) -> float:
-    """Reduce an angle to (-pi, pi]."""
-    a = math.fmod(angle + math.pi, 2 * math.pi)
-    if a <= 0:
-        a += 2 * math.pi
-    return a - math.pi
 
 
 @dataclass(frozen=True)
@@ -107,6 +101,13 @@ def turning_points(q: QuadDiff) -> list:
     return list(_turning_points_cached(q.polynomial.coefficients))
 
 
+def min_separation(tps) -> float:
+    """Smallest distance between two turning points; max(1, max |v|) for one."""
+    if len(tps) > 1:
+        return min(abs(a - b) for i, a in enumerate(tps) for b in tps[i + 1 :])
+    return max(1.0, max(abs(v) for v in tps))
+
+
 @dataclass(frozen=True)
 class StokesDirections:
     """Asymptotic directions of the Stokes geometry at infinity."""
@@ -127,10 +128,10 @@ def stokes_directions(d: int, ell: int) -> StokesDirections:
     if d < 2 or not 1 <= ell <= d - 1:
         raise DomainError(f"invalid (d, ell) = ({d}, {ell})")
     n = d + 2
-    stokes = tuple(_wrap(-math.pi / 2 + math.pi * (ell + 2 * k) / n) for k in range(n))
-    anti = tuple(_wrap(-math.pi / 2 + math.pi * (ell + 2 * k + 1) / n) for k in range(n))
-    right = _wrap(-math.pi / 2 + (ell + 1) * math.pi / n)
-    left = _wrap(-math.pi / 2 - (ell + 1) * math.pi / n)
+    stokes = tuple(wrap_angle(-math.pi / 2 + math.pi * (ell + 2 * k) / n) for k in range(n))
+    anti = tuple(wrap_angle(-math.pi / 2 + math.pi * (ell + 2 * k + 1) / n) for k in range(n))
+    right = wrap_angle(-math.pi / 2 + (ell + 1) * math.pi / n)
+    left = wrap_angle(-math.pi / 2 - (ell + 1) * math.pi / n)
     return StokesDirections(stokes, anti, (left, right))
 
 
@@ -144,7 +145,7 @@ def launch_directions(q: QuadDiff, v: complex) -> list:
     if dq == 0:
         raise DomainError("turning point is not simple")
     base = (math.pi - cmath.phase(dq)) / 3.0
-    return [_wrap(base + 2 * math.pi * k / 3.0) for k in range(3)]
+    return [wrap_angle(base + 2 * math.pi * k / 3.0) for k in range(3)]
 
 
 @dataclass(frozen=True)
@@ -161,16 +162,10 @@ class TraceCaps:
     def for_diff(q: QuadDiff) -> "TraceCaps":
         tps = turning_points(q)
         rmax = max(abs(v) for v in tps)
-        if len(tps) > 1:
-            minsep = min(
-                abs(a - b) for i, a in enumerate(tps) for b in tps[i + 1 :]
-            )
-        else:
-            minsep = max(rmax, 1.0)
         escape = 10.0 * rmax + 10.0
         return TraceCaps(
             escape_radius=escape,
-            capture_radius=1e-3 * minsep,
+            capture_radius=1e-3 * min_separation(tps),
             launch_offset=1e-6 * max(1.0, rmax),
             max_arclength=6.0 * escape + 20.0,
         )
@@ -190,16 +185,11 @@ class StokesLine:
     re_zeta_drift: float = 0.0
     axis_ray: bool = field(default=False)
 
-    @property
-    def unbounded(self) -> bool:
-        return self.terminal is None
-
     def endpoints(self) -> tuple:
         return self.samples[0], self.samples[-1]
 
 
-# Dormand-Prince 5(4) tableau
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+# Dormand-Prince 5(4) tableau; the direction field is autonomous, so no c nodes
 _DP_A = (
     (),
     (1 / 5,),
@@ -368,8 +358,8 @@ def trace_trajectory(
         if abs(z) >= caps.escape_radius:
             ang = cmath.phase(z)
             if dirs is not None:
-                best = min(dirs, key=lambda t: abs(_wrap(ang - t)))
-                if abs(_wrap(ang - best)) > math.radians(5.0):
+                best = min(dirs, key=lambda t: abs(wrap_angle(ang - t)))
+                if abs(wrap_angle(ang - best)) > math.radians(5.0):
                     raise TraceError(
                         f"escape angle {ang:.4f} matches no Stokes direction",
                         partial=samples,

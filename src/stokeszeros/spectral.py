@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, IntegrationError
+from .geometry import mid_arclength_index, wrap_angle
 from .polynomials import ComplexPolynomial, roots
 from .quaddiff import stokes_directions
 from .stokescomplex import stokes_complex
@@ -38,7 +39,6 @@ __all__ = [
     "EigenfunctionEvaluator",
     "RescaledEigenfunction",
     "rescale",
-    "log_modulus_field",
     "envelope_deviation",
 ]
 
@@ -99,7 +99,7 @@ class ProblemSpec:
         return ComplexPolynomial(coeffs)
 
 
-def integrate_ode(coeff_field, h: float, path, initial, tol: float = 1e-14) -> list:
+def integrate_ode(coeff_field, h: float, path, initial) -> list:
     """Transport (y, y') for y'' = h^2 Q(z) y along a polyline.
 
     Parameters
@@ -123,7 +123,7 @@ def integrate_ode(coeff_field, h: float, path, initial, tol: float = 1e-14) -> l
     )
     w = [h * h * complex(c) for c in coeffs]
     y0, dy0 = initial
-    return transport_states(w, path, y0, dy0, tol=tol)
+    return transport_states(w, path, y0, dy0)
 
 
 def wkb_seed(spec: ProblemSpec, lam: complex, ray_angle: float, R: float) -> tuple:
@@ -164,13 +164,6 @@ def _dominance_radius(spec: ProblemSpec, lam: complex) -> float:
     return R
 
 
-def _cumlen(samples):
-    out = [0.0]
-    for a, b in zip(samples[:-1], samples[1:]):
-        out.append(out[-1] + abs(b - a))
-    return out
-
-
 @dataclass(frozen=True)
 class ShootingFrame:
     """Fixed shooting geometry for one eigenvalue search.
@@ -208,9 +201,7 @@ class ShootingFrame:
                 dec.append(z)
         if dec[-1] != samples[-1]:
             dec.append(samples[-1])
-        cum = _cumlen(dec)
-        half = 0.5 * cum[-1]
-        k_mid = min(range(len(cum)), key=lambda i: abs(cum[i] - half))
+        k_mid = mid_arclength_index(dec)
         # split the short line at its midpoint into v+ -> mid and v- -> mid
         if e0.origin == sc.v_plus:
             from_plus = dec[: k_mid + 1]
@@ -473,23 +464,15 @@ def solve_eigenpair(spec: ProblemSpec, n: int) -> Eigenpair:
     return pair
 
 
-def find_eigenvalues(spec: ProblemSpec, n_range, on_error: str = "raise") -> list:
+def find_eigenvalues(spec: ProblemSpec, n_range) -> list:
     """Eigenpairs for the requested indices (each seeded independently).
 
-    With ``on_error="skip"`` a non-converged index is dropped and the rest
-    are still returned.  For non-self-adjoint specs a monotonicity check
-    across the returned set guards against index skips; self-adjoint
-    indices are certified by their real-zero count inside
+    An index that does not converge raises.  For non-self-adjoint specs a
+    monotonicity check across the returned set guards against index skips;
+    self-adjoint indices are certified by their real-zero count inside
     :func:`solve_eigenpair`.
     """
-    ns = sorted(set(int(n) for n in n_range))
-    pairs = []
-    for n in ns:
-        try:
-            pairs.append(solve_eigenpair(spec, n))
-        except (IntegrationError, DomainError):
-            if on_error != "skip":
-                raise
+    pairs = [solve_eigenpair(spec, n) for n in sorted(set(int(n) for n in n_range))]
     if not spec.is_self_adjoint:
         for pa, pb in zip(pairs, pairs[1:]):
             if pb.lam.real <= pa.lam.real:
@@ -528,7 +511,6 @@ class EigenfunctionEvaluator:
         self.h = pair.h
         self._anchors = None
         self._anchor_z = None
-        self._anchor_env = None
         self._ugrid = None
         self._ray_seeds = []
         self._point_cache = {}
@@ -538,6 +520,11 @@ class EigenfunctionEvaluator:
 
     def _limit_complex(self):
         return _limit_complex_cached(self.spec.d, self.spec.ell)
+
+    def _publish(self, anchors: list):
+        """Make the anchors so far the ones hops are ranked against."""
+        self._anchors = anchors
+        self._anchor_z = np.array([st.z for st in anchors], dtype=complex)
 
     def _build_skeleton(self):
         f = self.f
@@ -568,7 +555,7 @@ class EigenfunctionEvaluator:
             ]
             anchors.extend(normalized)
             self._ray_seeds.append((theta, normalized[0]))
-        self._anchors = anchors
+        self._publish(anchors)
 
         # sweeps along every Stokes line of the limiting differential,
         # rescaled: the lines are constant-envelope contours, so transports
@@ -582,7 +569,7 @@ class EigenfunctionEvaluator:
             samples = [z for z in samples if abs(z) <= 2.6 * abs(f)]
             if len(samples) < 2:
                 continue
-            cur = self._hop_from(anchors, samples[0])
+            cur = self._hop_from(samples[0])
             seg_anchors = [cur]
             acc = 0.0
             prev = samples[0]
@@ -594,9 +581,7 @@ class EigenfunctionEvaluator:
                     seg_anchors.append(cur)
                     acc = 0.0
             anchors.extend(seg_anchors)
-        self._anchors = anchors
-        self._anchor_z = np.array([st.z for st in anchors], dtype=complex)
-        self._anchor_env = self.h * self._u_hat(self._anchor_z)
+            self._publish(anchors)
 
     def log_envelope(self, z: complex) -> float:
         """Estimated log |y(z)| from the limiting envelope h * u(z/f)."""
@@ -681,31 +666,18 @@ class EigenfunctionEvaluator:
         except _HopDiverged:
             return None
 
-    def _hop_from(self, anchors, z: complex) -> TransportState:
+    def _hop_from(self, z: complex) -> TransportState:
         """Evaluate by transporting from an admissible anchor.
 
-        Candidates are ranked by an envelope-grid estimate (chord ridge
-        against the target envelope, then phase distance), but admission is
-        decided by the hop's own measured divergence; if no nearby anchor
-        survives, the point is deep in a decay sector and the calibrated
-        WKB form takes over.
+        The 24 nearest anchors are ranked by an envelope-grid estimate
+        (chord ridge against the target envelope, then phase distance), but
+        admission is decided by the hop's own measured divergence; if none
+        of the best five survives, the point is deep in a decay sector and
+        the calibrated WKB form takes over.
         """
         env_z = self.h * self._u_hat(np.array([z]))[0]
-        if anchors is self._anchors and self._anchor_z is not None:
-            # anchors far deeper than the target cannot be reached, anchors
-            # far above it cannot descend; pre-screen vectorized with slack
-            # for the envelope-grid error
-            mask = self._anchor_env <= env_z + self._HOP_BUDGET + 10.0
-            if not mask.any():
-                mask[:] = True
-            dists = np.abs(self._anchor_z - z)
-            dists[~mask] = np.inf
-            ranked = np.argsort(dists)[:24]
-            ranked = ranked[np.isfinite(dists[ranked])]
-            za = self._anchor_z[ranked]
-        else:
-            ranked = sorted(range(len(anchors)), key=lambda i: abs(anchors[i].z - z))[:24]
-            za = np.array([anchors[i].z for i in ranked], dtype=complex)
+        ranked = np.argsort(np.abs(self._anchor_z - z))[:24]
+        za = self._anchor_z[ranked]
         # chord ridge: highest envelope among 9 samples of each straight hop
         chords = za[:, None] + (z - za)[:, None] * (np.arange(9) / 8)
         ridge = self.h * self._u_hat(chords).max(axis=1)
@@ -716,7 +688,7 @@ class EigenfunctionEvaluator:
         cost = speed * np.hypot(z.real - za.real, z.imag - za.imag) / abs(self.f)
         admissible = ridge <= env_z + self._HOP_BUDGET + 4.0
         for i in np.lexsort((cost, ~admissible))[:5]:
-            got = self._monitored_hop(anchors[ranked[i]], z, self._HOP_BUDGET)
+            got = self._monitored_hop(self._anchors[ranked[i]], z, self._HOP_BUDGET)
             if got is not None:
                 return got
         if self._ray_seeds:
@@ -730,8 +702,6 @@ class EigenfunctionEvaluator:
         amplified roundoff; the WKB form is accurate there to O(h0/h) and is
         calibrated against the normalized state at the matching ray's seed.
         """
-        from .geometry import wrap_angle
-
         theta, seed = min(
             self._ray_seeds,
             key=lambda ts: abs(wrap_angle(cmath.phase(z) - ts[0])),
@@ -743,7 +713,7 @@ class EigenfunctionEvaluator:
         w_prev = cmath.sqrt(pot(z0))
         if (w_prev * cmath.exp(1j * theta)).real < 0:
             w_prev = -w_prev
-        q4_prev = cmath.sqrt(w_prev)
+        q4_0 = q4_prev = cmath.sqrt(w_prev)
         action = 0j
         prev = z0
         for k in range(1, n_pts + 1):
@@ -756,10 +726,6 @@ class EigenfunctionEvaluator:
                 q4_cur = -q4_cur
             action += 0.5 * (w_prev + w_cur) * (cur - prev)
             prev, w_prev, q4_prev = cur, w_cur, q4_cur
-        w0 = cmath.sqrt(pot(z0))
-        if (w0 * cmath.exp(1j * theta)).real < 0:
-            w0 = -w0
-        q4_0 = cmath.sqrt(w0)
         # y(z) = y(z0) (W0/W)^{1/4} exp(-action); log-form to stay in range
         log_ratio = cmath.log(q4_0 / q4_prev) - action
         base = cmath.log(seed.y) + seed.log_scale if seed.y != 0 else complex(-1e30)
@@ -778,11 +744,12 @@ class EigenfunctionEvaluator:
         z = complex(z)
         key = (z.real, z.imag)
         if key not in self._point_cache:
-            self._point_cache[key] = self._hop_from(self._anchors, z)
+            self._point_cache[key] = self._hop_from(z)
         return self._point_cache[key]
 
-    def residual(self, z: complex, step: float = 1e-4) -> float:
-        """Relative defect |y'' - (P - lambda) y| via a five-point stencil."""
+    def residual(self, z: complex) -> float:
+        """Relative defect |y'' - (P - lambda) y| via a three-point stencil."""
+        step = 1e-4
         pot = self.pot
         sts = [self.eval(z + dz) for dz in (-step, 0.0, step)]
         base = sts[1].log_scale
@@ -849,10 +816,6 @@ class RescaledEigenfunction:
         # derivative in the rescaled variable
         return TransportState(complex(w), st.y, st.dy * self.f, st.log_scale)
 
-    def anchored_state(self, w: complex) -> TransportState:
-        """Independently anchored transport state at a rescaled point."""
-        return self.ev.eval(self.f * complex(w))
-
     def phase_rate(self, w: complex) -> float:
         """Upper bound on |d arg Y / ds| per rescaled arclength, away from
         zeros: the local wavenumber |sqrt(P - lambda)| in rescaled units."""
@@ -881,12 +844,6 @@ def rescale(ev: EigenfunctionEvaluator) -> RescaledEigenfunction:
     return RescaledEigenfunction(ev)
 
 
-def log_modulus_field(resc: RescaledEigenfunction, points) -> np.ndarray:
-    """(1/h) log |Y| sampled at the given rescaled points."""
-    return np.array([resc.log_modulus(w) for w in points])
-
-
 def envelope_deviation(resc: RescaledEigenfunction, phase: PhaseIntegral, points) -> float:
     """Sup over the points of |(1/h) log |Y| - u|."""
-    vals = log_modulus_field(resc, points)
-    return float(max(abs(v - phase.u(complex(w))) for v, w in zip(vals, points)))
+    return float(max(abs(resc.log_modulus(w) - phase.u(complex(w))) for w in points))

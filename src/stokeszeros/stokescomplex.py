@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import DomainError, StructuralError
-from .geometry import distance_to_polyline, polyline_cumlen, wrap_angle
+from .geometry import distance_to_polyline, mid_arclength_index, wrap_angle
+from .polynomials import roots
 from .quaddiff import (
     QuadDiff,
     TraceCaps,
@@ -97,9 +98,9 @@ class StokesComplex:
             best = min(best, distance_to_polyline(z, self.lines[i].samples))
         return best
 
-    def to_dict(self, max_samples_per_line: int = 400) -> dict:
+    def to_dict(self) -> dict:
         def thin(samples):
-            k = max(1, len(samples) // max_samples_per_line)
+            k = max(1, len(samples) // 400)
             pts = samples[::k]
             if pts[-1] != samples[-1]:
                 pts.append(samples[-1])
@@ -142,6 +143,14 @@ class StokesComplex:
         }
 
 
+def _ccw(frm: float, to: float) -> float:
+    """Counterclockwise angle from azimuth frm to azimuth to, in (0, 2 pi]."""
+    gap = to - frm
+    while gap <= 0:
+        gap += 2 * math.pi
+    return gap
+
+
 def _circle_crossing(samples, radius):
     for k in range(len(samples) - 1, 0, -1):
         a, b = samples[k - 1], samples[k]
@@ -177,7 +186,7 @@ def _entry_angle(q, line, tp, caps):
     return min(cands, key=lambda a: abs(wrap_angle(a - rough)))
 
 
-def build_stokes_complex(q: QuadDiff, caps: Optional[TraceCaps] = None) -> StokesComplex:
+def build_stokes_complex(q: QuadDiff) -> StokesComplex:
     """Trace all Stokes lines of Q dz^2 and compute the region census.
 
     Raises
@@ -187,7 +196,7 @@ def build_stokes_complex(q: QuadDiff, caps: Optional[TraceCaps] = None) -> Stoke
         is not three, the half-plane region count is not d+2, or the mirror
         symmetry check fails.
     """
-    caps = caps or TraceCaps.for_diff(q)
+    caps = TraceCaps.for_diff(q)
     tps = turning_points(q)
     dq = q.polynomial.derivative()
     for v in tps:
@@ -337,10 +346,7 @@ def _assemble(q, tps, lines, caps) -> StokesComplex:
             raise StructuralError(f"region with {len(spans)} unbounded ends")
         kind = HALF_PLANE if len(spans) == 1 else STRIP
         az1, az2 = spans[0]
-        gap = az2 - az1
-        if gap <= 0:
-            gap += 2 * math.pi
-        mid = wrap_angle(az1 + gap / 2)
+        mid = wrap_angle(az1 + _ccw(az1, az2) / 2)
         r_anchor = 0.85 if kind == HALF_PLANE else 0.96
         anchor = r_anchor * radius * cmath.exp(1j * mid)
         regions.append(
@@ -376,10 +382,10 @@ def _assemble(q, tps, lines, caps) -> StokesComplex:
     return sc
 
 
-def _reflect_index(tps, v, tol=1e-8):
+def _reflect_index(tps, v):
     target = -v.conjugate()
     for j, w in enumerate(tps):
-        if abs(w - target) <= tol * max(1.0, abs(w)):
+        if abs(w - target) <= 1e-8 * max(1.0, abs(w)):
             return j
     return None
 
@@ -445,13 +451,7 @@ def mark_exceptional(sc: StokesComplex) -> StokesComplex:
             if r.kind != HALF_PLANE:
                 continue
             az1, az2 = r.arc_spans[0]
-            gap = az2 - az1
-            if gap <= 0:
-                gap += 2 * math.pi
-            rel = azimuth - az1
-            while rel <= 0:
-                rel += 2 * math.pi
-            if rel < gap:
+            if _ccw(az1, azimuth) < _ccw(az1, az2):
                 hits.append(r.index)
         if len(hits) != 1:
             raise StructuralError(
@@ -493,14 +493,8 @@ def mark_exceptional(sc: StokesComplex) -> StokesComplex:
     arg_vp = cmath.phase(tps[vp])
 
     def in_upper_arc(angle):
-        # strictly between arg(v+) and arg(v-) running counterclockwise
-        rel = angle - arg_vp
-        while rel <= 0:
-            rel += 2 * math.pi
-        span = (math.pi - arg_vp) - arg_vp  # arg(v-) = pi - arg(v+)
-        while span <= 0:
-            span += 2 * math.pi
-        return rel < span
+        # strictly between arg(v+) and arg(v-) = pi - arg(v+) running counterclockwise
+        return _ccw(arg_vp, angle) < _ccw(arg_vp, math.pi - arg_vp)
 
     lines_by_origin = defaultdict(list)
     for i, ln in enumerate(sc.lines):
@@ -543,27 +537,18 @@ def mark_exceptional(sc: StokesComplex) -> StokesComplex:
         if r.label != "none":
             continue
         az1, az2 = r.arc_spans[0]
-        gap = az2 - az1
-        if gap <= 0:
-            gap += 2 * math.pi
-        mid = wrap_angle(az1 + gap / 2)
-        rel = mid - theta_plus
-        while rel <= 0:
-            rel += 2 * math.pi
-        span_plus = theta_minus - theta_plus
-        while span_plus <= 0:
-            span_plus += 2 * math.pi
-        r.label = "D+" if rel < span_plus else "D-"
+        mid = wrap_angle(az1 + _ccw(az1, az2) / 2)
+        r.label = "D+" if _ccw(theta_plus, mid) < _ccw(theta_plus, theta_minus) else "D-"
 
     sc.exceptional_marked = True
     return sc
 
 
-def stokes_complex(d: int, ell: int, caps: Optional[TraceCaps] = None) -> StokesComplex:
+def stokes_complex(d: int, ell: int) -> StokesComplex:
     """Build the canonical complex for (d, ell) with the exceptional set marked."""
     from .quaddiff import build_quad_diff
 
-    sc = build_stokes_complex(build_quad_diff(d, ell), caps)
+    sc = build_stokes_complex(build_quad_diff(d, ell))
     return mark_exceptional(sc)
 
 
@@ -577,7 +562,14 @@ class AdmissibilityResult:
         return self.admissible
 
 
-def is_admissible(curve, q, s: float, caps: Optional[TraceCaps] = None) -> AdmissibilityResult:
+def _tps_of(q) -> list:
+    """Turning points of a QuadDiff, or roots of a bare coefficient polynomial."""
+    if isinstance(q, QuadDiff):
+        return turning_points(q)
+    return [r for r, _ in roots(q, 1e-12)] if q.degree >= 1 else []
+
+
+def is_admissible(curve, q, s: float) -> AdmissibilityResult:
     """Check the two quantitative admissibility conditions along a polyline.
 
     Every checked point must keep distance >= s from the turning points and
@@ -593,15 +585,9 @@ def is_admissible(curve, q, s: float, caps: Optional[TraceCaps] = None) -> Admis
     pts = [complex(z) for z in curve]
     if len(pts) < 2:
         raise DomainError("curve needs at least two points")
-    if isinstance(q, QuadDiff):
-        caps = caps or TraceCaps.for_diff(q)
-        tps = turning_points(q)
-        escape = caps.escape_radius
-    else:
-        from .polynomials import roots as _proots
-
-        tps = [r for r, _ in _proots(q, 1e-12)] if q.degree >= 1 else []
-        escape = 10.0 * max([abs(v) for v in tps] or [0.0]) + 10.0
+    tps = _tps_of(q)
+    # the trace escape radius of TraceCaps.for_diff
+    escape = 10.0 * max([abs(v) for v in tps] or [0.0]) + 10.0
 
     first = None
     for k in range(len(pts) - 1):
@@ -704,9 +690,6 @@ def canonical_pair(sc: StokesComplex, region_a, region_b):
     waypoints = [sc.regions[ia].anchor]
     for _, li, nxt in hops:
         samples = sc.lines[li].samples
-        cum = polyline_cumlen(samples)
-        half = 0.5 * cum[-1]
-        k = int(min(range(len(cum)), key=lambda i: abs(cum[i] - half)))
-        waypoints.append(samples[k])
+        waypoints.append(samples[mid_arclength_index(samples)])
         waypoints.append(sc.regions[nxt].anchor)
     return waypoints

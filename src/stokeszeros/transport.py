@@ -21,10 +21,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import IntegrationError
+from .polynomials import ComplexPolynomial
 
 __all__ = ["TransportState", "TaylorStep", "transport", "transport_states"]
 
-_DEFAULT_ORDER = 40
+_ORDER = 40  # Taylor terms per step
+_TOL = 1e-14  # truncation tolerance relative to the local solution scale
+_MAX_STEPS = 2_000_000
 _PHASE_CAP = 4.0  # max local phase advance per step, keeps |series|/|y| modest
 
 
@@ -91,33 +94,13 @@ def _series(bcoeffs: list, y: complex, dy: complex, order: int) -> list:
     return c
 
 
-def _shift(field: list, z0: complex) -> list:
-    """Taylor coefficients of the field polynomial about z0."""
-    work = list(field)
-    out = []
-    while True:
-        if len(work) == 1:
-            out.append(work[0])
-            return out
-        acc = work[-1]
-        quot = [0j] * (len(work) - 1)
-        for i in range(len(work) - 2, -1, -1):
-            quot[i] = acc
-            acc = work[i] + z0 * acc
-        out.append(acc)
-        work = quot
-
-
 def transport(
     field,
     path,
     y: complex,
     dy: complex,
     log_scale: float = 0.0,
-    tol: float = 1e-14,
-    order: int = _DEFAULT_ORDER,
     watcher=None,
-    max_steps: int = 2_000_000,
 ) -> TransportState:
     """Transport (y, y') along a polyline under y'' = W(z) y.
 
@@ -141,7 +124,7 @@ def transport(
     -------
     TransportState at the final waypoint.
     """
-    field = [complex(c) for c in field]
+    poly = ComplexPolynomial(field)
     state = TransportState(complex(path[0]), complex(y), complex(dy), float(log_scale))
     steps = 0
     for target in path[1:]:
@@ -155,21 +138,21 @@ def transport(
         travelled = 0.0
         while travelled < length:
             remaining = length - travelled
-            bc = _shift(field, state.z)
+            bc = poly.taylor_coefficients(state.z)
             kappa = 0.0
             for j, b in enumerate(bc):
                 mag = abs(b)
                 if mag > 0:
                     kappa = max(kappa, mag ** (1.0 / (j + 2)))
             cap = _PHASE_CAP / kappa if kappa > 0 else remaining
-            coeffs = _series(bc, state.y, state.dy, order)
+            coeffs = _series(bc, state.y, state.dy, _ORDER)
 
             h = min(remaining, cap)
             scale_ref = abs(coeffs[0]) + abs(coeffs[1]) * h + 1e-300
-            for k in range(order, order - 3, -1):
+            for k in range(_ORDER, _ORDER - 3, -1):
                 mk = abs(coeffs[k])
                 if mk > 0:
-                    r = (tol * scale_ref / mk) ** (1.0 / k)
+                    r = (_TOL * scale_ref / mk) ** (1.0 / k)
                     h = min(h, 0.9 * r)
             if h <= 1e-14 * (1.0 + abs(state.z)):
                 raise IntegrationError(
@@ -183,7 +166,7 @@ def transport(
 
             acc = 0j
             dacc = 0j
-            for k in range(order, 0, -1):
+            for k in range(_ORDER, 0, -1):
                 acc = acc * dz + coeffs[k]
                 dacc = dacc * dz + k * coeffs[k]
             acc = acc * dz + coeffs[0]
@@ -199,18 +182,16 @@ def transport(
                 state.log_scale += math.log(mag)
 
             steps += 1
-            if steps > max_steps:
+            if steps > _MAX_STEPS:
                 raise IntegrationError("transport exceeded step budget")
     return state
 
 
-def transport_states(field, path, y, dy, log_scale: float = 0.0, **kwargs) -> list:
+def transport_states(field, path, y, dy, log_scale: float = 0.0) -> list:
     """Like :func:`transport` but records the state at every waypoint."""
     out = [TransportState(complex(path[0]), complex(y), complex(dy), float(log_scale))]
     state = out[0]
     for target in path[1:]:
-        state = transport(
-            field, [state.z, target], state.y, state.dy, state.log_scale, **kwargs
-        )
+        state = transport(field, [state.z, target], state.y, state.dy, state.log_scale)
         out.append(TransportState(state.z, state.y, state.dy, state.log_scale))
     return out

@@ -48,10 +48,10 @@ def _evaluator(spec: ProblemSpec, n: int) -> EigenfunctionEvaluator:
     return EigenfunctionEvaluator(solve_eigenpair(spec, n))
 
 
-def _strip_zeros(spec: ProblemSpec, n: int, half_height: float = 0.08, pad: float = 0.1):
+def _strip_zeros(spec: ProblemSpec, n: int):
     resc = rescale(_evaluator(spec, n))
     lo, hi = resc.real_bracket()
-    window = (lo - pad, hi + pad, -half_height, half_height)
+    window = (lo - 0.1, hi + 0.1, -0.08, 0.08)
     return resc, locate_zeros(resc, window, resolution=0.01)
 
 

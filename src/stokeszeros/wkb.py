@@ -17,15 +17,14 @@ import cmath
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import CertificateError, DomainError, QuadratureError
 from .geometry import SegmentSet, polyline_cumlen, wrap_angle
 from .polynomials import gamma
-from .quaddiff import QuadDiff, turning_points
-from .stokescomplex import StokesComplex, is_admissible
+from .quaddiff import QuadDiff, min_separation, turning_points
+from .stokescomplex import StokesComplex, _tps_of, is_admissible
 
 __all__ = [
     "growth_constant",
@@ -83,6 +82,7 @@ def index_estimate(d: int, ell: int, lam: float) -> float:
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_QUAD_TOL = 1e-11  # panel-refinement tolerance of every phase quadrature
 
 
 def horner_parts(p, x, y) -> tuple:
@@ -193,20 +193,14 @@ class PhaseIntegral:
     crosses the exceptional set.
     """
 
-    def __init__(self, sc: StokesComplex, tol: float = 1e-11):
+    def __init__(self, sc: StokesComplex):
         if not sc.exceptional_marked:
             raise DomainError("phase integral needs a complex with marked exceptional set")
         self.sc = sc
         self.q = sc.quaddiff
-        self.tol = tol
         self.tps = turning_points(self.q)
         self.scale = max(1.0, max(abs(v) for v in self.tps))
-        if len(self.tps) > 1:
-            self.minsep = min(
-                abs(a - b) for i, a in enumerate(self.tps) for b in self.tps[i + 1 :]
-            )
-        else:
-            self.minsep = self.scale
+        self.minsep = min_separation(self.tps)
         self._exc = SegmentSet.from_polylines(sc.exceptional_arcs())
         self._build_waypoints()
         self._cache = {}
@@ -224,7 +218,7 @@ class PhaseIntegral:
         self._sigma = 1.0
         theta_plus = sc.boundary_rays[1]
         probe = 2.2 * self.scale * cmath.exp(1j * theta_plus)
-        if self._u_raw(probe) > 0:
+        if self._zeta_w(probe)[0].real > 0:
             self._sigma = -1.0
             self._cache.clear()
 
@@ -356,22 +350,16 @@ class PhaseIntegral:
         w = self._sigma * cmath.sqrt(self.q(0j))
         total = 0j
         for a, b in zip(path[:-1], path[1:]):
-            part, w = _integrate_segment(self.q, a, b, w, self.tol, self.tps)
+            part, w = _integrate_segment(self.q, a, b, w, _QUAD_TOL, self.tps)
             total += part
         return total, w
-
-    def _zeta_raw(self, z: complex) -> complex:
-        return self._zeta_w(z)[0]
-
-    def _u_raw(self, z: complex) -> float:
-        return self._zeta_raw(z).real
 
     def u(self, z: complex) -> float:
         """The envelope u(z); path independent, u(0) = 0, continuous on E."""
         z = complex(z)
         key = (round(z.real, 13), round(z.imag, 13))
         if key not in self._cache:
-            self._cache[key] = float(self._u_raw(z))
+            self._cache[key] = float(self._zeta_w(z)[0].real)
         return self._cache[key]
 
     def e0_period(self) -> complex:
@@ -424,7 +412,7 @@ class PhaseIntegral:
         w = cmath.sqrt(self.q(loop[0]))
         total = 0j
         for a, b in zip(loop[:-1], loop[1:]):
-            part, w = _integrate_segment(self.q, a, b, w, self.tol, self.tps)
+            part, w = _integrate_segment(self.q, a, b, w, _QUAD_TOL, self.tps)
             total += part
         return total
 
@@ -501,10 +489,10 @@ class PhaseIntegral:
         return zs, u
 
 
-def limit_density(sc: StokesComplex, z: complex, tol: float = 1e-5) -> float:
+def limit_density(sc: StokesComplex, z: complex) -> float:
     """Linear density (c/pi) sqrt(|Q(z)|) of the limit zero measure on E."""
     z = complex(z)
-    if sc.distance_to_exceptional(z) > tol * max(1.0, abs(z)):
+    if sc.distance_to_exceptional(z) > 1e-5 * max(1.0, abs(z)):
         raise DomainError(f"{z} is not on the exceptional set")
     q = sc.quaddiff
     c = growth_constant(q.d, q.ell)
@@ -534,26 +522,13 @@ def arc_mass_profile(q: QuadDiff, samples) -> tuple:
     return s, cum
 
 
-def arc_mass(q: QuadDiff, samples, s0: Optional[float] = None, s1: Optional[float] = None) -> float:
-    """Limit-measure mass of a sub-arc [s0, s1] (full arc by default)."""
-    s, cum = arc_mass_profile(q, samples)
-    lo = 0.0 if s0 is None else float(np.interp(s0, s, cum))
-    hi = cum[-1] if s1 is None else float(np.interp(s1, s, cum))
-    return hi - lo
+def arc_mass(q: QuadDiff, samples) -> float:
+    """Limit-measure mass of a whole exceptional arc."""
+    return arc_mass_profile(q, samples)[1][-1]
 
 
 def _poly_of(q):
     return q.polynomial if isinstance(q, QuadDiff) else q
-
-
-def _tps_of(q) -> list:
-    if isinstance(q, QuadDiff):
-        return turning_points(q)
-    if q.degree < 1:
-        return []
-    from .polynomials import roots as _proots
-
-    return [r for r, _ in _proots(q, 1e-12)]
 
 
 def liouville_g(q, z: complex) -> complex:
@@ -568,7 +543,7 @@ def liouville_g(q, z: complex) -> complex:
     return -(5.0 / 16.0) * dq * dq / qz**3 + ddq / (4.0 * qz * qz)
 
 
-def h0_bound(q, curves, s: float, tol: float = 1e-9) -> tuple:
+def h0_bound(q, curves, s: float) -> tuple:
     """Numerical sup over the curve family of int |g| |d zeta|.
 
     Each curve must be s-admissible; the returned pair is (value, estimated
@@ -636,6 +611,32 @@ class WKBValue:
         return cmath.exp(complex(self.log_modulus, self.phase))
 
 
+def _decay_zetas(q, s: float, curve) -> tuple:
+    """(poly, tps, points, zetas, branches) along an s-admissible curve.
+
+    zeta is the phase integral from the first vertex on the branch of
+    sqrt(Q) whose real part decreases along the first segment; the branch
+    is continued vertex to vertex.
+    """
+    res = is_admissible(curve, q, s)
+    if not res:
+        raise DomainError(f"curve violates admissibility: {res.first_violation}")
+    poly = _poly_of(q)
+    tps = _tps_of(q)
+    pts = [complex(p) for p in curve]
+    w = cmath.sqrt(poly(pts[0]))
+    direction = (pts[1] - pts[0]) / abs(pts[1] - pts[0])
+    if (w * direction).real > 0:
+        w = -w
+    zetas = [0j]
+    ws = [w]
+    for a, b in zip(pts[:-1], pts[1:]):
+        part, w = _integrate_segment(poly, a, b, w, _QUAD_TOL, tps)
+        zetas.append(zetas[-1] + part)
+        ws.append(w)
+    return poly, tps, pts, zetas, ws
+
+
 def wkb_approximant(q, params: WKBParameters, curve, z: complex) -> WKBValue:
     """The solution form Q^{-1/4} exp(h Phi) at a point of an admissible curve.
 
@@ -648,26 +649,7 @@ def wkb_approximant(q, params: WKBParameters, curve, z: complex) -> WKBValue:
     phase branch is continued along the curve itself.
     """
     bound = params.certificate()
-    res = is_admissible(curve, q, params.s)
-    if not res:
-        raise DomainError(f"curve violates admissibility: {res.first_violation}")
-    poly = _poly_of(q)
-    tps = _tps_of(q)
-    pts = [complex(p) for p in curve]
-
-    w0 = cmath.sqrt(poly(pts[0]))
-    direction = (pts[1] - pts[0]) / abs(pts[1] - pts[0])
-    if (w0 * direction).real > 0:
-        w0 = -w0
-    zetas = [0j]
-    ws = [w0]
-    w = w0
-    acc = 0j
-    for a, b in zip(pts[:-1], pts[1:]):
-        part, w = _integrate_segment(poly, a, b, w, 1e-11, tps)
-        acc += part
-        zetas.append(acc)
-        ws.append(w)
+    poly, tps, pts, zetas, ws = _decay_zetas(q, params.s, curve)
     if zetas[-1].real > zetas[0].real:
         raise DomainError("curve does not run into the decay region")
 
@@ -675,7 +657,7 @@ def wkb_approximant(q, params: WKBParameters, curve, z: complex) -> WKBValue:
     k = min(range(len(pts)), key=lambda i: abs(pts[i] - z))
     chain = list(ws[1 : k + 1])
     if abs(pts[k] - z) > 1e-9 * max(1.0, abs(z)):
-        part, w_here = _integrate_segment(poly, pts[k], z, ws[k], 1e-11, tps)
+        part, w_here = _integrate_segment(poly, pts[k], z, ws[k], _QUAD_TOL, tps)
         zeta = zetas[k] + part
         chain.append(w_here)
     else:
@@ -694,31 +676,16 @@ def wkb_approximant(q, params: WKBParameters, curve, z: complex) -> WKBValue:
     return WKBValue(log_modulus=log_mod, phase=wrap_angle(ph), certificate=bound)
 
 
-def successive_epsilon(q, params: WKBParameters, curve, tol: float = 1e-12, max_iter: int = 50):
+def successive_epsilon(q, params: WKBParameters, curve):
     """Tighten the approximant error empirically by iterating the fixed
     point W -> 1 + F(W) of the Liouville-transformed integral equation.
 
-    Returns (per-vertex epsilon = W - 1, iterations used).  Convergence is
-    geometric once h exceeds the h0 of the curve family.
+    Returns (per-vertex epsilon = W - 1, iterations used); the iteration
+    stops once no vertex moves by more than 1e-12, or after 50 rounds.
+    Convergence is geometric once h exceeds the h0 of the curve family.
     """
     params.certificate()  # validates h > h0
-    poly = _poly_of(q)
-    tps = _tps_of(q)
-    pts = [complex(p) for p in curve]
-    res = is_admissible(curve, q, params.s)
-    if not res:
-        raise DomainError(f"curve violates admissibility: {res.first_violation}")
-
-    # phase parameters along the curve, decay branch (Re zeta decreasing)
-    w0 = cmath.sqrt(poly(pts[0]))
-    direction = (pts[1] - pts[0]) / abs(pts[1] - pts[0])
-    if (w0 * direction).real > 0:
-        w0 = -w0
-    zetas = [0j]
-    w = w0
-    for a, b in zip(pts[:-1], pts[1:]):
-        part, w = _integrate_segment(poly, a, b, w, 1e-11, tps)
-        zetas.append(zetas[-1] + part)
+    poly, _, pts, zetas, _ = _decay_zetas(q, params.s, curve)
     gs = [liouville_g(poly, z) for z in pts]
     # the equation integrates from the decaying end (Re zeta -> -inf)
     order = sorted(range(len(pts)), key=lambda i: zetas[i].real)
@@ -726,7 +693,7 @@ def successive_epsilon(q, params: WKBParameters, curve, tol: float = 1e-12, max_
 
     big_w = [1.0 + 0j] * len(pts)
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, 51):
         new_w = [1.0 + 0j] * len(pts)
         # cumulative trapezoid along increasing Re zeta
         for pos in range(1, len(order)):
@@ -740,7 +707,7 @@ def successive_epsilon(q, params: WKBParameters, curve, tol: float = 1e-12, max_
             new_w[order[pos]] = 1.0 + acc / (2.0 * h)
         inc = max(abs(a - b) for a, b in zip(new_w, big_w))
         big_w = new_w
-        if inc <= tol:
+        if inc <= 1e-12:
             break
     return [wv - 1.0 for wv in big_w], iterations
 

@@ -50,9 +50,6 @@ class ZeroSet:
     def total_count(self) -> int:
         return sum(m for _, m in self.zeros)
 
-    def positions(self) -> list:
-        return [z for z, _ in self.zeros]
-
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
@@ -107,16 +104,17 @@ def _rect_loop(rect) -> list:
 def _fetch(f):
     """Point evaluation ``z -> (log|f(z)|, arg f(z))`` of f.
 
-    Eigenfunction evaluators give an independently anchored state, whose
-    log-scale keeps the modulus in range; plain callables are called.
+    Objects with an ``eval`` method (eigenfunction evaluators) give an
+    anchored state, whose log-scale keeps the modulus in range; plain
+    callables are called.
     """
-    anchored = getattr(f, "anchored_state", None)
+    evaluate = getattr(f, "eval", None)
 
     def fetch(z):
-        if anchored is None:
+        if evaluate is None:
             v, log_scale = f(z), 0.0
         else:
-            st = anchored(z)
+            st = evaluate(z)
             v, log_scale = st.y, st.log_scale
         if v == 0:
             raise GeometryError("zero exactly on the counting boundary")
@@ -191,14 +189,15 @@ def _winding(f, rect, boost: int = 1) -> float:
     return acc.total / (2 * math.pi)
 
 
-def count_zeros_rect(f, rect, max_refine: int = 3) -> int:
+def count_zeros_rect(f, rect) -> int:
     """Number of zeros of f inside the rectangle (x0, x1, y0, y1).
 
     The raw boundary quadrature must land within 0.25 of an integer; if it
-    does not, the base sampling is doubled before giving up.
+    does not, the base sampling is doubled, up to three times, before
+    giving up.
     """
     raw = _winding(f, rect)
-    for attempt in range(1, max_refine + 1):
+    for attempt in range(1, 4):
         if abs(raw - round(raw)) <= 0.25:
             break
         raw = _winding(f, rect, boost=2**attempt)
@@ -356,12 +355,6 @@ class ComparisonReport:
     delta: float
     unassigned_mass: float
 
-    def arc(self, index: int) -> ArcComparison:
-        for a in self.arcs:
-            if a.arc_index == index:
-                return a
-        raise KeyError(index)
-
 
 def compare_to_limit(em: EmpiricalMeasure, sc, delta: float = 0.1) -> ComparisonReport:
     """Project zeros to the exceptional arcs and compare with the limit law.
@@ -434,8 +427,8 @@ def compare_to_limit(em: EmpiricalMeasure, sc, delta: float = 0.1) -> Comparison
     )
 
 
-def hille_disc_check(zs: ZeroSet, r: float, imag_tol: float = 1e-8) -> bool:
-    """True when every zero inside |z| <= r is real to within imag_tol."""
+def hille_disc_check(zs: ZeroSet, r: float) -> bool:
+    """True when every zero inside |z| <= r is real to within 1e-8."""
     if not 0 < r < 1:
         raise GeometryError("the disc radius must lie in (0, 1)")
-    return all(abs(z.imag) <= imag_tol for z, _ in zs.zeros if abs(z) <= r)
+    return all(abs(z.imag) <= 1e-8 for z, _ in zs.zeros if abs(z) <= r)

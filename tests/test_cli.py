@@ -193,3 +193,38 @@ def test_stokes_rejects_degenerate_u_grid(tmp_path, capsys, size):
     assert code == 2
     assert "--u-grid" in capsys.readouterr().err
     assert not tmp_path.exists() or list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("criteria", ["11", "0", "x"])
+def test_verify_rejects_unknown_criteria(tmp_path, capsys, criteria):
+    # checked at parse time: no criterion runs and no report is written
+    code = run_cli(["verify", "--criteria", criteria, "--out", str(tmp_path)])
+    assert code == 2
+    assert "--criteria" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["spectrum", "zeros"])
+def test_repeated_coeff_is_usage_error(tmp_path, capsys, command):
+    # the spec keeps one value per a_k, so a second --coeff 1 would be ignored
+    args = [command, "--d", "2", "--ell", "1", "--coeff", "1=0.5,0", "--coeff", "1=0,0"]
+    assert run_cli(args + ["--out", str(tmp_path)]) == 2
+    assert "a_1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["zeros", "--d", "2", "--ell", "1", "--window=1,-1,-0.1,0.1"], "--window"),
+        (["zeros", "--d", "2", "--ell", "1", "--window=-1,1,0.1,0.1"], "--window"),
+        (["stokes", "--d", "2", "--ell", "1", "--window", "0"], "--window"),
+        (["zeros", "--d", "2", "--ell", "1", "--resolution", "0"], "--resolution"),
+        (["spectrum", "--d", "2", "--ell", "1", "--n-min", "-1"], "--n-min"),
+        (["zeros", "--d", "2", "--ell", "1", "--n-max", "-1"], "--n-max"),
+    ],
+)
+def test_range_arguments_checked_at_parse_time(tmp_path, capsys, args, flag):
+    assert run_cli(args + ["--out", str(tmp_path)]) == 2
+    assert flag in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -392,3 +392,88 @@ def test_invalid_spec_rejected():
         ProblemSpec(1, 1)
     with pytest.raises(DomainError):
         solve_eigenpair(HARMONIC, -1)
+
+
+class _TwoPathRule(EigenfunctionEvaluator):
+    """The hop rule before it was unified, as the reference for ``_hop_from``.
+
+    Skeleton builds ranked the anchors so far with Python's ``sorted``; later
+    evaluations first dropped anchors whose envelope lay more than
+    budget + 10 above the target's (all of them kept if none passed), then
+    ranked the rest by distance in numpy.
+    """
+
+    def _build_skeleton(self):
+        self._building = True
+        super()._build_skeleton()
+        self._building = False
+        self._anchor_env = self.h * self._u_hat(self._anchor_z)
+
+    def _hop_from(self, z):
+        anchors = self._anchors
+        env_z = self.h * self._u_hat(np.array([z]))[0]
+        if not self._building:
+            mask = self._anchor_env <= env_z + self._HOP_BUDGET + 10.0
+            if not mask.any():
+                mask[:] = True
+            dists = np.abs(self._anchor_z - z)
+            dists[~mask] = np.inf
+            ranked = np.argsort(dists)[:24]
+            ranked = ranked[np.isfinite(dists[ranked])]
+            za = self._anchor_z[ranked]
+        else:
+            ranked = sorted(range(len(anchors)), key=lambda i: abs(anchors[i].z - z))[:24]
+            za = np.array([anchors[i].z for i in ranked], dtype=complex)
+        chords = za[:, None] + (z - za)[:, None] * (np.arange(9) / 8)
+        ridge = self.h * self._u_hat(chords).max(axis=1)
+        wr, wi = spectral._divide(0.5 * (za + z), self.f)
+        qr, qi = spectral.horner_parts(self._limit_complex().quaddiff.polynomial, wr, wi)
+        speed = np.sqrt(np.hypot(qr, qi))
+        cost = speed * np.hypot(z.real - za.real, z.imag - za.imag) / abs(self.f)
+        admissible = ridge <= env_z + self._HOP_BUDGET + 4.0
+        for i in np.lexsort((cost, ~admissible))[:5]:
+            got = self._monitored_hop(anchors[ranked[i]], z, self._HOP_BUDGET)
+            if got is not None:
+                return got
+        return self._wkb_state(z)
+
+
+def _accepted(ev, z):
+    """The state ``ev._hop_from(z)`` returns and the anchor it hopped from."""
+    accepted = []
+    hop = ev._monitored_hop
+
+    def recording(st, target, budget):
+        got = hop(st, target, budget)
+        if got is not None:
+            accepted.append(st)
+        return got
+
+    ev._monitored_hop = recording
+    try:
+        got = ev._hop_from(z)
+    finally:
+        del ev._monitored_hop
+    return got, (accepted[0] if accepted else None)
+
+
+@pytest.mark.parametrize("spec, n", [(ProblemSpec(4, 1), 1), (QUARTIC, 3)])
+def test_hop_rule_accepts_the_two_path_rules_anchor(spec, n):
+    pair = solve_eigenpair(spec, n)
+    ev, ref = EigenfunctionEvaluator(pair), _TwoPathRule(pair)
+    ev.eval(0j), ref.eval(0j)  # build both skeletons
+    # every sweep is seeded by a hop: equal skeletons mean equal seed hops
+    assert repr(ev._anchors) == repr(ref._anchors)
+    rng = np.random.default_rng(10 * spec.ell + n)
+    # criterion 7's window widened into the decay sectors, where the chord
+    # ridge decides some hops, and the imaginary axis, where mirror anchors tie
+    ws = [complex(x, y) for x, y in rng.uniform(-2.2, 2.2, size=(170, 2))]
+    ws += [1j * y for y in np.linspace(-1.6, 1.6, 30)]
+    hopped = 0
+    for w in ws:
+        got, anchor = _accepted(ev, w * ev.f)
+        want, want_anchor = _accepted(ref, w * ev.f)
+        assert repr(got) == repr(want), w
+        assert repr(anchor) == repr(want_anchor), w
+        hopped += anchor is not None
+    assert hopped > len(ws) // 2  # most points hop from an anchor, not the WKB form

@@ -11,6 +11,7 @@ from stokeszeros.polynomials import ComplexPolynomial, beta
 from stokeszeros.quaddiff import build_quad_diff
 from stokeszeros.stokescomplex import stokes_complex
 from stokeszeros.wkb import (
+    _QUAD_TOL,
     PhaseIntegral,
     WKBParameters,
     arc_mass,
@@ -443,7 +444,7 @@ class _ScalarPhase:
         w = phase._sigma * cmath.sqrt(phase.q(0j))
         total = 0j
         for a, b in zip(path[:-1], path[1:]):
-            part, w = _ref_integrate_segment(phase.q, a, b, w, phase.tol, phase.tps)
+            part, w = _ref_integrate_segment(phase.q, a, b, w, _QUAD_TOL, phase.tps)
             total += part
         return total, w
 
