@@ -165,7 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_zeros.add_argument("--n-max", type=_parse_index, default=10)
     p_zeros.add_argument("--window", type=_parse_window, default=_parse_window("1.6"))
     p_zeros.add_argument("--resolution", type=_parse_positive, default=0.015)
-    p_zeros.add_argument("--delta", type=float, default=0.1)
+    p_zeros.add_argument("--delta", type=_parse_positive, default=0.1)
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
     # verify always writes report.json: no --format

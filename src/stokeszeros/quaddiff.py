@@ -50,13 +50,16 @@ class QuadDiff:
         return self.polynomial.coefficients == _canonical_coefficients(self.d, self.ell)
 
 
-def _canonical_coefficients(d: int, ell: int) -> tuple:
+def _leading_coefficient(d: int, ell: int) -> complex:
+    """(-1)^ell i^d, the leading coefficient of (-1)^ell (iz)^d."""
     # i^d cycles over {1, i, -1, -i}; keep it exact
-    unit = (1 + 0j, 1j, -1 + 0j, -1j)[d % 4]
-    lead = unit * (-1) ** ell
+    return (1 + 0j, 1j, -1 + 0j, -1j)[d % 4] * (-1) ** ell
+
+
+def _canonical_coefficients(d: int, ell: int) -> tuple:
     coeffs = [0j] * (d + 1)
     coeffs[0] = -1 + 0j
-    coeffs[d] = lead
+    coeffs[d] = _leading_coefficient(d, ell)
     return tuple(coeffs)
 
 

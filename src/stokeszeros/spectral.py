@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainError, IntegrationError
 from .geometry import mid_arclength_index, wrap_angle
 from .polynomials import ComplexPolynomial, roots
-from .quaddiff import stokes_directions
+from .quaddiff import _leading_coefficient, stokes_directions
 from .stokescomplex import stokes_complex
 from .transport import TransportState, transport, transport_states
 from .wkb import PhaseIntegral, eigenvalue_estimate, horner_parts
@@ -65,9 +65,8 @@ class ProblemSpec:
 
     @property
     def potential(self) -> ComplexPolynomial:
-        lead = (1 + 0j, 1j, -1 + 0j, -1j)[self.d % 4] * (-1) ** self.ell
         coeffs = [0j] * (self.d + 1)
-        coeffs[self.d] = lead
+        coeffs[self.d] = _leading_coefficient(self.d, self.ell)
         for k, c in enumerate(self.a, start=1):
             coeffs[k] += c
         return ComplexPolynomial(coeffs)
@@ -294,37 +293,71 @@ class Eigenpair:
         return cmath.exp(cmath.log(self.lam) / self.spec.d)
 
 
+_BRENT_ITERATIONS = 200
+
+
 def _real_brent(f, a, b, fa, fb, xtol):
-    """Bracketed root search (bisection/secant hybrid)."""
-    for _ in range(200):
-        if abs(b - a) <= xtol:
-            break
-        mid = 0.5 * (a + b)
-        if fb != fa:
-            cand = b - fb * (b - a) / (fb - fa)
-            lo, hi = (a, b) if a < b else (b, a)
-            if not (lo + 0.1 * (hi - lo) < cand < hi - 0.1 * (hi - lo)):
-                cand = mid
+    """Root of f in [a, b], where f(a) and f(b) differ in sign, by Brent's method.
+
+    Each step is an inverse quadratic interpolation through the last three
+    iterates, or a secant step through two, if it lands well inside the
+    bracket and at least halves the step before last; otherwise the step
+    bisects.  No step is shorter than xtol/2 (Brent 1973, in the form of
+    scipy's ``brentq``).  Returns the bracket end with the smaller |f| once
+    the bracket is narrower than xtol; a bracket still wider after
+    ``_BRENT_ITERATIONS`` evaluations raises :class:`IntegrationError`.
+    """
+    if fa == 0:
+        return a
+    if fb == 0:
+        return b
+    # xcur: best iterate; xblk: the bracket's other end; xpre: previous iterate
+    xpre, fpre, xcur, fcur = a, fa, b, fb
+    xblk = fblk = spre = scur = 0.0
+    delta = 0.5 * xtol
+    for _ in range(_BRENT_ITERATIONS):
+        if (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        sbis = 0.5 * (xblk - xcur)
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = None
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        if stry is not None and 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry
         else:
-            cand = mid
-        fc = f(cand)
-        if fc == 0:
-            return cand
-        if (fc > 0) == (fa > 0):
-            a, fa = cand, fc
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
         else:
-            b, fb = cand, fc
-    return 0.5 * (a + b)
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise IntegrationError(
+        f"Brent search did not converge in {_BRENT_ITERATIONS} evaluations: "
+        f"bracket [{min(xcur, xblk):.17g}, {max(xcur, xblk):.17g}], xtol {xtol:.3g}"
+    )
 
 
 def _search(spec: ProblemSpec, n: int, frame: ShootingFrame, lam=None) -> complex:
     """Eigenvalue n in one fixed frame, from its growth-law seed or from lam.
 
     Self-adjoint spectra are real: a bracket about the start widens until
-    the modulus-normalized miss changes sign and is then closed by
-    :func:`_real_brent`.  Otherwise a secant iteration runs on the
-    holomorphic miss function.  Without ``lam`` the search starts wide from
-    the seed; with it, it polishes ``lam`` in a new frame.
+    the modulus-normalized miss changes sign and is then closed to 1e-12
+    relative by Brent's method (:func:`_real_brent`), which raises, naming
+    n, if it runs out of iterations.  Otherwise a damped secant iteration
+    runs on the holomorphic miss function.  Without ``lam`` the search
+    starts wide from the seed; with it, it polishes ``lam`` in a new frame.
     """
     seed = eigenvalue_estimate(spec.d, spec.ell, n, offset=0.5)
     if spec.is_self_adjoint:
@@ -347,7 +380,10 @@ def _search(spec: ProblemSpec, n: int, frame: ShootingFrame, lam=None) -> comple
             half *= grow
             a, b = x - half, x + half
             fa, fb = f(a), f(b)
-        return complex(_real_brent(f, a, b, fa, fb, xtol=1e-12 * (1.0 + abs(x))))
+        try:
+            return complex(_real_brent(f, a, b, fa, fb, xtol=1e-12 * (1.0 + abs(x))))
+        except IntegrationError as exc:
+            raise IntegrationError(f"{exc} (n={n})") from None
 
     f = lambda z: miss_function(spec, z, frame)
     if lam is None:
@@ -380,9 +416,13 @@ def _search(spec: ProblemSpec, n: int, frame: ShootingFrame, lam=None) -> comple
 def _count_real_zeros(spec: ProblemSpec, lam: complex, y0, dy0, x_max: float) -> int:
     """Sign changes of the (real) eigenfunction on [-x_max, x_max]."""
     field = spec.shifted_field(lam).coefficients
-    count = 0
+    # a zero at the origin itself is shared by both sweeps: both start
+    # without a sign there, and it is counted once
+    at_origin = y0 == 0 or abs(y0) < 1e-13 * abs(dy0)
+    start = 0 if at_origin else (1 if y0.real > 0 else (-1 if y0.real < 0 else 0))
+    count = 1 if at_origin else 0
     for direction in (+1.0, -1.0):
-        last_sign = [1 if y0.real > 0 else (-1 if y0.real < 0 else 0)]
+        last_sign = [start]
         changes = [0]
 
         def watcher(step):
@@ -398,9 +438,6 @@ def _count_real_zeros(spec: ProblemSpec, lam: complex, y0, dy0, x_max: float) ->
 
         transport(field, [0j, direction * x_max], y0, dy0, watcher=watcher)
         count += changes[0]
-    # a zero at the origin itself is shared by both sweeps
-    if y0 == 0 or abs(y0) < 1e-13 * abs(dy0):
-        count += 1
     return count
 
 

@@ -15,6 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import DomainError
 from .polynomials import ComplexPolynomial, roots
 from .quaddiff import build_quad_diff
 from .spectral import (
@@ -348,7 +349,14 @@ def suites() -> dict:
 
 
 def run_criteria(numbers=None, suite=None) -> list:
-    """Run the selected criteria (all by default) and collect results."""
+    """Run the selected criteria (all by default) and collect results.
+
+    A number outside ``CRITERIA`` raises :class:`DomainError` before any
+    criterion runs.
+    """
+    unknown = sorted(set(numbers or ()) - set(CRITERIA))
+    if unknown:
+        raise DomainError(f"unknown criteria {unknown}; known are {sorted(CRITERIA)}")
     selected = sorted(numbers) if numbers else sorted(CRITERIA)
     if suite:
         allowed = set(suites().get(suite, []))

@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import stokeszeros
-from stokeszeros import stokescomplex
+from stokeszeros import stokescomplex, verify
 from stokeszeros.cli import main
+from stokeszeros.errors import DomainError
 
 ZEROS_SMALL = [
     "zeros",
@@ -204,6 +205,17 @@ def test_verify_rejects_unknown_criteria(tmp_path, capsys, criteria):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("numbers", [[11], [0, 3], [1.5]])
+def test_run_criteria_rejects_unknown_numbers(monkeypatch, numbers):
+    # the library call checks its numbers before any criterion runs
+    ran = []
+    for k in list(verify.CRITERIA):
+        monkeypatch.setitem(verify.CRITERIA, k, lambda k=k: ran.append(k))
+    with pytest.raises(DomainError, match="unknown criteria"):
+        verify.run_criteria(numbers=numbers)
+    assert ran == []
+
+
 @pytest.mark.parametrize("command", ["spectrum", "zeros"])
 def test_repeated_coeff_is_usage_error(tmp_path, capsys, command):
     # the spec keeps one value per a_k, so a second --coeff 1 would be ignored
@@ -222,6 +234,8 @@ def test_repeated_coeff_is_usage_error(tmp_path, capsys, command):
         (["zeros", "--d", "2", "--ell", "1", "--resolution", "0"], "--resolution"),
         (["spectrum", "--d", "2", "--ell", "1", "--n-min", "-1"], "--n-min"),
         (["zeros", "--d", "2", "--ell", "1", "--n-max", "-1"], "--n-max"),
+        (["zeros", "--d", "2", "--ell", "1", "--delta=-1"], "--delta"),
+        (["zeros", "--d", "2", "--ell", "1", "--delta", "0"], "--delta"),
     ],
 )
 def test_range_arguments_checked_at_parse_time(tmp_path, capsys, args, flag):

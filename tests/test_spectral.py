@@ -385,6 +385,83 @@ def test_failed_polish_raises(monkeypatch):
         solve_eigenpair.cache_clear()
 
 
+def _counted(f):
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+@pytest.mark.parametrize(
+    "f, a, b, root",
+    [
+        (lambda x: x**3 - 2.0, 0.0, 2.0, 2.0 ** (1.0 / 3.0)),
+        (lambda x: math.cos(x) - x, 0.0, 1.0, 0.7390851332151607),
+        (lambda x: math.exp(x) - 10.0, 0.0, 10.0, math.log(10.0)),
+    ],
+    ids=["cube-root", "cos-fixed-point", "log"],
+)
+def test_real_brent_closed_form_roots(f, a, b, root):
+    # bisection needs log2((b - a) / xtol) >= 40 evaluations here
+    g, calls = _counted(f)
+    xtol = 1e-12
+    got = spectral._real_brent(g, a, b, f(a), f(b), xtol)
+    assert abs(got - root) <= xtol
+    assert len(calls) <= 12
+
+
+def test_real_brent_bisects_a_step():
+    # interpolation has nothing to work with, so every step bisects
+    g, calls = _counted(lambda x: 1.0 if x > 0.3 else -1.0)
+    got = spectral._real_brent(g, 0.0, 1.0, -1.0, 1.0, 1e-12)
+    assert abs(got - 0.3) <= 1e-12
+    assert len(calls) <= 41
+
+
+def test_real_brent_exhausted_cap_raises(monkeypatch):
+    monkeypatch.setattr(spectral, "_BRENT_ITERATIONS", 3)
+    f = lambda x: math.cos(x) - x
+    with pytest.raises(IntegrationError, match=r"bracket \[.*\], xtol 1e-12"):
+        spectral._real_brent(f, 0.0, 1.0, f(0.0), f(1.0), 1e-12)
+    # through the eigen-solve the message also names the index
+    solve_eigenpair.cache_clear()
+    try:
+        with pytest.raises(IntegrationError, match=r"xtol .*\(n=3\)"):
+            solve_eigenpair(QUARTIC, 3)
+    finally:
+        solve_eigenpair.cache_clear()
+
+
+def test_self_adjoint_solve_miss_budget(monkeypatch):
+    # Brent closes the seed bracket and each polish in about 13 calls in
+    # all; the bisecting search made about 64
+    real_surrogate = spectral.miss_surrogate
+    calls = []
+
+    def counted(spec, lam, frame=None):
+        calls.append(lam)
+        return real_surrogate(spec, lam, frame)
+
+    monkeypatch.setattr(spectral, "miss_surrogate", counted)
+    solve_eigenpair.cache_clear()
+    try:
+        pair = solve_eigenpair(QUARTIC, 10)
+    finally:
+        solve_eigenpair.cache_clear()
+    assert pair.n == 10
+    assert len(calls) <= 25
+
+
+@pytest.mark.parametrize("y0", [1e-15, -1e-15, 0.0, 5e-13, -5e-13])
+def test_origin_zero_counted_once(y0):
+    # the odd harmonic state at lambda = 3 has one zero, at the origin: a
+    # roundoff residue in y0 must not make one sweep count it again
+    assert spectral._count_real_zeros(HARMONIC, 3.0, y0, 1.0, 2.5) == 1
+
+
 def test_invalid_spec_rejected():
     with pytest.raises(DomainError):
         ProblemSpec(4, 0)
