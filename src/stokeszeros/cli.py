@@ -45,7 +45,12 @@ class RunConfig:
     formats: list = field(default_factory=lambda: ["json"])
 
     def spec(self) -> ProblemSpec:
-        a = [0j] * max((int(k) for k, *_ in self.coefficients), default=0)
+        ks = [int(k) for k, *_ in self.coefficients]
+        for k in ks:
+            if ks.count(k) > 1:
+                # a second value would silently replace the first
+                raise DomainError(f"--coeff sets a_{k} more than once")
+        a = [0j] * max(ks, default=0)
         for k, re, im in self.coefficients:
             a[int(k) - 1] = complex(re, im)
         return ProblemSpec(self.d, self.ell, tuple(a))
@@ -190,6 +195,8 @@ def _formats(args, writable):
     if args.format is None:
         return list(writable)
     chosen = [f.strip() for f in args.format.split(",") if f.strip()]
+    if not chosen:
+        raise DomainError(f"--format names no format; {args.command} writes {','.join(writable)}")
     for f in chosen:
         if f not in writable:
             raise DomainError(f"{args.command} writes {','.join(writable)}, not {f!r}")
@@ -426,11 +433,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        ks = [k for k, _, _ in getattr(args, "coeff", [])]
-        for k in ks:
-            if ks.count(k) > 1:
-                # the spec would keep only the last value of a repeated a_k
-                parser.error(f"--coeff sets a_{k} more than once")
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors already
         return int(exc.code or 0)

@@ -21,7 +21,6 @@ __all__ = [
     "roots",
     "gamma",
     "beta",
-    "gamma_beta",
 ]
 
 
@@ -359,8 +358,3 @@ def beta(x: float, y: float) -> float:
     if x <= 0 or y <= 0:
         raise DomainError("beta requires positive arguments")
     return gamma(x) * gamma(y) / gamma(x + y)
-
-
-def gamma_beta(x: float, y: float) -> tuple:
-    """(Gamma(x), Beta(x, y)) for positive real arguments."""
-    return gamma(x), beta(x, y)

@@ -30,7 +30,6 @@ __all__ = [
     "ProblemSpec",
     "Eigenpair",
     "ShootingFrame",
-    "integrate_ode",
     "wkb_seed",
     "miss_function",
     "miss_surrogate",
@@ -96,33 +95,6 @@ class ProblemSpec:
         coeffs = list(self.potential.coefficients)
         coeffs[0] -= complex(lam)
         return ComplexPolynomial(coeffs)
-
-
-def integrate_ode(coeff_field, h: float, path, initial) -> list:
-    """Transport (y, y') for y'' = h^2 Q(z) y along a polyline.
-
-    Parameters
-    ----------
-    coeff_field : ComplexPolynomial or coefficient sequence
-        Q in ascending-degree order.
-    h : float
-        Scale parameter multiplying the field as h^2.
-    path : sequence of complex waypoints
-    initial : (y, y') at path[0]
-
-    Returns
-    -------
-    list of TransportState, one per waypoint; the last entry carries the
-    endpoint values and accumulated log-scale.
-    """
-    coeffs = (
-        coeff_field.coefficients
-        if isinstance(coeff_field, ComplexPolynomial)
-        else list(coeff_field)
-    )
-    w = [h * h * complex(c) for c in coeffs]
-    y0, dy0 = initial
-    return transport_states(w, path, y0, dy0)
 
 
 def wkb_seed(spec: ProblemSpec, lam: complex, ray_angle: float, R: float) -> tuple:
@@ -703,34 +675,48 @@ class EigenfunctionEvaluator:
         except _HopDiverged:
             return None
 
-    def _hop_from(self, z: complex) -> TransportState:
-        """Evaluate by transporting from an admissible anchor.
+    def _rank(self, zs: np.ndarray) -> np.ndarray:
+        """The anchors to hop from, best first: one row of indices per point.
 
-        The 24 nearest anchors are ranked by an envelope-grid estimate
-        (chord ridge against the target envelope, then phase distance), but
-        admission is decided by the hop's own measured divergence; if none
-        of the best five survives, the point is deep in a decay sector and
-        the calibrated WKB form takes over.
+        The 24 nearest anchors are ranked by an envelope-grid estimate:
+        chord ridge against the target envelope, then phase distance.  Every
+        step is elementwise or runs along a row, so each row equals the
+        ranking of its point alone.
         """
-        env_z = self.h * self._u_hat(np.array([z]))[0]
-        ranked = np.argsort(np.abs(self._anchor_z - z))[:24]
-        za = self._anchor_z[ranked]
+        env = self.h * self._u_hat(zs)
+        zt = zs[:, None]
+        near = np.argsort(np.abs(self._anchor_z - zt), axis=1)[:, :24]
+        za = self._anchor_z[near]
         # chord ridge: highest envelope among 9 samples of each straight hop
-        chords = za[:, None] + (z - za)[:, None] * (np.arange(9) / 8)
-        ridge = self.h * self._u_hat(chords).max(axis=1)
+        chords = za[..., None] + (zt - za)[..., None] * (np.arange(9) / 8)
+        ridge = self.h * self._u_hat(chords).max(axis=2)
         # phase distance: limit speed sqrt|Q| at the chord midpoint
-        wr, wi = _divide(0.5 * (za + z), self.f)
+        wr, wi = _divide(0.5 * (za + zt), self.f)
         qr, qi = horner_parts(self._limit_complex().quaddiff.polynomial, wr, wi)
         speed = np.sqrt(np.hypot(qr, qi))
-        cost = speed * np.hypot(z.real - za.real, z.imag - za.imag) / abs(self.f)
-        admissible = ridge <= env_z + self._HOP_BUDGET + 4.0
-        for i in np.lexsort((cost, ~admissible))[:5]:
-            got = self._monitored_hop(self._anchors[ranked[i]], z, self._HOP_BUDGET)
+        cost = speed * np.hypot(zt.real - za.real, zt.imag - za.imag) / abs(self.f)
+        admissible = ridge <= env[:, None] + self._HOP_BUDGET + 4.0
+        order = np.lexsort((cost, ~admissible), axis=1)[:, :5]
+        return np.take_along_axis(near, order, axis=1)
+
+    def _hop(self, z: complex, best) -> TransportState:
+        """Evaluate by transporting from the first admissible ranked anchor.
+
+        Admission is decided by the hop's own measured divergence; if none
+        of the ranked anchors survives, the point is deep in a decay sector
+        and the calibrated WKB form takes over.
+        """
+        for i in best:
+            got = self._monitored_hop(self._anchors[i], z, self._HOP_BUDGET)
             if got is not None:
                 return got
         if self._ray_seeds:
             return self._wkb_state(z)
         raise IntegrationError(f"no stable evaluation path to {z:.6g}")
+
+    def _hop_from(self, z: complex) -> TransportState:
+        """Evaluate one point: a batch of one through :meth:`_rank`."""
+        return self._hop(z, self._rank(np.array([z], dtype=complex))[0])
 
     def _wkb_state(self, z: complex) -> TransportState:
         """Recessive WKB form deep inside a decay sector.
@@ -774,14 +760,32 @@ class EigenfunctionEvaluator:
             complex(z), y_m / mag, dy_m / mag, val_log.real + math.log(mag)
         )
 
-    def eval(self, z: complex) -> TransportState:
-        """Transport state (y, y', log scale) of the eigenfunction at z."""
+    # points ranked per array pass; bounds the pass's (points x anchors) arrays
+    _CHUNK = 32
+
+    def eval_many(self, zs) -> list:
+        """Transport states at every point of zs, ranked in array passes.
+
+        Points already cached or repeated in the batch are evaluated once;
+        the rest are ranked in chunks of ``_CHUNK`` and hop one by one, in
+        order, so each state equals what :meth:`eval` gives alone.
+        """
         if self._anchors is None:
             self._build_skeleton()
+        keys = [(z.real, z.imag) for z in map(complex, zs)]
+        todo = [complex(*k) for k in dict.fromkeys(keys) if k not in self._point_cache]
+        for s in range(0, len(todo), self._CHUNK):
+            chunk = todo[s : s + self._CHUNK]
+            for z, best in zip(chunk, self._rank(np.array(chunk, dtype=complex))):
+                self._point_cache[(z.real, z.imag)] = self._hop(z, best)
+        return [self._point_cache[k] for k in keys]
+
+    def eval(self, z: complex) -> TransportState:
+        """Transport state (y, y', log scale) of the eigenfunction at z."""
         z = complex(z)
         key = (z.real, z.imag)
         if key not in self._point_cache:
-            self._point_cache[key] = self._hop_from(z)
+            self.eval_many([z])
         return self._point_cache[key]
 
     def residual(self, z: complex) -> float:
@@ -852,6 +856,12 @@ class RescaledEigenfunction:
         st = self.ev.eval(self.f * complex(w))
         # derivative in the rescaled variable
         return TransportState(complex(w), st.y, st.dy * self.f, st.log_scale)
+
+    def eval_many(self, ws) -> list:
+        """Rescaled states at every point of ws, ranked in array passes."""
+        ws = [complex(w) for w in ws]
+        sts = self.ev.eval_many([self.f * w for w in ws])
+        return [TransportState(w, st.y, st.dy * self.f, st.log_scale) for w, st in zip(ws, sts)]
 
     def phase_rate(self, w: complex) -> float:
         """Upper bound on |d arg Y / ds| per rescaled arclength, away from

@@ -40,7 +40,6 @@ __all__ = [
     "WKBValue",
     "wkb_approximant",
     "successive_epsilon",
-    "growth_bound",
 ]
 
 
@@ -710,10 +709,3 @@ def successive_epsilon(q, params: WKBParameters, curve):
         if inc <= 1e-12:
             break
     return [wv - 1.0 for wv in big_w], iterations
-
-
-def growth_bound(y0: complex, y1: complex, h: float, M: float, R: float) -> float:
-    """Gronwall envelope max(|y0|, |y1|) exp(h M R) for |y| on |z| <= R."""
-    if h < 0 or M < 0 or R < 0:
-        raise DomainError("growth bound needs nonnegative h, M, R")
-    return max(abs(y0), abs(y1)) * math.exp(h * M * R)

@@ -102,15 +102,17 @@ def _rect_loop(rect) -> list:
 
 
 def _fetch(f):
-    """Point evaluation ``z -> (log|f(z)|, arg f(z))`` of f.
+    """Point evaluation ``zs -> [(log|f(z)|, arg f(z)) for z in zs]`` of f.
 
-    Objects with an ``eval`` method (eigenfunction evaluators) give an
-    anchored state, whose log-scale keeps the modulus in range; plain
+    Objects with an ``eval`` method (eigenfunction evaluators) give anchored
+    states, whose log-scale keeps the modulus in range; those that also have
+    ``eval_many`` first rank the whole batch in one array pass.  Plain
     callables are called.
     """
     evaluate = getattr(f, "eval", None)
+    evaluate_many = getattr(f, "eval_many", lambda zs: None)
 
-    def fetch(z):
+    def fetch_one(z):
         if evaluate is None:
             v, log_scale = f(z), 0.0
         else:
@@ -119,6 +121,10 @@ def _fetch(f):
         if v == 0:
             raise GeometryError("zero exactly on the counting boundary")
         return math.log(abs(v)) + log_scale, cmath.phase(v)
+
+    def fetch(zs):
+        evaluate_many(zs)
+        return [fetch_one(z) for z in zs]
 
     return fetch
 
@@ -155,7 +161,7 @@ def _winding(f, rect, boost: int = 1) -> float:
     for (a, b), budget in zip(zip(loop[:-1], loop[1:]), _edge_budgets(f, rect)):
         n = max(8, int(budget * boost))
         params = [k / n for k in range(n + 1)]
-        values = [fetch(a + (b - a) * t) for t in params]
+        values = fetch([a + (b - a) * t for t in params])
         k = 0
         depth = 0
         while k < len(params) - 1:
@@ -173,7 +179,7 @@ def _winding(f, rect, boost: int = 1) -> float:
                     )
                 tm = 0.5 * (params[k] + params[k + 1])
                 params.insert(k + 1, tm)
-                values.insert(k + 1, fetch(a + (b - a) * tm))
+                values.insert(k + 1, fetch([a + (b - a) * tm])[0])
                 depth += 1
                 continue
             k += 1
@@ -184,7 +190,7 @@ def _winding(f, rect, boost: int = 1) -> float:
                 raise GeometryError("boundary passes too close to a zero")
         for lv, av in values[:-1]:
             acc.feed(lv, av)
-    lv, av = fetch(loop[0])
+    lv, av = fetch([loop[0]])[0]
     acc.feed(lv, av)
     return acc.total / (2 * math.pi)
 

@@ -8,7 +8,7 @@ import pytest
 
 import stokeszeros
 from stokeszeros import stokescomplex, verify
-from stokeszeros.cli import main
+from stokeszeros.cli import RunConfig, main
 from stokeszeros.errors import DomainError
 
 ZEROS_SMALL = [
@@ -181,6 +181,24 @@ def test_format_outside_command_set_is_usage_error(tmp_path, capsys, command, un
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("empty", [",", ""])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["stokes", "--d", "4", "--ell", "1"],
+        ["spectrum", "--d", "2", "--ell", "1", "--n-max", "1"],
+        ["zeros"] + ZEROS_SMALL[1:],
+    ],
+    ids=["stokes", "spectrum", "zeros"],
+)
+def test_empty_format_is_usage_error(tmp_path, capsys, command, empty):
+    # a --format that names nothing would write nothing and exit 0
+    code = run_cli(command + ["--format", empty, "--out", str(tmp_path)])
+    assert code == 2
+    assert "--format" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_stokes_writes_only_chosen_format(tmp_path):
     code = run_cli(["stokes", "--d", "4", "--ell", "1", "--format", "svg", "--out", str(tmp_path)])
     assert code == 0
@@ -223,6 +241,14 @@ def test_repeated_coeff_is_usage_error(tmp_path, capsys, command):
     assert run_cli(args + ["--out", str(tmp_path)]) == 2
     assert "a_1" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_run_config_rejects_repeated_coefficient():
+    # a_2 given twice: keeping either value would silently drop the other
+    cfg = RunConfig(command="spectrum", d=4, ell=1, coefficients=[[2, 1.0, 0.0], [2, 3.0, 0.0]])
+    with pytest.raises(DomainError, match="a_2"):
+        cfg.spec()
+    assert RunConfig(command="spectrum", d=4, ell=1, coefficients=[[2, 3.0, 0.0]]).spec().a == (0j, 3 + 0j)
 
 
 @pytest.mark.parametrize(

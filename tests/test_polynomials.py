@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from stokeszeros.errors import DomainError
-from stokeszeros.polynomials import ComplexPolynomial, beta, gamma, gamma_beta, roots
+from stokeszeros.polynomials import ComplexPolynomial, beta, gamma, roots
 
 
 def test_evaluate_simple():
@@ -99,7 +99,8 @@ def test_gamma_seven_quarters_vs_independent_oracle():
 
 
 def test_beta_three_halves_one_half():
-    g, b = gamma_beta(1.5, 0.5)
+    g, b = gamma(1.5), beta(1.5, 0.5)
+    assert abs(g - math.sqrt(math.pi) / 2) < 1e-12
     assert abs(b - math.pi / 2) < 1e-12
     # independent oracle: integral of t^{1/2}(1-t)^{-1/2}, substitution t=sin^2(s)
     s = np.linspace(0, math.pi / 2, 20001)

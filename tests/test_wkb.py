@@ -16,7 +16,6 @@ from stokeszeros.wkb import (
     WKBParameters,
     arc_mass,
     eigenvalue_estimate,
-    growth_bound,
     growth_constant,
     h0_bound,
     horner_parts,
@@ -253,16 +252,6 @@ def test_successive_epsilon_tightens_certificate():
     assert worst <= params.certificate()
     # the refined error must flatter the certificate, not contradict it
     assert worst > 0
-
-
-def test_growth_bound_trivial_cases():
-    assert growth_bound(0.5, -0.25, 2.0, 0.0, 7.0) == 0.5
-    assert abs(growth_bound(1.0, 0.0, 1.0, 1.0, 1.0) - math.e) < 1e-12
-
-
-def test_growth_bound_dominates_cosh():
-    # y'' = y with y(0)=1, y'(0)=0 has |y(1)| = cosh(1) <= e
-    assert math.cosh(1.0) <= growth_bound(1.0, 0.0, 1.0, 1.0, 1.0)
 
 
 # -- bit identity with the scalar phase integral --------------------------------
