@@ -21,10 +21,11 @@ from .spectral import (
     ProblemSpec,
     _limit_complex_cached,
     _limit_phase_cached,
+    ordering_violations,
     rescale,
     solve_eigenpair,
 )
-from .wkb import growth_constant
+from .wkb import eigenvalue_estimate
 from .zeros import compare_to_limit, empirical_measure, locate_zeros
 
 
@@ -269,9 +270,8 @@ def cmd_spectrum(args) -> int:
     if cfg.n_max < cfg.n_min:
         raise DomainError("empty index range")
     spec = cfg.spec()
-    c = growth_constant(cfg.d, cfg.ell)
-    expo = 2.0 * cfg.d / (cfg.d + 2.0)
     rows = []
+    pairs = []
     failures = 0
     for n in range(cfg.n_min, cfg.n_max + 1):
         try:
@@ -280,7 +280,8 @@ def cmd_spectrum(args) -> int:
             rows.append({"n": n, "error": str(exc)})
             failures += 1
             continue
-        ratio = abs(pair.lam) / (c * n) ** expo if n > 0 else float("nan")
+        pairs.append(pair)
+        ratio = abs(pair.lam) / eigenvalue_estimate(cfg.d, cfg.ell, n) if n > 0 else float("nan")
         rows.append(
             {
                 "n": n,
@@ -293,12 +294,15 @@ def cmd_spectrum(args) -> int:
                 "asymptotic_ratio": ratio,
             }
         )
+    # every index is solved on its own, so only the set can show a skip
+    violations = ordering_violations(pairs)
+    failures += len(violations)
+    payload = {"config": asdict(cfg), "eigenvalues": rows}
+    if violations:
+        payload["ordering_violations"] = violations
     out = Path(cfg.out_dir)
     if "json" in cfg.formats:
-        _write(
-            out / "spectrum.json",
-            json.dumps({"config": asdict(cfg), "eigenvalues": rows}, indent=1),
-        )
+        _write(out / "spectrum.json", json.dumps(payload, indent=1))
     if "csv" in cfg.formats:
         out.mkdir(parents=True, exist_ok=True)
         with (out / "spectrum.csv").open("w", newline="") as fh:
@@ -322,6 +326,8 @@ def cmd_spectrum(args) -> int:
                 f"n={r['n']}: lambda = {r['re_lambda']:.10g} {r['im_lambda']:+.3e}i"
                 f"  residual {r['residual']:.2e}"
             )
+    for msg in violations:
+        print(f"FAILED {msg}")
     return 1 if failures else 0
 
 

@@ -188,9 +188,6 @@ class StokesLine:
     re_zeta_drift: float = 0.0
     axis_ray: bool = field(default=False)
 
-    def endpoints(self) -> tuple:
-        return self.samples[0], self.samples[-1]
-
 
 # Dormand-Prince 5(4) tableau; the direction field is autonomous, so no c nodes
 _DP_A = (

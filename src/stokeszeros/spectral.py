@@ -34,6 +34,7 @@ __all__ = [
     "miss_function",
     "miss_surrogate",
     "find_eigenvalues",
+    "ordering_violations",
     "solve_eigenpair",
     "EigenfunctionEvaluator",
     "RescaledEigenfunction",
@@ -473,21 +474,31 @@ def solve_eigenpair(spec: ProblemSpec, n: int) -> Eigenpair:
     return pair
 
 
+def ordering_violations(pairs) -> list:
+    """Messages for consecutive eigenpairs whose Re lambda does not increase.
+
+    Solved indices are seeded independently, so for non-self-adjoint specs
+    this check across a sorted set is what guards against index skips;
+    self-adjoint indices are also certified by their real-zero count inside
+    :func:`solve_eigenpair`.
+    """
+    return [
+        f"eigenvalue ordering violated between n={pa.n} and n={pb.n}"
+        for pa, pb in zip(pairs, pairs[1:])
+        if pb.lam.real <= pa.lam.real
+    ]
+
+
 def find_eigenvalues(spec: ProblemSpec, n_range) -> list:
     """Eigenpairs for the requested indices (each seeded independently).
 
-    An index that does not converge raises.  For non-self-adjoint specs a
-    monotonicity check across the returned set guards against index skips;
-    self-adjoint indices are certified by their real-zero count inside
-    :func:`solve_eigenpair`.
+    An index that does not converge raises, and so does an ordering
+    violation (see :func:`ordering_violations`).
     """
     pairs = [solve_eigenpair(spec, n) for n in sorted(set(int(n) for n in n_range))]
-    if not spec.is_self_adjoint:
-        for pa, pb in zip(pairs, pairs[1:]):
-            if pb.lam.real <= pa.lam.real:
-                raise IntegrationError(
-                    f"eigenvalue ordering violated between n={pa.n} and n={pb.n}"
-                )
+    violations = ordering_violations(pairs)
+    if violations:
+        raise IntegrationError(violations[0])
     return pairs
 
 

@@ -14,11 +14,11 @@ from __future__ import annotations
 import cmath
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError, StructuralError
-from .geometry import distance_to_polyline, mid_arclength_index, wrap_angle
+from .geometry import distance_to_polyline, wrap_angle
 from .polynomials import roots
 from .quaddiff import (
     QuadDiff,
@@ -37,7 +37,6 @@ __all__ = [
     "stokes_complex",
     "AdmissibilityResult",
     "is_admissible",
-    "canonical_pair",
 ]
 
 HALF_PLANE = "half-plane"
@@ -73,7 +72,6 @@ class StokesComplex:
     e0_index: Optional[int] = None
     boundary_rays: Optional[tuple] = None
     exceptional_marked: bool = False
-    _line_faces: dict = field(default_factory=dict, repr=False)
 
     @property
     def half_plane_count(self) -> int:
@@ -324,11 +322,7 @@ def _assemble(q, tps, lines, caps) -> StokesComplex:
         raise StructuralError("could not identify the outer face")
 
     regions = []
-    line_faces = defaultdict(set)
     for fid, orbit in enumerate(faces):
-        for i in orbit:
-            if half_edges[i]["kind"] == "line":
-                line_faces[half_edges[i]["ref"]].add(fid)
         if fid == outer:
             continue
         line_idx = sorted({half_edges[i]["ref"] for i in orbit if half_edges[i]["kind"] == "line"})
@@ -360,7 +354,7 @@ def _assemble(q, tps, lines, caps) -> StokesComplex:
             )
         )
 
-    sc = StokesComplex(
+    return StokesComplex(
         quaddiff=q,
         turning_points=tps,
         lines=lines,
@@ -368,18 +362,6 @@ def _assemble(q, tps, lines, caps) -> StokesComplex:
         caps=caps,
         census_radius=radius,
     )
-    # region indices were renumbered when skipping the outer face; remap
-    remap = {}
-    pos = 0
-    for fid in range(len(faces)):
-        if fid == outer:
-            continue
-        remap[fid] = pos
-        pos += 1
-    sc._line_faces = {
-        li: tuple(sorted(remap[f] for f in fs)) for li, fs in line_faces.items() if li is not None
-    }
-    return sc
 
 
 def _reflect_index(tps, v):
@@ -556,7 +538,6 @@ def stokes_complex(d: int, ell: int) -> StokesComplex:
 class AdmissibilityResult:
     admissible: bool
     first_violation: Optional[tuple]  # (sample index, kind, measured value)
-    endpoints_escaped: tuple
 
     def __bool__(self) -> bool:
         return self.admissible
@@ -574,9 +555,7 @@ def is_admissible(curve, q, s: float) -> AdmissibilityResult:
 
     Every checked point must keep distance >= s from the turning points and
     the curve tangent must make an angle >= s (radians, measured between
-    lines) with the local vertical-trajectory direction.  Endpoint escape
-    beyond the trace escape radius is reported but does not veto finite
-    sub-curves.
+    lines) with the local vertical-trajectory direction.
 
     ``q`` may be a QuadDiff or any ComplexPolynomial coefficient field.
     """
@@ -586,8 +565,6 @@ def is_admissible(curve, q, s: float) -> AdmissibilityResult:
     if len(pts) < 2:
         raise DomainError("curve needs at least two points")
     tps = _tps_of(q)
-    # the trace escape radius of TraceCaps.for_diff
-    escape = 10.0 * max([abs(v) for v in tps] or [0.0]) + 10.0
 
     first = None
     for k in range(len(pts) - 1):
@@ -595,7 +572,7 @@ def is_admissible(curve, q, s: float) -> AdmissibilityResult:
         if a == b:
             continue
         tangent = (b - a) / abs(b - a)
-        for frac, z in ((0.0, a), (0.5, 0.5 * (a + b)), (1.0, b)):
+        for z in (a, 0.5 * (a + b), b):
             dist = min((abs(z - v) for v in tps), default=math.inf)
             if dist < s:
                 first = (k, "turning-point-distance", dist)
@@ -610,86 +587,5 @@ def is_admissible(curve, q, s: float) -> AdmissibilityResult:
         if first:
             break
 
-    escaped = (abs(pts[0]) >= escape, abs(pts[-1]) >= escape)
-    return AdmissibilityResult(first is None, first, escaped)
+    return AdmissibilityResult(first is None, first)
 
-
-def _skeleton_components(sc: StokesComplex) -> list:
-    n = len(sc.turning_points)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for ln in sc.lines:
-        if ln.is_short:
-            parent[find(ln.origin)] = find(ln.terminal)
-    return [find(i) for i in range(n)]
-
-
-def canonical_pair(sc: StokesComplex, region_a, region_b):
-    """A curve joining two half-plane regions that crosses each connected
-    component of the complex's 1-skeleton at most once, or None.
-
-    Two half-plane regions lie in a common canonical region exactly when
-    such a transversal exists; the search runs over the region adjacency
-    graph with one crossing allowed per skeleton component.
-    """
-    ia = region_a.index if isinstance(region_a, Region) else int(region_a)
-    ib = region_b.index if isinstance(region_b, Region) else int(region_b)
-    for idx in (ia, ib):
-        if sc.regions[idx].kind != HALF_PLANE:
-            raise DomainError("canonical pairing is defined for half-plane regions")
-    if ia == ib:
-        return [sc.regions[ia].anchor]
-
-    comp = _skeleton_components(sc)
-    line_comp = {li: comp[sc.lines[li].origin] for li in range(len(sc.lines))}
-
-    adjacency = defaultdict(list)  # region -> (neighbor, line index)
-    for li, fpair in sc._line_faces.items():
-        if len(fpair) == 2:
-            f1, f2 = fpair
-            adjacency[f1].append((f2, li))
-            adjacency[f2].append((f1, li))
-
-    from collections import deque
-
-    start = (ia, frozenset())
-    prev = {start: None}
-    queue = deque([start])
-    goal = None
-    while queue:
-        state = queue.popleft()
-        region, used = state
-        if region == ib:
-            goal = state
-            break
-        for nb, li in adjacency[region]:
-            c = line_comp[li]
-            if c in used:
-                continue
-            nxt = (nb, used | {c})
-            if nxt not in prev:
-                prev[nxt] = (state, li)
-                queue.append(nxt)
-    if goal is None:
-        return None
-
-    hops = []
-    cur = goal
-    while prev[cur] is not None:
-        state, li = prev[cur]
-        hops.append((state[0], li, cur[0]))
-        cur = state
-    hops.reverse()
-
-    waypoints = [sc.regions[ia].anchor]
-    for _, li, nxt in hops:
-        samples = sc.lines[li].samples
-        waypoints.append(samples[mid_arclength_index(samples)])
-        waypoints.append(sc.regions[nxt].anchor)
-    return waypoints

@@ -28,7 +28,7 @@ from .spectral import (
     solve_eigenpair,
 )
 from .transport import transport
-from .wkb import WKBParameters, growth_constant, h0_bound, wkb_approximant
+from .wkb import WKBParameters, eigenvalue_estimate, h0_bound, wkb_approximant
 from .zeros import compare_to_limit, empirical_measure, hille_disc_check, locate_zeros
 
 __all__ = ["CriterionResult", "CRITERIA", "run_criteria", "suites"]
@@ -77,12 +77,10 @@ def check_asymptotic_law() -> CriterionResult:
     ok = True
     for d, ell in ((4, 2), (3, 1)):
         spec = ProblemSpec(d, ell)
-        c = growth_constant(d, ell)
-        expo = 2.0 * d / (d + 2.0)
         ratios = {}
         for n in (10, 40):
             lam = solve_eigenpair(spec, n).lam
-            ratios[n] = abs(lam) / (c * n) ** expo
+            ratios[n] = abs(lam) / eigenvalue_estimate(d, ell, n)
         measured[f"({d},{ell})"] = ratios
         ok = ok and abs(ratios[40] - 1.0) <= 0.02
         ok = ok and abs(ratios[40] - 1.0) < abs(ratios[10] - 1.0)
@@ -351,16 +349,19 @@ def suites() -> dict:
 def run_criteria(numbers=None, suite=None) -> list:
     """Run the selected criteria (all by default) and collect results.
 
-    A number outside ``CRITERIA`` raises :class:`DomainError` before any
-    criterion runs.
+    A number outside ``CRITERIA``, or a suite that holds none of the
+    selected numbers, raises :class:`DomainError` before any criterion runs.
     """
     unknown = sorted(set(numbers or ()) - set(CRITERIA))
     if unknown:
         raise DomainError(f"unknown criteria {unknown}; known are {sorted(CRITERIA)}")
     selected = sorted(numbers) if numbers else sorted(CRITERIA)
     if suite:
-        allowed = set(suites().get(suite, []))
-        selected = [k for k in selected if k in allowed]
+        allowed = suites().get(suite, [])
+        chosen = [k for k in selected if k in allowed]
+        if not chosen:
+            raise DomainError(f"suite {suite!r} holds criteria {allowed}, none of {selected}")
+        selected = chosen
     out = []
     for k in selected:
         t0 = time.perf_counter()

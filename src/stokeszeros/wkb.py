@@ -29,17 +29,13 @@ from .stokescomplex import StokesComplex, _tps_of, is_admissible
 __all__ = [
     "growth_constant",
     "eigenvalue_estimate",
-    "index_estimate",
     "PhaseIntegral",
-    "limit_density",
-    "arc_mass",
     "arc_mass_profile",
     "liouville_g",
     "h0_bound",
     "WKBParameters",
     "WKBValue",
     "wkb_approximant",
-    "successive_epsilon",
 ]
 
 
@@ -68,12 +64,6 @@ def eigenvalue_estimate(d: int, ell: int, n: float, offset: float = 0.0) -> floa
         raise DomainError("index must be positive")
     c = growth_constant(d, ell)
     return (c * (n + offset)) ** (2.0 * d / (d + 2.0))
-
-
-def index_estimate(d: int, ell: int, lam: float) -> float:
-    """Inverse of :func:`eigenvalue_estimate` (offset 0)."""
-    c = growth_constant(d, ell)
-    return lam ** ((d + 2.0) / (2.0 * d)) / c
 
 
 # ---------------------------------------------------------------------------
@@ -361,60 +351,6 @@ class PhaseIntegral:
             self._cache[key] = float(self._zeta_w(z)[0].real)
         return self._cache[key]
 
-    def e0_period(self) -> complex:
-        """Loop integral of sqrt(Q) around the short exceptional line."""
-        sc = self.sc
-        e0 = sc.lines[sc.e0_index].samples
-        eta = 0.35 * self.minsep
-        step = max(1, len(e0) // 120)
-        pts = list(e0[::step])
-        if pts[-1] != e0[-1]:
-            pts.append(e0[-1])
-        upper, lower = [], []
-        for i, z in enumerate(pts):
-            a = pts[max(i - 1, 0)]
-            b = pts[min(i + 1, len(pts) - 1)]
-            t = b - a
-            nrm = 1j * t / abs(t) if t != 0 else 1j
-            upper.append(z + eta * nrm)
-            lower.append(z - eta * nrm)
-
-        def cap(center, frm, to, outward):
-            a1 = cmath.phase(frm - center)
-            a2 = cmath.phase(to - center)
-            target = cmath.phase(outward)
-            # sweep from a1 to a2 passing through the outward direction
-            best = None
-            for sweep in (wrap_angle(a2 - a1), wrap_angle(a2 - a1) - 2 * math.pi
-                          if wrap_angle(a2 - a1) > 0 else wrap_angle(a2 - a1) + 2 * math.pi):
-                mid = wrap_angle(a1 + sweep / 2)
-                score = abs(wrap_angle(mid - target))
-                if best is None or score < best[0]:
-                    best = (score, sweep)
-            sweep = best[1]
-            return [
-                center + eta * cmath.exp(1j * (a1 + sweep * k / 8.0))
-                for k in range(1, 8)
-            ]
-
-        v_far = min(self.tps, key=lambda v: abs(v - pts[-1]))
-        v_near = min(self.tps, key=lambda v: abs(v - pts[0]))
-        out_far = pts[-1] - pts[-2]
-        out_near = pts[0] - pts[1]
-        loop = (
-            upper
-            + cap(v_far, upper[-1], lower[-1], out_far)
-            + lower[::-1]
-            + cap(v_near, lower[0], upper[0], out_near)
-            + [upper[0]]
-        )
-        w = cmath.sqrt(self.q(loop[0]))
-        total = 0j
-        for a, b in zip(loop[:-1], loop[1:]):
-            part, w = _integrate_segment(self.q, a, b, w, _QUAD_TOL, self.tps)
-            total += part
-        return total
-
     def u_grid(self, corner: complex, nx: int, ny: int, dx: float, dy: float):
         """March u over a rectangular grid, one row at a time.
 
@@ -488,16 +424,6 @@ class PhaseIntegral:
         return zs, u
 
 
-def limit_density(sc: StokesComplex, z: complex) -> float:
-    """Linear density (c/pi) sqrt(|Q(z)|) of the limit zero measure on E."""
-    z = complex(z)
-    if sc.distance_to_exceptional(z) > 1e-5 * max(1.0, abs(z)):
-        raise DomainError(f"{z} is not on the exceptional set")
-    q = sc.quaddiff
-    c = growth_constant(q.d, q.ell)
-    return c / math.pi * math.sqrt(abs(q(z)))
-
-
 _GL4_NODES, _GL4_WEIGHTS = np.polynomial.legendre.leggauss(4)
 
 
@@ -519,11 +445,6 @@ def arc_mass_profile(q: QuadDiff, samples) -> tuple:
         masses.append(abs(half) * float(np.dot(_GL4_WEIGHTS, vals)))
     cum = np.cumsum(masses)
     return s, cum
-
-
-def arc_mass(q: QuadDiff, samples) -> float:
-    """Limit-measure mass of a whole exceptional arc."""
-    return arc_mass_profile(q, samples)[1][-1]
 
 
 def _poly_of(q):
@@ -610,32 +531,6 @@ class WKBValue:
         return cmath.exp(complex(self.log_modulus, self.phase))
 
 
-def _decay_zetas(q, s: float, curve) -> tuple:
-    """(poly, tps, points, zetas, branches) along an s-admissible curve.
-
-    zeta is the phase integral from the first vertex on the branch of
-    sqrt(Q) whose real part decreases along the first segment; the branch
-    is continued vertex to vertex.
-    """
-    res = is_admissible(curve, q, s)
-    if not res:
-        raise DomainError(f"curve violates admissibility: {res.first_violation}")
-    poly = _poly_of(q)
-    tps = _tps_of(q)
-    pts = [complex(p) for p in curve]
-    w = cmath.sqrt(poly(pts[0]))
-    direction = (pts[1] - pts[0]) / abs(pts[1] - pts[0])
-    if (w * direction).real > 0:
-        w = -w
-    zetas = [0j]
-    ws = [w]
-    for a, b in zip(pts[:-1], pts[1:]):
-        part, w = _integrate_segment(poly, a, b, w, _QUAD_TOL, tps)
-        zetas.append(zetas[-1] + part)
-        ws.append(w)
-    return poly, tps, pts, zetas, ws
-
-
 def wkb_approximant(q, params: WKBParameters, curve, z: complex) -> WKBValue:
     """The solution form Q^{-1/4} exp(h Phi) at a point of an admissible curve.
 
@@ -648,7 +543,24 @@ def wkb_approximant(q, params: WKBParameters, curve, z: complex) -> WKBValue:
     phase branch is continued along the curve itself.
     """
     bound = params.certificate()
-    poly, tps, pts, zetas, ws = _decay_zetas(q, params.s, curve)
+    res = is_admissible(curve, q, params.s)
+    if not res:
+        raise DomainError(f"curve violates admissibility: {res.first_violation}")
+    poly = _poly_of(q)
+    tps = _tps_of(q)
+    pts = [complex(p) for p in curve]
+    # zeta runs from the first vertex on the branch of sqrt(Q) whose real
+    # part decreases along the first segment, continued vertex to vertex
+    w = cmath.sqrt(poly(pts[0]))
+    direction = (pts[1] - pts[0]) / abs(pts[1] - pts[0])
+    if (w * direction).real > 0:
+        w = -w
+    zetas = [0j]
+    ws = [w]
+    for a, b in zip(pts[:-1], pts[1:]):
+        part, w = _integrate_segment(poly, a, b, w, _QUAD_TOL, tps)
+        zetas.append(zetas[-1] + part)
+        ws.append(w)
     if zetas[-1].real > zetas[0].real:
         raise DomainError("curve does not run into the decay region")
 
@@ -673,39 +585,3 @@ def wkb_approximant(q, params: WKBParameters, curve, z: complex) -> WKBValue:
     log_mod = params.h * zeta.real - math.log(abs(q4))
     ph = params.h * zeta.imag - cmath.phase(q4)
     return WKBValue(log_modulus=log_mod, phase=wrap_angle(ph), certificate=bound)
-
-
-def successive_epsilon(q, params: WKBParameters, curve):
-    """Tighten the approximant error empirically by iterating the fixed
-    point W -> 1 + F(W) of the Liouville-transformed integral equation.
-
-    Returns (per-vertex epsilon = W - 1, iterations used); the iteration
-    stops once no vertex moves by more than 1e-12, or after 50 rounds.
-    Convergence is geometric once h exceeds the h0 of the curve family.
-    """
-    params.certificate()  # validates h > h0
-    poly, _, pts, zetas, _ = _decay_zetas(q, params.s, curve)
-    gs = [liouville_g(poly, z) for z in pts]
-    # the equation integrates from the decaying end (Re zeta -> -inf)
-    order = sorted(range(len(pts)), key=lambda i: zetas[i].real)
-    h = params.h
-
-    big_w = [1.0 + 0j] * len(pts)
-    iterations = 0
-    for iterations in range(1, 51):
-        new_w = [1.0 + 0j] * len(pts)
-        # cumulative trapezoid along increasing Re zeta
-        for pos in range(1, len(order)):
-            target = zetas[order[pos]]
-            acc = 0j
-            for a_i, b_i in zip(order[:pos], order[1:pos + 1]):
-                za, zb = zetas[a_i], zetas[b_i]
-                fa = (1.0 - cmath.exp(2 * h * (za - target))) * gs[a_i] * big_w[a_i]
-                fb = (1.0 - cmath.exp(2 * h * (zb - target))) * gs[b_i] * big_w[b_i]
-                acc += 0.5 * (fa + fb) * (zb - za)
-            new_w[order[pos]] = 1.0 + acc / (2.0 * h)
-        inc = max(abs(a - b) for a, b in zip(new_w, big_w))
-        big_w = new_w
-        if inc <= 1e-12:
-            break
-    return [wv - 1.0 for wv in big_w], iterations

@@ -235,14 +235,9 @@ def _newton_polish(f, z0, rect, resolution):
     z = complex(z0)
     if hasattr(f, "newton_step"):
         stepper = lambda w: f.newton_step(w)[1]
-    elif hasattr(f, "derivative"):
+    else:
         df = f.derivative()
         stepper = lambda w: f(w) / df(w)
-    else:
-        def stepper(w):
-            h = 1e-7 * (1.0 + abs(w))
-            d = (f(w + h) - f(w - h)) / (2 * h)
-            return f(w) / d
 
     pad = 0.75 * max(x1 - x0, y1 - y0)
     for _ in range(40):
@@ -267,7 +262,9 @@ def locate_zeros(f, window, resolution: float) -> ZeroSet:
 
     Cells that still hold several zeros at the resolution floor are
     reported as one position with the summed multiplicity.  Counts are
-    conserved at every subdivision level by construction.
+    conserved at every subdivision level by construction.  ``f`` is a
+    polynomial (Newton steps from ``f.derivative()``) or an eigenfunction
+    evaluator (steps from ``f.newton_step``).
     """
     if resolution <= 0:
         raise GeometryError("resolution must be positive")
@@ -359,7 +356,6 @@ class ComparisonReport:
     arcs: tuple
     near_fraction: float
     delta: float
-    unassigned_mass: float
 
 
 def compare_to_limit(em: EmpiricalMeasure, sc, delta: float = 0.1) -> ComparisonReport:
@@ -400,13 +396,11 @@ def compare_to_limit(em: EmpiricalMeasure, sc, delta: float = 0.1) -> Comparison
             assignments[best[1]].append((best[2], m))
 
     out = []
-    assigned_mass = 0.0
     for aid, pts in arcs:
         s_grid, cum = arc_mass_profile(q, pts)
         limit_mass = float(cum[-1])
         atoms = sorted(assignments[aid])
         emp_mass = sum(m for _, m in atoms)
-        assigned_mass += emp_mass
         ks = None
         if atoms and limit_mass > 0:
             wsum = emp_mass
@@ -429,7 +423,6 @@ def compare_to_limit(em: EmpiricalMeasure, sc, delta: float = 0.1) -> Comparison
         arcs=tuple(out),
         near_fraction=(near_mass / total_mass) if total_mass else 1.0,
         delta=delta,
-        unassigned_mass=total_mass - assigned_mass,
     )
 
 

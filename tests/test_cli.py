@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import stokeszeros
-from stokeszeros import stokescomplex, verify
+from stokeszeros import cli, stokescomplex, verify, wkb
 from stokeszeros.cli import RunConfig, main
 from stokeszeros.errors import DomainError
 
@@ -234,6 +235,22 @@ def test_run_criteria_rejects_unknown_numbers(monkeypatch, numbers):
     assert ran == []
 
 
+def test_empty_verify_selection_is_usage_error(tmp_path, capsys, monkeypatch):
+    # a suite that holds none of the selected criteria would run nothing
+    # and still report a pass
+    ran = []
+    for k in list(verify.CRITERIA):
+        monkeypatch.setitem(verify.CRITERIA, k, lambda k=k: ran.append(k))
+    code = run_cli(["verify", "--suite", "spectrum", "--criteria", "7", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'spectrum'" in err and "[7]" in err
+    assert not tmp_path.exists() or list(tmp_path.iterdir()) == []
+    with pytest.raises(DomainError, match="'bogus'"):
+        verify.run_criteria(suite="bogus")
+    assert ran == []
+
+
 @pytest.mark.parametrize("command", ["spectrum", "zeros"])
 def test_repeated_coeff_is_usage_error(tmp_path, capsys, command):
     # the spec keeps one value per a_k, so a second --coeff 1 would be ignored
@@ -268,3 +285,39 @@ def test_range_arguments_checked_at_parse_time(tmp_path, capsys, args, flag):
     assert run_cli(args + ["--out", str(tmp_path)]) == 2
     assert flag in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_spectrum_flags_ordering_violation(tmp_path, capsys, monkeypatch):
+    # (3,1) is not self-adjoint: no zero count certifies its indices, so
+    # the ordering across the solved set is the check that catches a skip
+    solve = cli.solve_eigenpair
+    swap = {1: 2, 2: 1}
+    monkeypatch.setattr(
+        cli, "solve_eigenpair", lambda spec, n: replace(solve(spec, swap.get(n, n)), n=n)
+    )
+    code = run_cli(["spectrum", "--d", "3", "--ell", "1", "--n-min", "0", "--n-max", "3", "--out", str(tmp_path)])
+    assert code == 1
+    data = json.loads((tmp_path / "spectrum.json").read_text())
+    assert data["ordering_violations"] == ["eigenvalue ordering violated between n=1 and n=2"]
+    assert "FAILED eigenvalue ordering violated between n=1 and n=2" in capsys.readouterr().out
+
+
+def test_growth_law_has_one_source(tmp_path, monkeypatch):
+    # the spectrum command's asymptotic_ratio and criterion 2 both divide
+    # by eigenvalue_estimate rather than re-deriving (c n)^{2d/(d+2)}
+    calls = []
+
+    def recorded(d, ell, n, offset=0.0):
+        calls.append((d, ell, n))
+        return wkb.eigenvalue_estimate(d, ell, n, offset)
+
+    monkeypatch.setattr(cli, "eigenvalue_estimate", recorded)
+    monkeypatch.setattr(verify, "eigenvalue_estimate", recorded)
+    assert run_cli(["spectrum", "--d", "2", "--ell", "1", "--n-min", "0", "--n-max", "2", "--out", str(tmp_path)]) == 0
+    rows = json.loads((tmp_path / "spectrum.json").read_text())["eigenvalues"]
+    for r in rows[1:]:
+        lam = complex(r["re_lambda"], r["im_lambda"])
+        assert r["asymptotic_ratio"] == abs(lam) / wkb.eigenvalue_estimate(2, 1, r["n"])
+    res = verify.check_asymptotic_law()
+    assert res.passed
+    assert calls == [(2, 1, 1), (2, 1, 2), (4, 2, 10), (4, 2, 40), (3, 1, 10), (3, 1, 40)]

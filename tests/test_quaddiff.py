@@ -12,12 +12,7 @@ from stokeszeros.quaddiff import (
     trace_trajectory,
     turning_points,
 )
-from stokeszeros.stokescomplex import (
-    HALF_PLANE,
-    canonical_pair,
-    is_admissible,
-    stokes_complex,
-)
+from stokeszeros.stokescomplex import is_admissible, stokes_complex
 
 
 def test_build_coefficients():
@@ -123,7 +118,7 @@ def test_complex_census_4_2():
     assert sc.half_plane_count == 6
     shorts = [ln for ln in sc.lines if ln.is_short]
     assert len(shorts) == 1
-    a, b = shorts[0].endpoints()
+    a, b = shorts[0].samples[0], shorts[0].samples[-1]
     assert {round(a.real), round(b.real)} == {-1, 1}
     axis = [ln for ln in sc.lines if ln.axis_ray]
     assert len(axis) == 2
@@ -211,23 +206,6 @@ def test_admissible_rejects_turning_point_contact():
     q = build_quad_diff(2, 1)
     res = is_admissible([0.5, 1.0, 1.5], q, s=0.01)
     assert not res.admissible
-
-
-def test_canonical_pair_omega_minus_plus_none():
-    for d, ell in [(2, 1), (6, 1)]:
-        sc = stokes_complex(d, ell)
-        assert canonical_pair(sc, sc.omega_minus, sc.omega_plus) is None
-
-
-def test_canonical_pair_all_others_pairable():
-    sc = stokes_complex(6, 1)
-    for r in sc.regions:
-        if r.kind != HALF_PLANE:
-            continue
-        if r.index != sc.omega_minus:
-            assert canonical_pair(sc, sc.omega_plus, r.index) is not None
-        if r.index != sc.omega_plus:
-            assert canonical_pair(sc, sc.omega_minus, r.index) is not None
 
 
 def test_mirror_symmetry_of_line_set():

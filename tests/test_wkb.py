@@ -14,13 +14,11 @@ from stokeszeros.wkb import (
     _QUAD_TOL,
     PhaseIntegral,
     WKBParameters,
-    arc_mass,
+    arc_mass_profile,
     eigenvalue_estimate,
     growth_constant,
     h0_bound,
     horner_parts,
-    index_estimate,
-    limit_density,
     liouville_g,
     wkb_approximant,
 )
@@ -67,12 +65,6 @@ def test_eigenvalue_estimate_quartic_value():
     assert abs(eigenvalue_estimate(4, 2, 10) - 47.08) < 0.01
 
 
-def test_index_estimate_inverse():
-    for d, ell, n in [(4, 2, 7), (3, 1, 12), (6, 1, 4)]:
-        lam = eigenvalue_estimate(d, ell, n)
-        assert abs(index_estimate(d, ell, lam) - n) < 1e-10
-
-
 def test_u_basepoint_and_segment(phase21):
     assert phase21.u(0.0) == 0.0
     for x in (-0.9, -0.3, 0.4, 0.99):
@@ -100,14 +92,6 @@ def test_u_imaginary_axis_oracle(phase21):
     y = 2.0
     expected = 0.5 * (y * math.sqrt(1 + y * y) + math.asinh(y))
     assert abs(phase21.u(2j) - expected) < 1e-9
-
-
-def test_period_pure_imaginary(phase21, sc42):
-    p = phase21.e0_period()
-    assert abs(p.real) <= 1e-9
-    assert abs(abs(p.imag) - math.pi) < 1e-6  # loop of sqrt(z^2-1) around [-1,1]
-    p42 = PhaseIntegral(sc42).e0_period()
-    assert abs(p42.real) <= 1e-9
 
 
 def test_u_continuous_across_exceptional_ray(sc42):
@@ -139,25 +123,11 @@ def test_u_subharmonic_mean_inequality(phase21):
         assert phase21.u(zc) <= avg + 1e-7
 
 
-def test_limit_density_semicircle_peak(sc21):
-    assert abs(limit_density(sc21, 0.0) - 2.0 / math.pi) < 1e-12
-
-
-def test_limit_density_vanishes_at_turning_points(sc21, sc42):
-    assert limit_density(sc21, 1.0) == 0.0
-    assert abs(limit_density(sc42, 1j)) < 1e-6
-
-
-def test_limit_density_off_support_rejected(sc21):
-    with pytest.raises(DomainError):
-        limit_density(sc21, 0.5 + 0.5j)
-
-
 def test_e0_unit_mass_self_adjoint(sc21, sc42):
     # total limit mass of the short line is one zero per unit index
     for sc in (sc21, sc42):
         e0 = sc.lines[sc.e0_index].samples
-        assert abs(arc_mass(sc.quaddiff, e0) - 1.0) < 2e-3
+        assert abs(arc_mass_profile(sc.quaddiff, e0)[1][-1] - 1.0) < 2e-3
 
 
 def test_e0_mass_beta_identity():
@@ -237,21 +207,6 @@ def test_wkb_certificate_monotone_in_h():
 def test_wkb_certificate_unavailable():
     with pytest.raises(CertificateError):
         WKBParameters(h=1.0, h0=2.0, s=0.5).certificate()
-
-
-def test_successive_epsilon_tightens_certificate():
-    from stokeszeros.wkb import successive_epsilon
-
-    q = build_quad_diff(2, 1)
-    curve = [2.0 + 0.35 * k for k in range(138)]
-    h0, _ = h0_bound(q, [curve], s=0.5)
-    params = WKBParameters(h=20.0, h0=h0, s=0.5)
-    eps, iters = successive_epsilon(q, params, curve)
-    worst = max(abs(e) for e in eps)
-    assert iters < 50  # geometric convergence
-    assert worst <= params.certificate()
-    # the refined error must flatter the certificate, not contradict it
-    assert worst > 0
 
 
 # -- bit identity with the scalar phase integral --------------------------------
