@@ -17,7 +17,7 @@ from .errors import (
     StructuralError,
     TraceError,
 )
-from .polynomials import ComplexPolynomial, beta, gamma, roots
+from .polynomials import ComplexPolynomial, gamma, roots
 from .quaddiff import (
     QuadDiff,
     StokesDirections,
@@ -33,9 +33,7 @@ from .stokescomplex import (
     AdmissibilityResult,
     Region,
     StokesComplex,
-    build_stokes_complex,
     is_admissible,
-    mark_exceptional,
     stokes_complex,
 )
 from .transport import TaylorStep, TransportState, transport, transport_states
@@ -79,7 +77,6 @@ __all__ = [
     "ComplexPolynomial",
     "roots",
     "gamma",
-    "beta",
     "QuadDiff",
     "build_quad_diff",
     "turning_points",
@@ -91,8 +88,6 @@ __all__ = [
     "StokesLine",
     "StokesComplex",
     "Region",
-    "build_stokes_complex",
-    "mark_exceptional",
     "stokes_complex",
     "is_admissible",
     "AdmissibilityResult",

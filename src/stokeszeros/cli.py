@@ -25,6 +25,7 @@ from .spectral import (
     rescale,
     solve_eigenpair,
 )
+from .verify import CRITERIA, run_criteria, suites
 from .wkb import eigenvalue_estimate
 from .zeros import compare_to_limit, empirical_measure, locate_zeros
 
@@ -110,10 +111,11 @@ _parse_window = _checked(
 _parse_index = _checked(int, lambda n: n >= 0, "an eigenvalue index is at least 0")
 _parse_positive = _checked(float, lambda x: x > 0, "the value must be positive")
 _parse_grid_size = _checked(int, lambda n: n == 0 or n >= 2, "grid size is 0 (off) or at least 2")
+_CRITERIA_RANGE = f"{min(CRITERIA)}..{max(CRITERIA)}"
 _parse_criteria = _checked(
     lambda text: [int(p) for p in text.split(",")],
-    lambda ks: all(1 <= k <= 10 for k in ks),
-    "criteria are comma-separated numbers in 1..10",
+    lambda ks: all(k in CRITERIA for k in ks),
+    f"criteria are comma-separated numbers in {_CRITERIA_RANGE}",
 )
 
 
@@ -179,14 +181,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--suite",
         default=None,
-        choices=["spectrum", "topology", "zeros", "wkb"],
+        choices=list(suites()),
         help="run only one suite",
     )
     p_verify.add_argument(
         "--criteria",
         type=_parse_criteria,
         default=None,
-        help="comma-separated criterion numbers (1..10)",
+        help=f"comma-separated criterion numbers ({_CRITERIA_RANGE})",
     )
     return parser
 
@@ -401,8 +403,6 @@ def cmd_zeros(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .verify import run_criteria
-
     results = run_criteria(numbers=args.criteria, suite=args.suite)
     report = []
     failed = 0

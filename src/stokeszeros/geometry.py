@@ -1,4 +1,4 @@
-"""Small planar-geometry helpers shared across modules."""
+"""Small planar-geometry and branch-continuation helpers shared across modules."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import numpy as np
 
 __all__ = [
     "wrap_angle",
+    "nearest_sign",
     "distance_to_polyline",
     "nearest_on_polyline",
     "polyline_cumlen",
@@ -22,6 +23,11 @@ def wrap_angle(angle: float) -> float:
     if a <= 0:
         a += 2 * math.pi
     return a - math.pi
+
+
+def nearest_sign(w: complex, ref: complex) -> complex:
+    """Whichever of w and -w lies nearer ref: one step of branch continuation."""
+    return -w if abs(w - ref) > abs(w + ref) else w
 
 
 def _project(z: complex, pts: np.ndarray) -> tuple:

@@ -20,7 +20,6 @@ __all__ = [
     "ComplexPolynomial",
     "roots",
     "gamma",
-    "beta",
 ]
 
 
@@ -351,10 +350,3 @@ def gamma(x: float) -> float:
         acc += c / (x + i)
     t = x + _LANCZOS_G + 0.5
     return math.sqrt(2 * math.pi) * t ** (x + 0.5) * math.exp(-t) * acc
-
-
-def beta(x: float, y: float) -> float:
-    """Euler Beta, computed as Gamma(x)Gamma(y)/Gamma(x+y)."""
-    if x <= 0 or y <= 0:
-        raise DomainError("beta requires positive arguments")
-    return gamma(x) * gamma(y) / gamma(x + y)

@@ -11,16 +11,17 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 from .errors import DomainError, TraceError
-from .geometry import wrap_angle
+from .geometry import nearest_sign, wrap_angle
 from .polynomials import ComplexPolynomial, roots
 
 __all__ = [
     "QuadDiff",
+    "check_family",
     "build_quad_diff",
     "turning_points",
     "min_separation",
@@ -44,10 +45,13 @@ class QuadDiff:
     def __call__(self, z: complex) -> complex:
         return self.polynomial(z)
 
-    @property
-    def is_canonical(self) -> bool:
-        """True when the polynomial is exactly (-1)^ell (iz)^d - 1."""
-        return self.polynomial.coefficients == _canonical_coefficients(self.d, self.ell)
+
+def check_family(d: int, ell: int) -> None:
+    """Raise DomainError unless d >= 2 and 1 <= ell <= d - 1."""
+    if d < 2 or not 1 <= ell <= d - 1:
+        raise DomainError(
+            f"invalid (d, ell) = ({d}, {ell}): need d >= 2 and 1 <= ell <= d - 1"
+        )
 
 
 def _leading_coefficient(d: int, ell: int) -> complex:
@@ -56,37 +60,12 @@ def _leading_coefficient(d: int, ell: int) -> complex:
     return (1 + 0j, 1j, -1 + 0j, -1j)[d % 4] * (-1) ** ell
 
 
-def _canonical_coefficients(d: int, ell: int) -> tuple:
+def build_quad_diff(d: int, ell: int) -> QuadDiff:
+    """The differential ((-1)^ell (iz)^d - 1) dz^2, d >= 2, 1 <= ell <= d - 1."""
+    check_family(d, ell)
     coeffs = [0j] * (d + 1)
     coeffs[0] = -1 + 0j
     coeffs[d] = _leading_coefficient(d, ell)
-    return tuple(coeffs)
-
-
-def build_quad_diff(d: int, ell: int, perturbation=None) -> QuadDiff:
-    """The differential ((-1)^ell (iz)^d - 1) dz^2.
-
-    Parameters
-    ----------
-    d : int
-        Degree, at least 2.
-    ell : int
-        Boundary index with 1 <= ell <= d - 1.
-    perturbation : sequence of complex, optional
-        Extra coefficients (ascending, length <= d) added to the canonical
-        polynomial; used for stability experiments.
-    """
-    if d < 2:
-        raise DomainError(f"degree must be >= 2, got {d}")
-    if not 1 <= ell <= d - 1:
-        raise DomainError(f"ell must satisfy 1 <= ell <= d-1, got ell={ell}, d={d}")
-    coeffs = list(_canonical_coefficients(d, ell))
-    if perturbation is not None:
-        pert = list(perturbation)
-        if len(pert) > d + 1:
-            raise DomainError("perturbation degree exceeds d")
-        for k, c in enumerate(pert):
-            coeffs[k] += complex(c)
     return QuadDiff(d, ell, ComplexPolynomial(coeffs))
 
 
@@ -128,8 +107,7 @@ def stokes_directions(d: int, ell: int) -> StokesDirections:
     -pi/2 +/- (ell+1) pi/(d+2) are the anti-Stokes directions along which
     solutions are required to decay.
     """
-    if d < 2 or not 1 <= ell <= d - 1:
-        raise DomainError(f"invalid (d, ell) = ({d}, {ell})")
+    check_family(d, ell)
     n = d + 2
     stokes = tuple(wrap_angle(-math.pi / 2 + math.pi * (ell + 2 * k) / n) for k in range(n))
     anti = tuple(wrap_angle(-math.pi / 2 + math.pi * (ell + 2 * k + 1) / n) for k in range(n))
@@ -186,7 +164,7 @@ class StokesLine:
     is_short: bool
     is_exceptional: bool = False
     re_zeta_drift: float = 0.0
-    axis_ray: bool = field(default=False)
+    axis_ray: bool = False
 
 
 # Dormand-Prince 5(4) tableau; the direction field is autonomous, so no c nodes
@@ -211,34 +189,16 @@ _DP_B4 = (
 )
 
 
-class _BranchTracker:
-    """Continuously tracked branch of sqrt(Q) along the trace."""
-
-    def __init__(self, q: QuadDiff, w0: complex):
-        self.q = q
-        self.w = w0
-
-    def sqrt_at(self, z: complex, ref: complex) -> complex:
-        w = cmath.sqrt(self.q(z))
-        if abs(w - ref) > abs(w + ref):
-            w = -w
-        return w
-
-    def velocity(self, z: complex, ref: complex) -> tuple:
-        w = self.sqrt_at(z, ref)
-        mag = abs(w)
-        if mag == 0:
-            raise TraceError("trajectory hit a turning point exactly")
-        return 1j * w.conjugate() / mag, w
+def _velocity(q: QuadDiff, z: complex, ref: complex) -> tuple:
+    """Unit trace direction i conj(w)/|w| at z, and w, the branch of sqrt(Q) nearest ref."""
+    w = nearest_sign(cmath.sqrt(q(z)), ref)
+    mag = abs(w)
+    if mag == 0:
+        raise TraceError("trajectory hit a turning point exactly")
+    return 1j * w.conjugate() / mag, w
 
 
-def trace_trajectory(
-    q: QuadDiff,
-    start: complex,
-    initial_direction: float,
-    caps: Optional[TraceCaps] = None,
-    origin_index: Optional[int] = None,
-) -> StokesLine:
+def trace_trajectory(q: QuadDiff, start: complex, initial_direction: float) -> StokesLine:
     """Trace one vertical trajectory until capture or escape.
 
     Parameters
@@ -250,36 +210,33 @@ def trace_trajectory(
     initial_direction : float
         Tangent angle at the start; for a turning point this should be one
         of :func:`launch_directions`.
-    caps : TraceCaps, optional
-        Escape/capture/step limits; derived from the geometry by default.
 
     Returns
     -------
     StokesLine
         With ``terminal`` the index of the captured turning point, or None
-        plus the matched asymptotic Stokes direction when unbounded.
+        plus the matched asymptotic Stokes direction when unbounded.  The
+        escape/capture/step limits are :meth:`TraceCaps.for_diff` of q.
     """
-    caps = caps or TraceCaps.for_diff(q)
+    caps = TraceCaps.for_diff(q)
     tps = turning_points(q)
-    dirs = stokes_directions(q.d, q.ell).stokes if q.is_canonical else None
+    dirs = stokes_directions(q.d, q.ell).stokes
 
     # launch: offset away from a turning point along the requested tangent
     start = complex(start)
     tangent = cmath.exp(1j * initial_direction)
-    origin = origin_index
+    origin = None
     z = start
     for idx, v in enumerate(tps):
         if abs(start - v) <= 1e-9 * max(1.0, abs(v)):
             z = v + caps.launch_offset * tangent
-            if origin is None:
-                origin = idx
+            origin = idx
             break
 
     w = cmath.sqrt(q(z))
     vel = 1j * w.conjugate() / abs(w)
     if (vel / tangent).real < 0:
         w = -w
-    tracker = _BranchTracker(q, w)
 
     samples = [z]
     zeta_re_drift = 0.0
@@ -316,7 +273,7 @@ def trace_trajectory(
                 for j, aij in enumerate(_DP_A[i]):
                     zi += h * aij * ks[j]
                 try:
-                    vel, ref = tracker.velocity(zi, ref)
+                    vel, ref = _velocity(q, zi, ref)
                 except TraceError:
                     ok = False
                     break
@@ -336,8 +293,8 @@ def trace_trajectory(
             h *= max(0.2, min(0.9 * (tol / max(err, 1e-300)) ** 0.2, 0.8))
 
         # accepted: update branch along the chord with a Simpson phase check
-        w_mid = tracker.sqrt_at(0.5 * (z + z5), w_cur)
-        w_new = tracker.sqrt_at(z5, w_mid)
+        w_mid = nearest_sign(cmath.sqrt(q(0.5 * (z + z5))), w_cur)
+        w_new = nearest_sign(cmath.sqrt(q(z5)), w_mid)
         dzeta = (w_cur + 4 * w_mid + w_new) / 6.0 * (z5 - z)
         zeta_re_drift += dzeta.real
         z = z5
@@ -357,16 +314,13 @@ def trace_trajectory(
             break
         if abs(z) >= caps.escape_radius:
             ang = cmath.phase(z)
-            if dirs is not None:
-                best = min(dirs, key=lambda t: abs(wrap_angle(ang - t)))
-                if abs(wrap_angle(ang - best)) > math.radians(5.0):
-                    raise TraceError(
-                        f"escape angle {ang:.4f} matches no Stokes direction",
-                        partial=samples,
-                    )
-                terminal_angle = best
-            else:
-                terminal_angle = ang
+            best = min(dirs, key=lambda t: abs(wrap_angle(ang - t)))
+            if abs(wrap_angle(ang - best)) > math.radians(5.0):
+                raise TraceError(
+                    f"escape angle {ang:.4f} matches no Stokes direction",
+                    partial=samples,
+                )
+            terminal_angle = best
             break
         if arclength > caps.max_arclength:
             raise TraceError("trace exceeded arclength cap", partial=samples)

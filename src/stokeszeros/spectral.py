@@ -19,9 +19,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, IntegrationError
-from .geometry import mid_arclength_index, wrap_angle
+from .geometry import mid_arclength_index, nearest_sign, wrap_angle
 from .polynomials import ComplexPolynomial, roots
-from .quaddiff import _leading_coefficient, stokes_directions
+from .quaddiff import _leading_coefficient, check_family, stokes_directions
 from .stokescomplex import stokes_complex
 from .transport import TransportState, transport, transport_states
 from .wkb import PhaseIntegral, eigenvalue_estimate, horner_parts
@@ -57,8 +57,7 @@ class ProblemSpec:
     a: tuple = ()
 
     def __post_init__(self):
-        if self.d < 2 or not 1 <= self.ell <= self.d - 1:
-            raise DomainError(f"invalid (d, ell) = ({self.d}, {self.ell})")
+        check_family(self.d, self.ell)
         if len(self.a) > self.d - 1:
             raise DomainError("lower-order coefficients exceed degree - 1")
         object.__setattr__(self, "a", tuple(complex(c) for c in self.a))
@@ -752,12 +751,8 @@ class EigenfunctionEvaluator:
         prev = z0
         for k in range(1, n_pts + 1):
             cur = z0 + (z - z0) * k / n_pts
-            w_cur = cmath.sqrt(pot(cur))
-            if abs(w_cur - w_prev) > abs(w_cur + w_prev):
-                w_cur = -w_cur
-            q4_cur = cmath.sqrt(w_cur)
-            if abs(q4_cur - q4_prev) > abs(q4_cur + q4_prev):
-                q4_cur = -q4_cur
+            w_cur = nearest_sign(cmath.sqrt(pot(cur)), w_prev)
+            q4_cur = nearest_sign(cmath.sqrt(w_cur), q4_prev)
             action += 0.5 * (w_prev + w_cur) * (cur - prev)
             prev, w_prev, q4_prev = cur, w_cur, q4_cur
         # y(z) = y(z0) (W0/W)^{1/4} exp(-action); log-form to stay in range

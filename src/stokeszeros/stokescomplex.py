@@ -23,6 +23,7 @@ from .polynomials import roots
 from .quaddiff import (
     QuadDiff,
     TraceCaps,
+    build_quad_diff,
     launch_directions,
     stokes_directions,
     trace_trajectory,
@@ -32,8 +33,6 @@ from .quaddiff import (
 __all__ = [
     "Region",
     "StokesComplex",
-    "build_stokes_complex",
-    "mark_exceptional",
     "stokes_complex",
     "AdmissibilityResult",
     "is_admissible",
@@ -53,25 +52,23 @@ class Region:
     tp_indices: tuple
     arc_spans: tuple  # ccw azimuth intervals on the census circle
     anchor: complex
-    label: str = "none"
+    label: str  # "omega+", "omega-" (the boundary regions), "D+" or "D-"
 
 
 @dataclass
 class StokesComplex:
+    """The traced complex of one family, its exceptional set marked."""
+
     quaddiff: QuadDiff
     turning_points: list
     lines: list
     regions: list
-    caps: TraceCaps
     census_radius: float
-    mirror_deviation: float = 0.0
-    omega_plus: Optional[int] = None
-    omega_minus: Optional[int] = None
-    v_plus: Optional[int] = None
-    v_minus: Optional[int] = None
-    e0_index: Optional[int] = None
-    boundary_rays: Optional[tuple] = None
-    exceptional_marked: bool = False
+    mirror_deviation: float
+    v_plus: int  # turning point of the omega+ region
+    v_minus: int  # turning point of the omega- region
+    e0_index: int  # the short exceptional line joining v_plus and v_minus
+    boundary_rays: tuple  # (theta_minus, theta_plus)
 
     @property
     def half_plane_count(self) -> int:
@@ -110,7 +107,7 @@ class StokesComplex:
             "turning_points": [[v.real, v.imag] for v in self.turning_points],
             "census_radius": self.census_radius,
             "mirror_deviation": self.mirror_deviation,
-            "boundary_rays": list(self.boundary_rays) if self.boundary_rays else None,
+            "boundary_rays": list(self.boundary_rays),
             "lines": [
                 {
                     "origin": ln.origin,
@@ -184,16 +181,19 @@ def _entry_angle(q, line, tp, caps):
     return min(cands, key=lambda a: abs(wrap_angle(a - rough)))
 
 
-def build_stokes_complex(q: QuadDiff) -> StokesComplex:
-    """Trace all Stokes lines of Q dz^2 and compute the region census.
+def stokes_complex(d: int, ell: int) -> StokesComplex:
+    """Trace, assemble, check and mark the complex of ((-1)^ell (iz)^d - 1) dz^2.
 
     Raises
     ------
+    DomainError
+        If (d, ell) names no family.
     StructuralError
         If a turning point is not simple, the line count per turning point
-        is not three, the half-plane region count is not d+2, or the mirror
-        symmetry check fails.
+        is not three, the half-plane region count is not d+2, the mirror
+        symmetry check fails, or the exceptional set cannot be marked.
     """
+    q = build_quad_diff(d, ell)
     caps = TraceCaps.for_diff(q)
     tps = turning_points(q)
     dq = q.polynomial.derivative()
@@ -203,9 +203,9 @@ def build_stokes_complex(q: QuadDiff) -> StokesComplex:
 
     lines: list = []
     short_seen = set()
-    for i, v in enumerate(tps):
+    for v in tps:
         for phi in launch_directions(q, v):
-            ln = trace_trajectory(q, v, phi, caps, origin_index=i)
+            ln = trace_trajectory(q, v, phi)
             if ln.is_short:
                 key = frozenset((ln.origin, ln.terminal))
                 if key in short_seen:
@@ -221,21 +221,38 @@ def build_stokes_complex(q: QuadDiff) -> StokesComplex:
     if any(ends[i] != 3 for i in range(len(tps))):
         raise StructuralError(f"line-end census per turning point: {dict(ends)}")
 
-    sc = _assemble(q, tps, lines, caps)
-    sc.mirror_deviation = _check_mirror_symmetry(sc)
-    expected = q.d + 2
-    if sc.half_plane_count != expected:
-        raise StructuralError(
-            f"half-plane region count {sc.half_plane_count}, expected {expected}"
-        )
-    return sc
+    boundary_rays = stokes_directions(d, ell).boundary_rays
+    radius, regions = _assemble(q, tps, lines, caps, boundary_rays)
+    mirror_deviation = _check_mirror_symmetry(tps, lines, radius)
+    half_planes = sum(1 for r in regions if r.kind == HALF_PLANE)
+    if half_planes != d + 2:
+        raise StructuralError(f"half-plane region count {half_planes}, expected {d + 2}")
+    v_plus, v_minus, e0_index = _mark_exceptional(tps, lines, regions, boundary_rays)
+    return StokesComplex(
+        quaddiff=q,
+        turning_points=tps,
+        lines=lines,
+        regions=regions,
+        census_radius=radius,
+        mirror_deviation=mirror_deviation,
+        v_plus=v_plus,
+        v_minus=v_minus,
+        e0_index=e0_index,
+        boundary_rays=boundary_rays,
+    )
 
 
-def _assemble(q, tps, lines, caps) -> StokesComplex:
+def _assemble(q, tps, lines, caps, boundary_rays) -> tuple:
+    """(census radius, regions): the faces of the traced graph, each labelled.
+
+    A half-plane region is omega+ or omega- when the boundary ray
+    theta_plus or theta_minus runs through it; every other region is D+ or
+    D- by the side of the boundary rays its first census arc lies on.
+    """
     radius = 0.45 * caps.escape_radius
     ntp = len(tps)
+    theta_minus, theta_plus = boundary_rays
 
-    crossings = []  # (azimuth, node payload)
     half_edges = []  # dicts
 
     def add_pair(n1, n2, a1, a2, kind, ref):
@@ -343,6 +360,12 @@ def _assemble(q, tps, lines, caps) -> StokesComplex:
         mid = wrap_angle(az1 + _ccw(az1, az2) / 2)
         r_anchor = 0.85 if kind == HALF_PLANE else 0.96
         anchor = r_anchor * radius * cmath.exp(1j * mid)
+        if kind == HALF_PLANE and _ccw(az1, theta_plus) < _ccw(az1, az2):
+            label = "omega+"
+        elif kind == HALF_PLANE and _ccw(az1, theta_minus) < _ccw(az1, az2):
+            label = "omega-"
+        else:
+            label = "D+" if _ccw(theta_plus, mid) < _ccw(theta_plus, theta_minus) else "D-"
         regions.append(
             Region(
                 index=len(regions),
@@ -351,17 +374,10 @@ def _assemble(q, tps, lines, caps) -> StokesComplex:
                 tp_indices=tuple(tp_idx),
                 arc_spans=tuple(spans),
                 anchor=anchor,
+                label=label,
             )
         )
-
-    return StokesComplex(
-        quaddiff=q,
-        turning_points=tps,
-        lines=lines,
-        regions=regions,
-        caps=caps,
-        census_radius=radius,
-    )
+    return radius, regions
 
 
 def _reflect_index(tps, v):
@@ -372,17 +388,16 @@ def _reflect_index(tps, v):
     return None
 
 
-def _check_mirror_symmetry(sc: StokesComplex) -> float:
+def _check_mirror_symmetry(tps, lines, census_radius) -> float:
     """Largest deviation of the line set from its -conj reflection."""
-    tps = sc.turning_points
     worst = 0.0
-    for ln in sc.lines:
+    for ln in lines:
         ro = _reflect_index(tps, tps[ln.origin])
         if ro is None:
             raise StructuralError("turning points not mirror symmetric")
         reflected = [(-s.conjugate()) for s in ln.samples]
         cands = []
-        for other in sc.lines:
+        for other in lines:
             if ln.is_short:
                 if other.is_short and {other.origin, other.terminal} == {
                     ro,
@@ -401,7 +416,7 @@ def _check_mirror_symmetry(sc: StokesComplex) -> float:
             raise StructuralError("a Stokes line has no mirror partner")
         # unbounded traces overshoot the escape radius by one step each, so
         # only compare the geometry inside the census circle
-        clipped = [p for p in reflected[::9] if abs(p) <= sc.census_radius]
+        clipped = [p for p in reflected[::9] if abs(p) <= census_radius]
         clipped = clipped or reflected[:1]
         dev = min(
             max(distance_to_polyline(p, other.samples) for p in clipped)
@@ -414,63 +429,35 @@ def _check_mirror_symmetry(sc: StokesComplex) -> float:
     return worst
 
 
-def mark_exceptional(sc: StokesComplex) -> StokesComplex:
-    """Flag the exceptional Stokes lines and label the regions.
+def _mark_exceptional(tps, lines, regions, boundary_rays) -> tuple:
+    """Flag the exceptional Stokes lines; return (v_plus, v_minus, e0_index).
 
     The short line joining the two boundary-region turning points is always
     exceptional; a turning point on the imaginary axis contributes its axis
     ray; every other turning point contributes the unbounded line lying
     angularly between its sibling and the near imaginary semi-axis.
     """
-    q = sc.quaddiff
-    sd = stokes_directions(q.d, q.ell)
-    theta_minus, theta_plus = sd.boundary_rays
-    sc.boundary_rays = (theta_minus, theta_plus)
-
-    def face_containing(azimuth):
-        hits = []
-        for r in sc.regions:
-            if r.kind != HALF_PLANE:
-                continue
-            az1, az2 = r.arc_spans[0]
-            if _ccw(az1, azimuth) < _ccw(az1, az2):
-                hits.append(r.index)
+    boundary_tps = []
+    for label, theta in (("omega+", boundary_rays[1]), ("omega-", boundary_rays[0])):
+        hits = [r for r in regions if r.label == label]
         if len(hits) != 1:
             raise StructuralError(
-                f"boundary ray at {azimuth:.4f} interior to {len(hits)} half-plane regions"
+                f"boundary ray at {theta:.4f} interior to {len(hits)} half-plane regions"
             )
-        return hits[0]
-
-    io_plus = face_containing(theta_plus)
-    io_minus = face_containing(theta_minus)
-    sc.omega_plus, sc.omega_minus = io_plus, io_minus
-    for r in sc.regions:
-        r.label = "none"
-    sc.regions[io_plus].label = "omega+"
-    sc.regions[io_minus].label = "omega-"
-
-    tp_plus = sc.regions[io_plus].tp_indices
-    tp_minus = sc.regions[io_minus].tp_indices
-    if len(tp_plus) != 1 or len(tp_minus) != 1:
-        raise StructuralError("boundary region does not have a unique turning point")
-    vp, vm = tp_plus[0], tp_minus[0]
-    sc.v_plus, sc.v_minus = vp, vm
-
-    for ln in sc.lines:
-        ln.is_exceptional = False
-        ln.axis_ray = False
+        if len(hits[0].tp_indices) != 1:
+            raise StructuralError("boundary region does not have a unique turning point")
+        boundary_tps.append(hits[0].tp_indices[0])
+    vp, vm = boundary_tps
 
     e0 = None
-    for i, ln in enumerate(sc.lines):
+    for i, ln in enumerate(lines):
         if ln.is_short and {ln.origin, ln.terminal} == {vp, vm}:
             e0 = i
             break
     if e0 is None:
         raise StructuralError("no short line joining the boundary turning points")
-    sc.e0_index = e0
-    sc.lines[e0].is_exceptional = True
+    lines[e0].is_exceptional = True
 
-    tps = sc.turning_points
     scale = max(1.0, max(abs(v) for v in tps))
     arg_vp = cmath.phase(tps[vp])
 
@@ -479,7 +466,7 @@ def mark_exceptional(sc: StokesComplex) -> StokesComplex:
         return _ccw(arg_vp, angle) < _ccw(arg_vp, math.pi - arg_vp)
 
     lines_by_origin = defaultdict(list)
-    for i, ln in enumerate(sc.lines):
+    for i, ln in enumerate(lines):
         lines_by_origin[ln.origin].append(i)
         if ln.is_short:
             lines_by_origin[ln.terminal].append(i)
@@ -488,50 +475,32 @@ def mark_exceptional(sc: StokesComplex) -> StokesComplex:
         if k in (vp, vm):
             continue
         on_axis = abs(v.real) <= 1e-8 * scale
-        unbounded = [i for i in lines_by_origin[k] if not sc.lines[i].is_short]
+        unbounded = [i for i in lines_by_origin[k] if not lines[i].is_short]
         if on_axis:
             # flag the ray running along the imaginary axis
             target = math.pi / 2 if v.imag > 0 else -math.pi / 2
             ray = min(
-                unbounded, key=lambda i: abs(wrap_angle(sc.lines[i].terminal_angle - target))
+                unbounded, key=lambda i: abs(wrap_angle(lines[i].terminal_angle - target))
             )
-            if abs(wrap_angle(sc.lines[ray].terminal_angle - target)) > 1e-6:
+            if abs(wrap_angle(lines[ray].terminal_angle - target)) > 1e-6:
                 raise StructuralError("axis turning point has no axis ray")
-            sc.lines[ray].is_exceptional = True
-            sc.lines[ray].axis_ray = True
+            lines[ray].is_exceptional = True
+            lines[ray].axis_ray = True
             continue
         if len(unbounded) != 2:
             raise StructuralError("off-axis turning point without two unbounded lines")
         target = math.pi / 2 if in_upper_arc(cmath.phase(v)) else -math.pi / 2
         pick = min(
-            unbounded, key=lambda i: abs(wrap_angle(sc.lines[i].terminal_angle - target))
+            unbounded, key=lambda i: abs(wrap_angle(lines[i].terminal_angle - target))
         )
-        sc.lines[pick].is_exceptional = True
+        lines[pick].is_exceptional = True
 
-    flagged = len(sc.exceptional_lines)
+    flagged = sum(ln.is_exceptional for ln in lines)
     if flagged != len(tps) - 1:
         raise StructuralError(
             f"{flagged} exceptional lines for {len(tps)} turning points"
         )
-
-    # D+/D- labels for the remaining regions, by census-arc azimuth
-    for r in sc.regions:
-        if r.label != "none":
-            continue
-        az1, az2 = r.arc_spans[0]
-        mid = wrap_angle(az1 + _ccw(az1, az2) / 2)
-        r.label = "D+" if _ccw(theta_plus, mid) < _ccw(theta_plus, theta_minus) else "D-"
-
-    sc.exceptional_marked = True
-    return sc
-
-
-def stokes_complex(d: int, ell: int) -> StokesComplex:
-    """Build the canonical complex for (d, ell) with the exceptional set marked."""
-    from .quaddiff import build_quad_diff
-
-    sc = build_stokes_complex(build_quad_diff(d, ell))
-    return mark_exceptional(sc)
+    return vp, vm, e0
 
 
 @dataclass

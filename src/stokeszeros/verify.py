@@ -1,8 +1,10 @@
 """Verification suite: the quantitative claims the package must reproduce.
 
 Each criterion is a self-contained check with its tolerance pinned at
-definition time; the command layer and the test suite both run these
-functions, so a passing suite means the same thing everywhere.
+definition time, returning (passed, measured).  The table ``CRITERIA``
+states each criterion's number, name and suite once; the command layer and
+the test suite both run from it, so a passing suite means the same thing
+everywhere.
 """
 
 from __future__ import annotations
@@ -10,8 +12,9 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,7 +34,7 @@ from .transport import transport
 from .wkb import WKBParameters, eigenvalue_estimate, h0_bound, wkb_approximant
 from .zeros import compare_to_limit, empirical_measure, hille_disc_check, locate_zeros
 
-__all__ = ["CriterionResult", "CRITERIA", "run_criteria", "suites"]
+__all__ = ["Criterion", "CriterionResult", "CRITERIA", "run_criteria", "suites"]
 
 
 @dataclass
@@ -39,9 +42,9 @@ class CriterionResult:
     name: str
     suite: str
     passed: bool
-    measured: dict = field(default_factory=dict)
-    detail: str = ""
-    seconds: float = 0.0
+    measured: dict
+    detail: str
+    seconds: float
 
 
 @lru_cache(maxsize=64)
@@ -56,22 +59,17 @@ def _strip_zeros(spec: ProblemSpec, n: int):
     return resc, locate_zeros(resc, window, resolution=0.01)
 
 
-def check_harmonic_oracle() -> CriterionResult:
+def check_harmonic_oracle() -> tuple:
     """(2,1) spectrum equals 2n+1 to 1e-8 relative for n = 0..9."""
     spec = ProblemSpec(2, 1)
     worst = 0.0
     for n in range(10):
         pair = solve_eigenpair(spec, n)
         worst = max(worst, abs(pair.lam - (2 * n + 1)) / (2 * n + 1))
-    return CriterionResult(
-        name="harmonic-oracle",
-        suite="spectrum",
-        passed=worst <= 1e-8,
-        measured={"worst_relative_error": worst, "tolerance": 1e-8},
-    )
+    return worst <= 1e-8, {"worst_relative_error": worst, "tolerance": 1e-8}
 
 
-def check_asymptotic_law() -> CriterionResult:
+def check_asymptotic_law() -> tuple:
     """Growth-law ratio within 2% at n=40 and improving from n=10."""
     measured = {}
     ok = True
@@ -84,16 +82,10 @@ def check_asymptotic_law() -> CriterionResult:
         measured[f"({d},{ell})"] = ratios
         ok = ok and abs(ratios[40] - 1.0) <= 0.02
         ok = ok and abs(ratios[40] - 1.0) < abs(ratios[10] - 1.0)
-    return CriterionResult(
-        name="asymptotic-law",
-        suite="spectrum",
-        passed=ok,
-        measured=measured,
-        detail="ratio lambda_n / (c n)^{2d/(d+2)} at n in {10, 40}",
-    )
+    return ok, measured
 
 
-def check_topology() -> CriterionResult:
+def check_topology() -> tuple:
     """All nine canonical families: census, symmetry, short-line pairing."""
     pairs = [(2, 1), (3, 1), (4, 1), (4, 2), (4, 3), (6, 1), (6, 2), (6, 3), (6, 4)]
     measured = {}
@@ -121,15 +113,10 @@ def check_topology() -> CriterionResult:
             "short_line_pairing_error": worst_pairing,
         }
         ok = ok and sc.half_plane_count == d + 2 and worst_pairing <= 1e-6
-    return CriterionResult(
-        name="topology",
-        suite="topology",
-        passed=ok,
-        measured=measured,
-    )
+    return ok, measured
 
 
-def check_sturm_count() -> CriterionResult:
+def check_sturm_count() -> tuple:
     """(4,2): the rescaled eigenfunction n has exactly n real zeros in the
     bracket, for n = 1..30."""
     spec = ProblemSpec(4, 2)
@@ -145,15 +132,10 @@ def check_sturm_count() -> CriterionResult:
         if count != n or not inside:
             ok = False
             failures.append({"n": n, "count": count, "inside": inside})
-    return CriterionResult(
-        name="sturm-count",
-        suite="zeros",
-        passed=ok,
-        measured={"range": "1..30", "failures": failures},
-    )
+    return ok, {"range": "1..30", "failures": failures}
 
 
-def check_semicircle() -> CriterionResult:
+def check_semicircle() -> tuple:
     """Harmonic n=50 rescaled zeros against the semicircle law: KS <= 0.06."""
     spec = ProblemSpec(2, 1)
     resc, zs = _strip_zeros(spec, 50)
@@ -167,15 +149,11 @@ def check_semicircle() -> CriterionResult:
         max(abs(cdf(x) - k / len(xs)), abs(cdf(x) - (k + 1) / len(xs)))
         for k, x in enumerate(xs)
     )
-    return CriterionResult(
-        name="semicircle",
-        suite="zeros",
-        passed=zs.total_count == 50 and ks <= 0.06 and ks_direct <= 0.06,
-        measured={"count": zs.total_count, "ks": ks, "ks_closed_form": ks_direct, "tolerance": 0.06},
-    )
+    passed = zs.total_count == 50 and ks <= 0.06 and ks_direct <= 0.06
+    return passed, {"count": zs.total_count, "ks": ks, "ks_closed_form": ks_direct, "tolerance": 0.06}
 
 
-def check_log_growth() -> CriterionResult:
+def check_log_growth() -> tuple:
     """(1/h) log |Y_n| approaches the envelope u on admissible points."""
     cases = {
         (2, 1): [2.0, 1.5j, 0.7 + 1.5j, -0.7 + 1.5j],
@@ -192,16 +170,10 @@ def check_log_growth() -> CriterionResult:
             devs[n] = envelope_deviation(resc, phase, pts)
         measured[f"({d},{ell})"] = devs
         ok = ok and devs[40] <= 0.05 and devs[40] < devs[10]
-    return CriterionResult(
-        name="log-growth",
-        suite="wkb",
-        passed=ok,
-        measured=measured,
-        detail="sup |(1/h) log|Y_n| - u| over the test points",
-    )
+    return ok, measured
 
 
-def check_clustering() -> CriterionResult:
+def check_clustering() -> tuple:
     """PT quartic (4,1), n=40: zeros concentrate on the exceptional set."""
     spec = ProblemSpec(4, 1)
     resc = rescale(_evaluator(spec, 40))
@@ -210,21 +182,16 @@ def check_clustering() -> CriterionResult:
     rep = compare_to_limit(empirical_measure(zs, 40), sc, delta=0.1)
     e0 = rep.arcs[0]
     rel = abs(e0.empirical_mass - e0.limit_mass) / e0.limit_mass
-    return CriterionResult(
-        name="clustering",
-        suite="zeros",
-        passed=rep.near_fraction >= 0.90 and rel <= 0.15,
-        measured={
-            "total_zeros": zs.total_count,
-            "near_fraction": rep.near_fraction,
-            "e0_empirical_mass": e0.empirical_mass,
-            "e0_limit_mass": e0.limit_mass,
-            "e0_relative_error": rel,
-        },
-    )
+    return rep.near_fraction >= 0.90 and rel <= 0.15, {
+        "total_zeros": zs.total_count,
+        "near_fraction": rep.near_fraction,
+        "e0_empirical_mass": e0.empirical_mass,
+        "e0_limit_mass": e0.limit_mass,
+        "e0_relative_error": rel,
+    }
 
 
-def check_wkb_certificate() -> CriterionResult:
+def check_wkb_certificate() -> tuple:
     """WKB error certificate: the measured relative error of the
     recessive solution against its closed form stays below h0/(h - h0)."""
     q = build_quad_diff(2, 1)
@@ -263,15 +230,10 @@ def check_wkb_certificate() -> CriterionResult:
             worst = max(worst, eps)
         measured[f"h={h:g}"] = {"bound": bound, "worst_empirical_eps": worst}
         ok = ok and worst <= bound
-    return CriterionResult(
-        name="wkb-certificate",
-        suite="wkb",
-        passed=ok,
-        measured=measured,
-    )
+    return ok, measured
 
 
-def check_zero_finder_oracle() -> CriterionResult:
+def check_zero_finder_oracle() -> tuple:
     """locate_zeros reproduces the simultaneous root finder on 100 random
     polynomials of degree <= 8."""
     rng = np.random.default_rng(712)
@@ -295,15 +257,11 @@ def check_zero_finder_oracle() -> CriterionResult:
             continue
         for r in oracle:
             worst_pos = max(worst_pos, min(abs(r - g) for g in got))
-    return CriterionResult(
-        name="zero-finder-oracle",
-        suite="zeros",
-        passed=mismatches == 0 and worst_pos <= 1e-8,
-        measured={"count_mismatches": mismatches, "worst_position_error": worst_pos},
-    )
+    passed = mismatches == 0 and worst_pos <= 1e-8
+    return passed, {"count_mismatches": mismatches, "worst_position_error": worst_pos}
 
 
-def check_hille_disc() -> CriterionResult:
+def check_hille_disc() -> tuple:
     """(4,2), n = 20..30: all zeros in |z| <= 0.8 are real to 1e-8."""
     spec = ProblemSpec(4, 2)
     ok = True
@@ -315,35 +273,45 @@ def check_hille_disc() -> CriterionResult:
             ok = False
         this = max((abs(z.imag) for z, _ in zs.zeros if abs(z) <= 0.8), default=0.0)
         worst = max(worst, this)
-    return CriterionResult(
-        name="hille-disc",
-        suite="zeros",
-        passed=ok,
-        measured={"worst_imag_in_disc": worst, "tolerance": 1e-8},
-    )
+    return ok, {"worst_imag_in_disc": worst, "tolerance": 1e-8}
+
+
+class Criterion(NamedTuple):
+    """One row of the criterion table: what report.json calls it, and how it runs."""
+
+    name: str
+    suite: str
+    check: Callable[[], tuple]  # () -> (passed, measured)
+    detail: str = ""
 
 
 CRITERIA = {
-    1: check_harmonic_oracle,
-    2: check_asymptotic_law,
-    3: check_topology,
-    4: check_sturm_count,
-    5: check_semicircle,
-    6: check_log_growth,
-    7: check_clustering,
-    8: check_wkb_certificate,
-    9: check_zero_finder_oracle,
-    10: check_hille_disc,
+    1: Criterion("harmonic-oracle", "spectrum", check_harmonic_oracle),
+    2: Criterion(
+        "asymptotic-law",
+        "spectrum",
+        check_asymptotic_law,
+        "ratio lambda_n / (c n)^{2d/(d+2)} at n in {10, 40}",
+    ),
+    3: Criterion("topology", "topology", check_topology),
+    4: Criterion("sturm-count", "zeros", check_sturm_count),
+    5: Criterion("semicircle", "zeros", check_semicircle),
+    6: Criterion(
+        "log-growth", "wkb", check_log_growth, "sup |(1/h) log|Y_n| - u| over the test points"
+    ),
+    7: Criterion("clustering", "zeros", check_clustering),
+    8: Criterion("wkb-certificate", "wkb", check_wkb_certificate),
+    9: Criterion("zero-finder-oracle", "zeros", check_zero_finder_oracle),
+    10: Criterion("hille-disc", "zeros", check_hille_disc),
 }
 
 
 def suites() -> dict:
-    return {
-        "spectrum": [1, 2],
-        "topology": [3],
-        "zeros": [4, 5, 7, 9, 10],
-        "wkb": [6, 8],
-    }
+    """Suite name -> its criterion numbers, in the table's order."""
+    out = {}
+    for k, c in CRITERIA.items():
+        out.setdefault(c.suite, []).append(k)
+    return out
 
 
 def run_criteria(numbers=None, suite=None) -> list:
@@ -364,16 +332,14 @@ def run_criteria(numbers=None, suite=None) -> list:
         selected = chosen
     out = []
     for k in selected:
+        c = CRITERIA[k]
         t0 = time.perf_counter()
         try:
-            res = CRITERIA[k]()
+            passed, measured = c.check()
+            detail = c.detail
         except Exception as exc:  # structural failures count as criterion failures
-            res = CriterionResult(
-                name=CRITERIA[k].__name__.replace("check_", "").replace("_", "-"),
-                suite="unknown",
-                passed=False,
-                detail=f"{type(exc).__name__}: {exc}",
-            )
-        res.seconds = time.perf_counter() - t0
-        out.append(res)
+            passed, measured, detail = False, {}, f"{type(exc).__name__}: {exc}"
+        out.append(
+            CriterionResult(c.name, c.suite, passed, measured, detail, time.perf_counter() - t0)
+        )
     return out

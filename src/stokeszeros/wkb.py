@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificateError, DomainError, QuadratureError
-from .geometry import SegmentSet, polyline_cumlen, wrap_angle
+from .geometry import SegmentSet, nearest_sign, polyline_cumlen, wrap_angle
 from .polynomials import gamma
-from .quaddiff import QuadDiff, min_separation, turning_points
+from .quaddiff import QuadDiff, check_family, min_separation, turning_points
 from .stokescomplex import StokesComplex, _tps_of, is_admissible
 
 __all__ = [
@@ -45,8 +45,7 @@ def growth_constant(d: int, ell: int) -> float:
     Relates the eigenvalue index to the phase scale; symmetric under
     ell -> d - ell.
     """
-    if d < 2 or not 1 <= ell <= d - 1:
-        raise DomainError(f"invalid (d, ell) = ({d}, {ell})")
+    check_family(d, ell)
     return (
         math.sqrt(math.pi)
         * gamma(1.5 + 1.0 / d)
@@ -107,9 +106,7 @@ def _continued(roots: np.ndarray, w_ref: complex) -> list:
     vals = roots.tolist()
     ref = w_ref
     for i, w in enumerate(vals):
-        if abs(w - ref) > abs(w + ref):
-            w = -w
-        vals[i] = ref = w
+        vals[i] = ref = nearest_sign(w, ref)
     return vals
 
 
@@ -183,8 +180,6 @@ class PhaseIntegral:
     """
 
     def __init__(self, sc: StokesComplex):
-        if not sc.exceptional_marked:
-            raise DomainError("phase integral needs a complex with marked exceptional set")
         self.sc = sc
         self.q = sc.quaddiff
         self.tps = turning_points(self.q)
@@ -390,9 +385,7 @@ class PhaseIntegral:
             w_prev = w_from
             for t0, t1 in zip(breaks[:-1], breaks[1:]):
                 z1 = z_from + t1 * delta
-                w_new = cmath.sqrt(self.q(z1))
-                if abs(w_new - w_prev) > abs(w_new + w_prev):
-                    w_new = -w_new
+                w_new = nearest_sign(cmath.sqrt(self.q(z1)), w_prev)
                 du += (sign * 0.5 * (w_prev + w_new) * (t1 - t0) * delta).real
                 w_prev = w_new
                 if t1 < 1.0:
@@ -577,10 +570,7 @@ def wkb_approximant(q, params: WKBParameters, curve, z: complex) -> WKBValue:
     # Q^{1/4} continued along the curve: sqrt of the tracked branch
     q4 = cmath.sqrt(ws[0])
     for wv in chain:
-        cand = cmath.sqrt(wv)
-        if abs(cand - q4) > abs(cand + q4):
-            cand = -cand
-        q4 = cand
+        q4 = nearest_sign(cmath.sqrt(wv), q4)
 
     log_mod = params.h * zeta.real - math.log(abs(q4))
     ph = params.h * zeta.imag - cmath.phase(q4)

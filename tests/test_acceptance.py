@@ -15,13 +15,14 @@ _ORDER = sorted(CRITERIA)
 
 
 def _run(number):
-    result = CRITERIA[number]()
-    status = "PASS" if result.passed else "FAIL"
-    print(f"\n[{status}] criterion {number}: {result.name}")
-    print(f"        {json.dumps(result.measured, default=str)[:240]}")
-    assert result.passed, f"criterion {number} ({result.name}): {result.measured}"
+    criterion = CRITERIA[number]
+    passed, measured = criterion.check()
+    status = "PASS" if passed else "FAIL"
+    print(f"\n[{status}] criterion {number}: {criterion.name}")
+    print(f"        {json.dumps(measured, default=str)[:240]}")
+    assert passed, f"criterion {number} ({criterion.name}): {measured}"
 
 
-@pytest.mark.parametrize("number", _ORDER, ids=[CRITERIA[n].__name__ for n in _ORDER])
+@pytest.mark.parametrize("number", _ORDER, ids=[CRITERIA[n].check.__name__ for n in _ORDER])
 def test_acceptance_criterion(number):
     _run(number)

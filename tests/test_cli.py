@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 import stokeszeros
-from stokeszeros import cli, stokescomplex, verify, wkb
+from stokeszeros import cli, spectral, stokescomplex, verify, wkb
 from stokeszeros.cli import RunConfig, main
-from stokeszeros.errors import DomainError
+from stokeszeros.errors import DomainError, StructuralError
 
 ZEROS_SMALL = [
     "zeros",
@@ -101,14 +101,17 @@ def test_verify_suite_filter(tmp_path):
 
 def test_zeros_command_builds_limit_complex_once(tmp_path, monkeypatch):
     # the eigen-solve, the evaluator and compare_to_limit share one complex
+    # count through both names the complex is reached by, so a second
+    # build from either module fails the test
     builds = []
-    real_build = stokescomplex.build_stokes_complex
+    real_build = stokescomplex.stokes_complex
 
     def counting_build(*args, **kwargs):
         builds.append(args)
         return real_build(*args, **kwargs)
 
-    monkeypatch.setattr(stokescomplex, "build_stokes_complex", counting_build)
+    monkeypatch.setattr(stokescomplex, "stokes_complex", counting_build)
+    monkeypatch.setattr(spectral, "stokes_complex", counting_build)
     _clear_program_caches()
     try:
         assert run_cli(ZEROS_SMALL + ["--out", str(tmp_path)]) == 0
@@ -224,12 +227,27 @@ def test_verify_rejects_unknown_criteria(tmp_path, capsys, criteria):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "number, callee, name, suite",
+    [(1, "solve_eigenpair", "harmonic-oracle", "spectrum"), (8, "h0_bound", "wkb-certificate", "wkb")],
+)
+def test_raising_criterion_reports_its_own_suite_and_name(monkeypatch, number, callee, name, suite):
+    # a criterion that raises fails under the name and suite it passes under
+    def broken(*args, **kwargs):
+        raise StructuralError("broken on purpose")
+
+    monkeypatch.setattr(verify, callee, broken)
+    (res,) = verify.run_criteria(numbers=[number])
+    assert (res.name, res.suite, res.passed) == (name, suite, False)
+    assert res.detail == "StructuralError: broken on purpose"
+
+
 @pytest.mark.parametrize("numbers", [[11], [0, 3], [1.5]])
 def test_run_criteria_rejects_unknown_numbers(monkeypatch, numbers):
     # the library call checks its numbers before any criterion runs
     ran = []
     for k in list(verify.CRITERIA):
-        monkeypatch.setitem(verify.CRITERIA, k, lambda k=k: ran.append(k))
+        monkeypatch.setitem(verify.CRITERIA, k, verify.CRITERIA[k]._replace(check=lambda k=k: ran.append(k)))
     with pytest.raises(DomainError, match="unknown criteria"):
         verify.run_criteria(numbers=numbers)
     assert ran == []
@@ -240,7 +258,7 @@ def test_empty_verify_selection_is_usage_error(tmp_path, capsys, monkeypatch):
     # and still report a pass
     ran = []
     for k in list(verify.CRITERIA):
-        monkeypatch.setitem(verify.CRITERIA, k, lambda k=k: ran.append(k))
+        monkeypatch.setitem(verify.CRITERIA, k, verify.CRITERIA[k]._replace(check=lambda k=k: ran.append(k)))
     code = run_cli(["verify", "--suite", "spectrum", "--criteria", "7", "--out", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
@@ -318,6 +336,6 @@ def test_growth_law_has_one_source(tmp_path, monkeypatch):
     for r in rows[1:]:
         lam = complex(r["re_lambda"], r["im_lambda"])
         assert r["asymptotic_ratio"] == abs(lam) / wkb.eigenvalue_estimate(2, 1, r["n"])
-    res = verify.check_asymptotic_law()
-    assert res.passed
+    passed, _ = verify.check_asymptotic_law()
+    assert passed
     assert calls == [(2, 1, 1), (2, 1, 2), (4, 2, 10), (4, 2, 40), (3, 1, 10), (3, 1, 40)]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from stokeszeros.errors import DomainError
-from stokeszeros.polynomials import ComplexPolynomial, beta, gamma, roots
+from stokeszeros.polynomials import ComplexPolynomial, gamma, roots
 
 
 def test_evaluate_simple():
@@ -98,29 +98,11 @@ def test_gamma_seven_quarters_vs_independent_oracle():
     assert abs(gamma(1.75) - 0.9190625268488832) < 1e-10
 
 
-def test_beta_three_halves_one_half():
-    g, b = gamma(1.5), beta(1.5, 0.5)
-    assert abs(g - math.sqrt(math.pi) / 2) < 1e-12
-    assert abs(b - math.pi / 2) < 1e-12
-    # independent oracle: integral of t^{1/2}(1-t)^{-1/2}, substitution t=sin^2(s)
-    s = np.linspace(0, math.pi / 2, 20001)
-    integrand = 2 * np.sin(s) ** 2
-    oracle = np.trapezoid(integrand, s)
-    assert abs(b - oracle) < 1e-8
-
-
 def test_gamma_recurrence_property():
     for x in np.linspace(0.1, 5.0, 50):
         assert abs(gamma(x + 1) - x * gamma(x)) < 1e-12 * gamma(x + 1)
 
 
-def test_beta_symmetry():
-    for x, y in [(0.25, 1.5), (1.5, 1.0 / 3), (2.3, 0.9)]:
-        assert beta(x, y) == beta(y, x)
-
-
 def test_gamma_rejects_nonpositive():
     with pytest.raises(DomainError):
         gamma(0.0)
-    with pytest.raises(DomainError):
-        beta(-1.0, 2.0)

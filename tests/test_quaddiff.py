@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from stokeszeros.errors import DomainError
+from stokeszeros.polynomials import ComplexPolynomial
 from stokeszeros.quaddiff import (
+    QuadDiff,
     build_quad_diff,
     launch_directions,
     stokes_directions,
@@ -75,7 +77,7 @@ def test_trace_short_line_cubic():
     v = tps[1]  # exp(-i pi/6)
     hits = []
     for phi in launch_directions(q, v):
-        ln = trace_trajectory(q, v, phi, origin_index=1)
+        ln = trace_trajectory(q, v, phi)
         if ln.is_short:
             hits.append(ln)
     assert len(hits) == 1
@@ -86,7 +88,7 @@ def test_trace_drift_and_monotone_phase():
     q = build_quad_diff(3, 1)
     v = turning_points(q)[1]
     for phi in launch_directions(q, v):
-        ln = trace_trajectory(q, v, phi, origin_index=1)
+        ln = trace_trajectory(q, v, phi)
         assert abs(ln.re_zeta_drift) < 1e-6
         # vertical-trajectory property: Im zeta strictly increases, which
         # for a unit-speed trace means consecutive samples never repeat
@@ -229,7 +231,7 @@ def test_perturbation_stability_of_admissibility():
     s = 0.6
     assert is_admissible(curve, q, s)
     for h in (0.01, 0.05, 0.1):
-        qp = build_quad_diff(2, 1, perturbation=[h * (1 + 1j), -h * 0.5j])
+        qp = QuadDiff(2, 1, ComplexPolynomial([-1 + h * (1 + 1j), -h * 0.5j, 1]))
         assert is_admissible(curve, qp, s / 2)
 
 
