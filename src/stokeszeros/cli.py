@@ -225,7 +225,7 @@ def cmd_stokes(args) -> int:
     out = Path(cfg.out_dir)
     payload = {"config": asdict(cfg), "stokes_complex": sc.to_dict()}
     if "json" in cfg.formats:
-        _write(out / "stokes.json", json.dumps(payload, indent=1))
+        _write(out / "stokes.json", json.dumps(payload, indent=1, allow_nan=False))
     if "svg" in cfg.formats:
         window = tuple(cfg.window) if cfg.window else None
         _write(out / "stokes.svg", render_stokes_svg(sc, window))
@@ -248,6 +248,7 @@ def cmd_stokes(args) -> int:
                     "u": [[float(v) for v in row] for row in ug],
                 },
                 indent=None,
+                allow_nan=False,
             ),
         )
     print(
@@ -283,7 +284,7 @@ def cmd_spectrum(args) -> int:
             failures += 1
             continue
         pairs.append(pair)
-        ratio = abs(pair.lam) / eigenvalue_estimate(cfg.d, cfg.ell, n) if n > 0 else float("nan")
+        ratio = abs(pair.lam) / eigenvalue_estimate(cfg.d, cfg.ell, n) if n > 0 else None
         rows.append(
             {
                 "n": n,
@@ -304,7 +305,7 @@ def cmd_spectrum(args) -> int:
         payload["ordering_violations"] = violations
     out = Path(cfg.out_dir)
     if "json" in cfg.formats:
-        _write(out / "spectrum.json", json.dumps(payload, indent=1))
+        _write(out / "spectrum.json", json.dumps(payload, indent=1, allow_nan=False))
     if "csv" in cfg.formats:
         out.mkdir(parents=True, exist_ok=True)
         with (out / "spectrum.csv").open("w", newline="") as fh:
@@ -383,7 +384,7 @@ def cmd_zeros(args) -> int:
     if "json" in cfg.formats:
         _write(
             out / "zeros.json",
-            json.dumps({"config": asdict(cfg), "results": per_n}, indent=1),
+            json.dumps({"config": asdict(cfg), "results": per_n}, indent=1, allow_nan=False),
         )
     if "csv" in cfg.formats:
         out.mkdir(parents=True, exist_ok=True)
@@ -430,6 +431,7 @@ def cmd_verify(args) -> int:
             {"passed": failed == 0, "criteria": report},
             indent=1,
             default=str,
+            allow_nan=False,
         ),
     )
     return 1 if failed else 0

@@ -1,7 +1,7 @@
-"""Complex polynomials, simultaneous root finding, and Euler Gamma/Beta.
+"""Complex polynomials, simultaneous root finding, and Euler Gamma.
 
 The polynomial type is deliberately minimal: evaluation, differentiation,
-root finding and construction from factors are all the rest of the package
+Taylor coefficients and root finding are all the rest of the package
 needs.  Roots are found with an Aberth-Ehrlich simultaneous iteration from a
 deterministic circular initial placement, so repeated runs give identical
 output.
@@ -82,17 +82,6 @@ class ComplexPolynomial:
         for c in reversed(self.coefficients):
             acc = acc * r + abs(c)
         return acc
-
-    @staticmethod
-    def from_roots(root_list: Sequence[complex], leading: complex = 1.0) -> "ComplexPolynomial":
-        coeffs = [complex(leading)]
-        for r in root_list:
-            new = [0j] * (len(coeffs) + 1)
-            for i, c in enumerate(coeffs):
-                new[i + 1] += c
-                new[i] -= c * r
-            coeffs = new
-        return ComplexPolynomial(coeffs)
 
 
 def _arg_key(z: complex) -> tuple:

@@ -794,18 +794,6 @@ class EigenfunctionEvaluator:
             self.eval_many([z])
         return self._point_cache[key]
 
-    def residual(self, z: complex) -> float:
-        """Relative defect |y'' - (P - lambda) y| via a three-point stencil."""
-        step = 1e-4
-        pot = self.pot
-        sts = [self.eval(z + dz) for dz in (-step, 0.0, step)]
-        base = sts[1].log_scale
-        vals = [st.y * cmath.exp(st.log_scale - base) for st in sts]
-        ypp = (vals[0] - 2 * vals[1] + vals[2]) / step**2
-        rhs = pot(z) * vals[1]
-        denom = 1.0 + abs(vals[1]) * abs(pot(z))
-        return abs(ypp - rhs) / denom
-
 
 def _divide(z: np.ndarray, f: complex) -> tuple:
     """Real and imaginary parts of z / f, rounded as Python divides complex.
@@ -858,34 +846,26 @@ class RescaledEigenfunction:
         self.f = ev.f
         self.h = ev.h
 
-    def eval(self, w: complex) -> TransportState:
-        st = self.ev.eval(self.f * complex(w))
-        # derivative in the rescaled variable
-        return TransportState(complex(w), st.y, st.dy * self.f, st.log_scale)
-
-    def eval_many(self, ws) -> list:
-        """Rescaled states at every point of ws, ranked in array passes."""
+    def states(self, ws) -> list:
+        """Rescaled states (Y, dY/dw, log scale) at every point of ws,
+        ranked in array passes."""
         ws = [complex(w) for w in ws]
         sts = self.ev.eval_many([self.f * w for w in ws])
         return [TransportState(w, st.y, st.dy * self.f, st.log_scale) for w, st in zip(ws, sts)]
 
-    def phase_rate(self, w: complex) -> float:
-        """Upper bound on |d arg Y / ds| per rescaled arclength, away from
-        zeros: the local wavenumber |sqrt(P - lambda)| in rescaled units."""
-        return abs(cmath.sqrt(self.ev.pot(self.f * complex(w)))) * abs(self.f)
-
-    def log_envelope(self, w: complex) -> float:
-        return self.ev.log_envelope(self.f * complex(w))
-
-    def newton_step(self, w: complex) -> tuple:
-        st = self.eval(w)
-        if st.dy == 0:
-            raise IntegrationError("derivative vanished during polish")
-        return st, st.y / st.dy
+    def edge_budget(self, a: complex, b: complex) -> float:
+        """Base sample count of the edge from a to b: its length times the
+        largest local wavenumber |sqrt(P - lambda)| (in rescaled units, at
+        nine points), at 0.9 radians per sample, plus 16."""
+        rate = max(
+            abs(cmath.sqrt(self.ev.pot(self.f * (a + (b - a) * k / 8.0)))) * abs(self.f)
+            for k in range(9)
+        )
+        return abs(b - a) * rate / 0.9 + 16
 
     def log_modulus(self, w: complex) -> float:
         """(1/h) log |Y(w)|, the quantity converging to the envelope u."""
-        st = self.eval(w)
+        st = self.states([w])[0]
         return st.log_abs_y() / self.h
 
     def real_bracket(self) -> tuple:

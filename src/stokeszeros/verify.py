@@ -32,7 +32,7 @@ from .spectral import (
 )
 from .transport import transport
 from .wkb import WKBParameters, eigenvalue_estimate, h0_bound, wkb_approximant
-from .zeros import compare_to_limit, empirical_measure, hille_disc_check, locate_zeros
+from .zeros import PolynomialStates, compare_to_limit, empirical_measure, hille_disc_check, locate_zeros
 
 __all__ = ["Criterion", "CriterionResult", "CRITERIA", "run_criteria", "suites"]
 
@@ -243,7 +243,7 @@ def check_zero_finder_oracle() -> tuple:
         deg = int(rng.integers(2, 9))
         coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
         p = ComplexPolynomial(list(coeffs))
-        zs = locate_zeros(p, (-1.6, 1.6, -1.6, 1.6), resolution=1e-3)
+        zs = locate_zeros(PolynomialStates(p), (-1.6, 1.6, -1.6, 1.6), resolution=1e-3)
         x0, x1, y0, y1 = zs.window
         oracle = [
             r

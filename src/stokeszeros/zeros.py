@@ -2,14 +2,15 @@
 
 Winding numbers over rectangle boundaries drive a quadtree subdivision
 until every cell isolates one zero (then Newton-polished) or bottoms out at
-the resolution (then reported with its multiplicity).  One boundary
-sampler serves plain callables and eigenfunction evaluators alike.  It
-samples pointwise, and each sample must be independently accurate (plain
-callables trivially are; evaluators anchor every evaluation), so the
-wrapped phase increments telescope and per-sample errors cancel.  Base
-densities follow the local wavenumber where the function reports one (24
-samples per edge otherwise), and refinement fires on large phase or
-modulus jumps, which rules out silently aliased turns.
+the resolution (then reported with its multiplicity).  The function is
+reached through one contract: ``states(zs)`` gives a transport state
+(y, y', log scale) per point and ``edge_budget(a, b)`` the base sample
+count of an edge.  Polynomials serve it through :class:`PolynomialStates`
+(24 samples per edge), rescaled eigenfunctions directly (a budget from the
+local wavenumber).  Each sample must be independently accurate
+(eigenfunction evaluations are anchored), so the wrapped phase increments
+telescope and per-sample errors cancel, and refinement fires on large
+phase or modulus jumps, which rules out silently aliased turns.
 """
 
 from __future__ import annotations
@@ -23,11 +24,13 @@ import numpy as np
 
 from .errors import GeometryError, IntegrationError
 from .geometry import nearest_on_polyline, wrap_angle
+from .transport import TransportState
 from .wkb import arc_mass_profile
 
 __all__ = [
     "ZeroSet",
     "EmpiricalMeasure",
+    "PolynomialStates",
     "count_zeros_rect",
     "locate_zeros",
     "empirical_measure",
@@ -66,28 +69,26 @@ class EmpiricalMeasure:
         return [(z, m / self.n) for z, m in self.zeroset.zeros]
 
 
+class PolynomialStates:
+    """A polynomial p under the evaluation contract of :func:`locate_zeros`.
+
+    States are (p(z), p'(z), log scale 0) by Horner, and every edge gets
+    24 base samples.
+    """
+
+    def __init__(self, p):
+        self.p = p
+        self.dp = p.derivative()
+
+    def states(self, zs) -> list:
+        return [TransportState(z, self.p(z), self.dp(z), 0.0) for z in zs]
+
+    def edge_budget(self, a: complex, b: complex) -> int:
+        return 24
+
+
 # ---------------------------------------------------------------------------
 # winding-number drivers
-
-
-class _ArgAccumulator:
-    def __init__(self):
-        self.total = 0.0
-        self.prev = None
-        self.max_jump = 0.0
-        self.min_log = math.inf
-        self.max_log = -math.inf
-
-    def feed(self, logabs: float, arg: float):
-        if logabs < self.min_log:
-            self.min_log = logabs
-        if logabs > self.max_log:
-            self.max_log = logabs
-        if self.prev is not None:
-            d = wrap_angle(arg - self.prev)
-            self.total += d
-            self.max_jump = max(self.max_jump, abs(d))
-        self.prev = arg
 
 
 def _rect_loop(rect) -> list:
@@ -101,67 +102,35 @@ def _rect_loop(rect) -> list:
     ]
 
 
-def _fetch(f):
-    """Point evaluation ``zs -> [(log|f(z)|, arg f(z)) for z in zs]`` of f.
+def _samples(f, zs) -> list:
+    """``[(log|f(z)|, arg f(z)) for z in zs]`` from one ``f.states`` call.
 
-    Objects with an ``eval`` method (eigenfunction evaluators) give anchored
-    states, whose log-scale keeps the modulus in range; those that also have
-    ``eval_many`` first rank the whole batch in one array pass.  Plain
-    callables are called.
+    The log-scale of each state keeps the modulus in range.
     """
-    evaluate = getattr(f, "eval", None)
-    evaluate_many = getattr(f, "eval_many", lambda zs: None)
-
-    def fetch_one(z):
-        if evaluate is None:
-            v, log_scale = f(z), 0.0
-        else:
-            st = evaluate(z)
-            v, log_scale = st.y, st.log_scale
-        if v == 0:
+    out = []
+    for st in f.states(zs):
+        if st.y == 0:
             raise GeometryError("zero exactly on the counting boundary")
-        return math.log(abs(v)) + log_scale, cmath.phase(v)
-
-    def fetch(zs):
-        evaluate_many(zs)
-        return [fetch_one(z) for z in zs]
-
-    return fetch
-
-
-def _edge_budgets(f, rect):
-    """Per-edge base sample counts from the local phase rate."""
-    loop = _rect_loop(rect)
-    budgets = []
-    for a, b in zip(loop[:-1], loop[1:]):
-        if hasattr(f, "phase_rate"):
-            rate = max(
-                f.phase_rate(a + (b - a) * k / 8.0) for k in range(9)
-            )
-            budgets.append(abs(b - a) * rate / 0.9 + 16)
-        else:
-            budgets.append(24)
-    return budgets
+        out.append((math.log(abs(st.y)) + st.log_scale, cmath.phase(st.y)))
+    return out
 
 
 def _winding(f, rect, boost: int = 1) -> float:
     """Total arg change / 2pi along the rectangle boundary.
 
-    Every sample is an independently accurate point evaluation (see
-    :func:`_fetch`), so the wrapped phase increments telescope and
-    individual sample errors cancel.  The base density, ``boost`` times the
-    edge budget, keeps the true arg change per interval well under pi away
-    from zeros; refinement of large phase or modulus jumps and the
-    modulus-dip guard handle the neighbourhoods of zeros.
+    Every sample is an independently accurate point evaluation, so the
+    wrapped phase increments telescope and individual sample errors cancel.
+    The base density, ``boost`` times the edge budget, keeps the true arg
+    change per interval well under pi away from zeros; refinement of large
+    phase or modulus jumps and the modulus-dip guard handle the
+    neighbourhoods of zeros.
     """
-    fetch = _fetch(f)
     loop = _rect_loop(rect)
-    acc = _ArgAccumulator()
-
-    for (a, b), budget in zip(zip(loop[:-1], loop[1:]), _edge_budgets(f, rect)):
-        n = max(8, int(budget * boost))
+    args = []
+    for a, b in zip(loop[:-1], loop[1:]):
+        n = max(8, int(f.edge_budget(a, b) * boost))
         params = [k / n for k in range(n + 1)]
-        values = fetch([a + (b - a) * t for t in params])
+        values = _samples(f, [a + (b - a) * t for t in params])
         k = 0
         depth = 0
         while k < len(params) - 1:
@@ -179,7 +148,7 @@ def _winding(f, rect, boost: int = 1) -> float:
                     )
                 tm = 0.5 * (params[k] + params[k + 1])
                 params.insert(k + 1, tm)
-                values.insert(k + 1, fetch([a + (b - a) * tm])[0])
+                values.insert(k + 1, _samples(f, [a + (b - a) * tm])[0])
                 depth += 1
                 continue
             k += 1
@@ -188,11 +157,9 @@ def _winding(f, rect, boost: int = 1) -> float:
             nb = max(values[j - 1][0], values[j + 1][0])
             if values[j][0] - nb < -23.0:
                 raise GeometryError("boundary passes too close to a zero")
-        for lv, av in values[:-1]:
-            acc.feed(lv, av)
-    lv, av = fetch([loop[0]])[0]
-    acc.feed(lv, av)
-    return acc.total / (2 * math.pi)
+        args += [av for _, av in values[:-1]]
+    args.append(_samples(f, [loop[0]])[0][1])
+    return sum(wrap_angle(y - x) for x, y in zip(args, args[1:])) / (2 * math.pi)
 
 
 def count_zeros_rect(f, rect) -> int:
@@ -233,16 +200,11 @@ def _count_with_nudges(f, rect, resolution):
 def _newton_polish(f, z0, rect, resolution):
     x0, x1, y0, y1 = rect
     z = complex(z0)
-    if hasattr(f, "newton_step"):
-        stepper = lambda w: f.newton_step(w)[1]
-    else:
-        df = f.derivative()
-        stepper = lambda w: f(w) / df(w)
-
     pad = 0.75 * max(x1 - x0, y1 - y0)
     for _ in range(40):
         try:
-            step = stepper(z)
+            st = f.states([z])[0]
+            step = st.y / st.dy
         except (ZeroDivisionError, IntegrationError):
             return None
         if not (abs(step) < pad):
@@ -262,9 +224,13 @@ def locate_zeros(f, window, resolution: float) -> ZeroSet:
 
     Cells that still hold several zeros at the resolution floor are
     reported as one position with the summed multiplicity.  Counts are
-    conserved at every subdivision level by construction.  ``f`` is a
-    polynomial (Newton steps from ``f.derivative()``) or an eigenfunction
-    evaluator (steps from ``f.newton_step``).
+    conserved at every subdivision level by construction.  ``f`` is reached
+    only through two methods: ``f.states(zs)``, one :class:`TransportState`
+    (y, y', log scale) per point, which the winding reads as log|y| + log
+    scale and arg y and Newton as y / y'; and ``f.edge_budget(a, b)``, the
+    base sample count of the boundary edge from a to b.  Wrap a polynomial
+    as :class:`PolynomialStates`; a rescaled eigenfunction
+    (:func:`spectral.rescale`) is one already.
     """
     if resolution <= 0:
         raise GeometryError("resolution must be positive")

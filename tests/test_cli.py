@@ -137,6 +137,28 @@ def test_deterministic_outputs(tmp_path):
             assert (tmp_path / name).read_bytes() == first[name]
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        (["stokes", "--d", "2", "--ell", "1", "--u-grid", "5"], "stokes.json"),
+        (["stokes", "--d", "2", "--ell", "1", "--u-grid", "5"], "ufield.json"),
+        (["spectrum", "--d", "2", "--ell", "1", "--n-min", "0", "--n-max", "1"], "spectrum.json"),
+        (ZEROS_SMALL, "zeros.json"),
+        (["verify", "--criteria", "1"], "report.json"),
+    ],
+)
+def test_artifacts_are_strict_json(tmp_path, args, name):
+    # RFC 8259 has no NaN or Infinity; a strict parser must read every artifact
+    assert run_cli(args + ["--out", str(tmp_path)]) == 0
+    json.loads((tmp_path / name).read_text(), parse_constant=_reject_constant)
+    if name == "spectrum.json":
+        assert (tmp_path / "spectrum.csv").read_text().splitlines()[1].endswith(",")
+
+
 def test_console_entry_point_help():
     # the subprocess does not inherit pytest's pythonpath setting
     src = str(Path(stokeszeros.__file__).resolve().parent.parent)

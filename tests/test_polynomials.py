@@ -57,7 +57,7 @@ def test_roots_recover_random_factors():
             if all(abs(cand - q) > 1e-2 for q in pts):
                 pts.append(cand)
         lead = complex(rng.uniform(0.5, 2), rng.uniform(-1, 1))
-        p = ComplexPolynomial.from_roots(pts, leading=lead)
+        p = ComplexPolynomial(lead * np.poly(pts)[::-1])
         got = roots(p, tol=1e-10)
         assert sum(m for _, m in got) == deg
         found = [r for r, _ in got]

@@ -190,12 +190,18 @@ def test_eigenfunction_gaussian_everywhere():
 
 
 def test_eigenfunction_residual():
+    # relative defect |y'' - (P - lambda) y| by a three-point stencil
     pair = solve_eigenpair(QUARTIC, 3)
     ev = EigenfunctionEvaluator(pair)
     rng = np.random.default_rng(4)
+    step = 1e-4
     for _ in range(4):
         z = complex(rng.uniform(-1.5, 1.5), rng.uniform(-0.5, 0.5))
-        assert ev.residual(z) < 1e-6
+        sts = [ev.eval(z + dz) for dz in (-step, 0.0, step)]
+        vals = [st.y * cmath.exp(st.log_scale - sts[1].log_scale) for st in sts]
+        ypp = (vals[0] - 2 * vals[1] + vals[2]) / step**2
+        rhs = ev.pot(z) * vals[1]
+        assert abs(ypp - rhs) / (1.0 + abs(vals[1]) * abs(ev.pot(z))) < 1e-6
 
 
 def _bilinear_envelope(ev, z):
@@ -308,9 +314,9 @@ def test_rescale_hermite_zero_positions():
     pair = solve_eigenpair(HARMONIC, 2)
     resc = rescale(EigenfunctionEvaluator(pair))
     target = 1 / math.sqrt(10)
-    st = resc.eval(target)
+    st, origin = resc.states([target, 0.0])
     assert abs(st.y) * math.exp(st.log_scale) < 1e-7
-    assert abs(resc.eval(0.0).value() - pair.y0) < 1e-12
+    assert abs(origin.value() - pair.y0) < 1e-12
 
 
 def test_rescaled_bracket_harmonic():
@@ -324,8 +330,7 @@ def test_pt_symmetry_of_rescaled_modulus():
     pair = solve_eigenpair(PT_CUBIC, 4)
     resc = rescale(EigenfunctionEvaluator(pair))
     for w in (0.4 + 0.3j, 1.1 - 0.2j, 0.8j):
-        a = resc.eval(w).log_abs_y()
-        b = resc.eval(-complex(w).conjugate()).log_abs_y()
+        a, b = (st.log_abs_y() for st in resc.states([w, -complex(w).conjugate()]))
         assert abs(a - b) < 1e-6 * max(1, abs(a))
 
 
@@ -619,7 +624,8 @@ def test_eval_many_matches_one_at_a_time(spec, n):
     assert len(batch._point_cache) == len(zs)
     resc = rescale(EigenfunctionEvaluator(pair))
     ws = [z / resc.f for z in asked[:40]]
-    assert repr(resc.eval_many(ws)) == repr([rescale(single).eval(w) for w in ws])
+    one = rescale(single)
+    assert repr(resc.states(ws)) == repr([one.states([w])[0] for w in ws])
 
 
 def test_eval_many_memory_is_bounded():

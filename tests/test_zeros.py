@@ -6,6 +6,7 @@ from stokeszeros.polynomials import ComplexPolynomial, roots
 from stokeszeros.spectral import EigenfunctionEvaluator, ProblemSpec, rescale, solve_eigenpair
 from stokeszeros.stokescomplex import stokes_complex
 from stokeszeros.zeros import (
+    PolynomialStates,
     compare_to_limit,
     count_zeros_rect,
     empirical_measure,
@@ -17,12 +18,12 @@ HARMONIC = ProblemSpec(2, 1)
 
 
 def test_count_double_zero():
-    p = ComplexPolynomial([0, 0, 1])
+    p = PolynomialStates(ComplexPolynomial([0, 0, 1]))
     assert count_zeros_rect(p, (-1, 1, -1, 1)) == 2
 
 
 def test_count_two_simple_roots():
-    p = ComplexPolynomial.from_roots([0.5, -0.3j])
+    p = PolynomialStates(ComplexPolynomial(np.poly([0.5, -0.3j])[::-1]))
     assert count_zeros_rect(p, (-0.55, 0.55, -0.55, 0.55)) == 2
 
 
@@ -34,7 +35,7 @@ def test_count_rescaled_hermite_pair():
 
 
 def test_locate_double_zero_merges_multiplicity():
-    zs = locate_zeros(ComplexPolynomial([0, 0, 1]), (-1, 1, -1, 1), resolution=1e-3)
+    zs = locate_zeros(PolynomialStates(ComplexPolynomial([0, 0, 1])), (-1, 1, -1, 1), resolution=1e-3)
     assert len(zs.zeros) == 1
     z, m = zs.zeros[0]
     assert m == 2
@@ -60,7 +61,7 @@ def test_locate_matches_roots_oracle_on_random_polynomials():
         deg = int(rng.integers(3, 9))
         coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
         p = ComplexPolynomial(list(coeffs))
-        zs = locate_zeros(p, (-1.6, 1.6, -1.6, 1.6), resolution=1e-3)
+        zs = locate_zeros(PolynomialStates(p), (-1.6, 1.6, -1.6, 1.6), resolution=1e-3)
         x0, x1, y0, y1 = zs.window
         oracle = [
             r
@@ -76,7 +77,7 @@ def test_locate_matches_roots_oracle_on_random_polynomials():
 
 def test_count_conservation_through_subdivision():
     # implicit in locate_zeros: totals match an independent full count
-    p = ComplexPolynomial.from_roots([0.3 + 0.4j, -0.2 - 0.7j, 0.9, -1.1 + 0.2j])
+    p = PolynomialStates(ComplexPolynomial(np.poly([0.3 + 0.4j, -0.2 - 0.7j, 0.9, -1.1 + 0.2j])[::-1]))
     zs = locate_zeros(p, (-1.5, 1.5, -1.5, 1.5), resolution=1e-3)
     assert zs.total_count == count_zeros_rect(p, zs.window)
 
@@ -162,6 +163,46 @@ def test_hille_disc_harmonic():
 
 
 def test_hille_radius_domain():
-    zs = locate_zeros(ComplexPolynomial([0, 1]), (-1, 1, -1, 1), resolution=1e-3)
+    zs = locate_zeros(PolynomialStates(ComplexPolynomial([0, 1])), (-1, 1, -1, 1), resolution=1e-3)
     with pytest.raises(GeometryError):
         hille_disc_check(zs, 1.5)
+
+
+class _Recorder:
+    """PolynomialStates that records the points of every ``states`` call."""
+
+    def __init__(self, p):
+        self.inner = PolynomialStates(p)
+        self.calls = []
+
+    def states(self, zs):
+        zs = list(zs)
+        self.calls.append(zs)
+        return self.inner.states(zs)
+
+    def edge_budget(self, a, b):
+        return self.inner.edge_budget(a, b)
+
+
+def test_evaluation_contract_batches_edges_and_polishes_single_points():
+    p = ComplexPolynomial(np.poly([0.3 + 0.4j, -0.2 - 0.7j, 0.9])[::-1])
+    window = (-1.5, 1.5, -1.5, 1.5)
+    rec = _Recorder(p)
+    zs = locate_zeros(rec, window, resolution=1e-3)
+    assert repr(zs) == repr(locate_zeros(PolynomialStates(p), window, resolution=1e-3))
+    assert [m for _, m in zs.zeros] == [1, 1, 1]
+
+    # one count: each edge's 25 base samples arrive as one batch
+    rec.calls.clear()
+    assert count_zeros_rect(rec, window) == 3
+    x0, x1, y0, y1 = window
+    loop = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1), complex(x0, y0)]
+    edges = [[a + (b - a) * (k / 24) for k in range(25)] for a, b in zip(loop[:-1], loop[1:])]
+    assert [c for c in rec.calls if len(c) > 1] == edges
+
+    # Newton polish asks for single points, ending next to each zero
+    rec.calls.clear()
+    locate_zeros(rec, window, resolution=1e-3)
+    singles = [c[0] for c in rec.calls if len(c) == 1]
+    for z, _ in zs.zeros:
+        assert min(abs(w - z) for w in singles) < 1e-9
