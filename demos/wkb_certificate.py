@@ -10,11 +10,12 @@ and both shrink as h grows.
 import cmath
 import math
 
+from stokeszeros.polynomials import ComplexPolynomial
 from stokeszeros.quaddiff import build_quad_diff
 from stokeszeros.transport import transport
 from stokeszeros.wkb import WKBParameters, h0_bound, wkb_approximant
 
-q = build_quad_diff(2, 1)
+q = build_quad_diff(2, 1).polynomial
 curve = [2.0 + 0.1 * k for k in range(481)]
 h0, quad_err = h0_bound(q, [curve], s=0.5)
 print(f"h0 over the admissible curve [2, 50] with margin s=0.5: {h0:.6f}")
@@ -23,7 +24,7 @@ R = 60.0
 for h in (10.0, 20.0, 40.0, 80.0):
     params = WKBParameters(h=h, h0=h0, s=0.5)
     far = R * R - 1.0
-    field = [h * h * c for c in q.polynomial.coefficients]
+    field = ComplexPolynomial([h * h * c for c in q.coefficients])
     y0 = far**-0.25
     dy0 = y0 * (-h * math.sqrt(far) - 2 * R / (4 * far))
     z_far = R * 0.998

@@ -4,7 +4,7 @@ The polynomial type is deliberately minimal: evaluation, differentiation,
 Taylor coefficients and root finding are all the rest of the package
 needs.  Roots are found with an Aberth-Ehrlich simultaneous iteration from a
 deterministic circular initial placement, so repeated runs give identical
-output.
+output; a multiple root is returned as that many nearby iterates.
 """
 
 from __future__ import annotations
@@ -52,10 +52,8 @@ class ComplexPolynomial:
             acc = acc * z + c
         return acc
 
-    def derivative(self, order: int = 1) -> "ComplexPolynomial":
-        coeffs = list(self.coefficients)
-        for _ in range(order):
-            coeffs = [k * c for k, c in enumerate(coeffs)][1:] or [0j]
+    def derivative(self) -> "ComplexPolynomial":
+        coeffs = [k * c for k, c in enumerate(self.coefficients)][1:] or [0j]
         return ComplexPolynomial(coeffs)
 
     def taylor_coefficients(self, z0: complex) -> list:
@@ -99,7 +97,7 @@ def _arg_key(z: complex) -> tuple:
 
 
 def roots(p: ComplexPolynomial, tol: float = 1e-12) -> list:
-    """All roots of ``p`` with multiplicities, by Aberth-Ehrlich iteration.
+    """All roots of ``p``, by Aberth-Ehrlich iteration and a Newton polish.
 
     Parameters
     ----------
@@ -110,16 +108,18 @@ def roots(p: ComplexPolynomial, tol: float = 1e-12) -> list:
 
     Returns
     -------
-    list of (root, multiplicity)
-        Sorted by argument in (-pi, pi], ties by modulus.  Multiplicities
-        sum to the degree.
+    list of complex
+        ``p.degree`` roots, sorted by argument in (-pi, pi], ties by
+        modulus.  A root of multiplicity m appears m times, as m nearby
+        iterates.
 
     Raises
     ------
     DomainError
         If the polynomial is constant.
     RootFindingError
-        If the iteration stalls; carries the best iterate.
+        If the iteration stalls or a root's residual exceeds 100 times the
+        tolerance; carries the best iterates and the residual.
     """
     if p.degree < 1:
         raise DomainError("root finding requires degree >= 1")
@@ -131,16 +131,17 @@ def roots(p: ComplexPolynomial, tol: float = 1e-12) -> list:
         coeffs.pop(0)
         zero_mult += 1
     work = ComplexPolynomial(coeffs)
-    n = work.degree
 
-    found: list = []
-    if n >= 1:
-        found = _aberth(work, tol)
-    clustered = _cluster(work, found, tol)
-    if zero_mult:
-        clustered.append((0j, zero_mult))
-    clustered.sort(key=lambda rm: _arg_key(rm[0]))
-    return clustered
+    found = _aberth(work, tol) if work.degree >= 1 else []
+    for r in found:
+        resid = abs(work(r))
+        if resid > 100 * max(tol * work.scaled_magnitude(r), 1e-300):
+            raise RootFindingError(
+                "root residual above tolerance", best_roots=[r], residual=resid
+            )
+    found += [0j] * zero_mult
+    found.sort(key=_arg_key)
+    return found
 
 
 def _aberth(p: ComplexPolynomial, tol: float) -> list:
@@ -202,111 +203,6 @@ def _aberth(p: ComplexPolynomial, tol: float) -> list:
                 break
             zs[k] = zs[k] - step
     return zs
-
-
-def _cluster(p: ComplexPolynomial, zs: list, tol: float) -> list:
-    """Group near-coincident iterates into multiple roots.
-
-    Tight clusters (1e-8 of the root scale) merge unconditionally; looser
-    ones (1e-5) only when low-order derivatives at the centroid are
-    consistent with a genuine multiple root.
-    """
-    n = len(zs)
-    if n == 0:
-        return []
-    scale = max(1.0, max(abs(z) for z in zs))
-    tight = 1e-8 * scale
-    loose = 1e-5 * scale
-
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        parent[find(i)] = find(j)
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = abs(zs[i] - zs[j])
-            if d <= tight:
-                union(i, j)
-
-    # candidate loose merges, verified by derivative magnitudes
-    groups: dict = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    reps = list(groups)
-    for a in range(len(reps)):
-        for b in range(a + 1, len(reps)):
-            ia, ib = groups[reps[a]][0], groups[reps[b]][0]
-            if abs(zs[ia] - zs[ib]) <= loose:
-                m = len(groups[reps[a]]) + len(groups[reps[b]])
-                centroid = sum(zs[i] for i in groups[reps[a]] + groups[reps[b]]) / m
-                if _multiplicity_consistent(p, centroid, m, loose):
-                    union(ia, ib)
-                    groups = {}
-                    for i in range(n):
-                        groups.setdefault(find(i), []).append(i)
-                    reps = list(groups)
-
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-
-    out = []
-    for members in groups.values():
-        m = len(members)
-        centroid = sum(zs[i] for i in members) / m
-        if m > 1:
-            centroid = _polish_multiple(p, centroid, m)
-        resid = abs(p(centroid))
-        bound = max(tol * p.scaled_magnitude(centroid), 1e-300)
-        if m == 1 and resid > 100 * bound:
-            raise RootFindingError(
-                "root residual above tolerance", best_roots=[centroid], residual=resid
-            )
-        out.append((centroid, m))
-    return out
-
-
-def _multiplicity_consistent(p: ComplexPolynomial, c: complex, m: int, radius: float) -> bool:
-    dk = p
-    fact = 1.0
-    lead = p
-    for _ in range(m):
-        lead = lead.derivative()
-    lead_mag = abs(lead(c)) / math.factorial(m)
-    if lead_mag == 0:
-        return False
-    for k in range(m):
-        val = abs(dk(c)) / fact
-        if val > 10 * lead_mag * math.comb(m, k) * radius ** (m - k):
-            return False
-        dk = dk.derivative()
-        fact *= k + 1
-    return True
-
-
-def _polish_multiple(p: ComplexPolynomial, z: complex, m: int) -> complex:
-    """Newton on p^(m-1), where the multiple root is simple."""
-    q = p
-    for _ in range(m - 1):
-        q = q.derivative()
-    dq = q.derivative()
-    for _ in range(30):
-        qv = q(z)
-        dv = dq(z)
-        if dv == 0:
-            break
-        step = qv / dv
-        z = z - step
-        if abs(step) <= 1e-15 * (1 + abs(z)):
-            break
-    return z
 
 
 # Lanczos approximation, g = 7, 9 terms; accurate to ~1e-13 relative on the

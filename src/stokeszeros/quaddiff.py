@@ -71,11 +71,7 @@ def build_quad_diff(d: int, ell: int) -> QuadDiff:
 
 @lru_cache(maxsize=64)
 def _turning_points_cached(coeffs: tuple) -> tuple:
-    got = roots(ComplexPolynomial(list(coeffs)), tol=1e-13)
-    out = []
-    for r, m in got:
-        out.extend([r] * m)
-    return tuple(out)
+    return tuple(roots(ComplexPolynomial(list(coeffs)), tol=1e-13))
 
 
 def turning_points(q: QuadDiff) -> list:
@@ -137,7 +133,6 @@ class TraceCaps:
     capture_radius: float
     launch_offset: float
     max_arclength: float
-    step_tol: float = 1e-10
 
     @staticmethod
     def for_diff(q: QuadDiff) -> "TraceCaps":
@@ -166,6 +161,8 @@ class StokesLine:
     re_zeta_drift: float = 0.0
     axis_ray: bool = False
 
+
+_STEP_TOL = 1e-10  # local error per unit step of the trajectory tracer
 
 # Dormand-Prince 5(4) tableau; the direction field is autonomous, so no c nodes
 _DP_A = (
@@ -287,7 +284,7 @@ def trace_trajectory(q: QuadDiff, start: complex, initial_direction: float) -> S
                 z5 += h * _DP_B5[i] * ks[i]
                 z4 += h * _DP_B4[i] * ks[i]
             err = abs(z5 - z4)
-            tol = caps.step_tol * max(h, 1e-3)
+            tol = _STEP_TOL * max(h, 1e-3)
             if err <= tol or h <= 1e-13 * (1 + abs(z)):
                 break
             h *= max(0.2, min(0.9 * (tol / max(err, 1e-300)) ** 0.2, 0.8))

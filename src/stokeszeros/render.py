@@ -10,11 +10,14 @@ from typing import Optional
 
 __all__ = ["render_stokes_svg", "render_zeros_svg"]
 
+_SIZE = 720  # picture width and height, px
+_MARGIN = 0.02  # visible overhang past the window, relative to its extent
 
-def _mapper(window, size):
+
+def _mapper(window):
     x0, x1, y0, y1 = window
-    sx = size / (x1 - x0)
-    sy = size / (y1 - y0)
+    sx = _SIZE / (x1 - x0)
+    sy = _SIZE / (y1 - y0)
 
     def to_px(z):
         return (z.real - x0) * sx, (y1 - z.imag) * sy
@@ -22,10 +25,18 @@ def _mapper(window, size):
     return to_px
 
 
-def _clip(z, window, margin=0.02):
+def _header() -> list:
+    return [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
+        f'viewBox="0 0 {_SIZE} {_SIZE}">',
+        f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
+    ]
+
+
+def _clip(z, window):
     x0, x1, y0, y1 = window
-    mx = margin * (x1 - x0)
-    my = margin * (y1 - y0)
+    mx = _MARGIN * (x1 - x0)
+    my = _MARGIN * (y1 - y0)
     return x0 - mx <= z.real <= x1 + mx and y0 - my <= z.imag <= y1 + my
 
 
@@ -44,18 +55,14 @@ def _polyline_chunks(samples, window):
     return runs
 
 
-def render_stokes_svg(sc, window: Optional[tuple] = None, size: int = 720) -> str:
+def render_stokes_svg(sc, window: Optional[tuple] = None) -> str:
     """SVG of the complex: exceptional lines bold, turning points as disks,
     boundary regions labeled with their signs."""
     if window is None:
         r = 1.45 * max(abs(v) for v in sc.turning_points) + 0.6
         window = (-r, r, -r, r)
-    to_px = _mapper(window, size)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
-    ]
+    to_px = _mapper(window)
+    parts = _header()
     for ln in sc.lines:
         for run in _polyline_chunks(ln.samples, window):
             if len(run) < 2:
@@ -83,14 +90,10 @@ def render_stokes_svg(sc, window: Optional[tuple] = None, size: int = 720) -> st
     return "\n".join(parts)
 
 
-def render_zeros_svg(sc, zeros, window: tuple, size: int = 720) -> str:
+def render_zeros_svg(sc, zeros, window: tuple) -> str:
     """Zero cloud (dots) over the exceptional set (bold lines)."""
-    to_px = _mapper(window, size)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
-    ]
+    to_px = _mapper(window)
+    parts = _header()
     for idx in sc.exceptional_lines:
         for run in _polyline_chunks(sc.lines[idx].samples, window):
             if len(run) < 2:

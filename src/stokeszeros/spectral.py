@@ -198,13 +198,10 @@ class ShootingFrame:
 def _ray_state(spec: ProblemSpec, lam: complex, ray_angle: float, path) -> TransportState:
     R = abs(path[0])
     y, dy = wkb_seed(spec, lam, ray_angle, R)
-    field = spec.shifted_field(lam).coefficients
-    return transport(field, list(path), y, dy)
+    return transport(spec.shifted_field(lam), list(path), y, dy)
 
 
-def _miss_parts(spec: ProblemSpec, lam: complex, frame: Optional[ShootingFrame] = None):
-    if frame is None:
-        frame = ShootingFrame.for_scale(spec, abs(lam))
+def _miss_parts(spec: ProblemSpec, lam: complex, frame: ShootingFrame):
     left, right = spec.boundary_rays
     sl = _ray_state(spec, lam, left, frame.left_path)
     sr = _ray_state(spec, lam, right, frame.right_path)
@@ -212,15 +209,14 @@ def _miss_parts(spec: ProblemSpec, lam: complex, frame: Optional[ShootingFrame] 
     return sl, sr, wr
 
 
-def miss_function(spec: ProblemSpec, lam: complex, frame: Optional[ShootingFrame] = None) -> complex:
+def miss_function(spec: ProblemSpec, lam: complex, frame: ShootingFrame) -> complex:
     """Normalized Wronskian of the two ray-recessive solutions.
 
     Vanishes exactly at eigenvalues.  The normalization divides by the
     fixed linear functionals y + beta y' of each ray solution, which
     cancels the transport scale factors while keeping the function
     holomorphic in lambda (a modulus-based normalization would not be).
-    Pass a fixed :class:`ShootingFrame` when probing analyticity; by
-    default a frame is derived from |lambda|.
+    Hold the :class:`ShootingFrame` fixed when probing analyticity.
     """
     sl, sr, wr = _miss_parts(spec, lam, frame)
     nl = sl.y + _BETA * sl.dy
@@ -230,7 +226,7 @@ def miss_function(spec: ProblemSpec, lam: complex, frame: Optional[ShootingFrame
     return wr / (nl * nr)
 
 
-def miss_surrogate(spec: ProblemSpec, lam: float, frame: Optional[ShootingFrame] = None) -> float:
+def miss_surrogate(spec: ProblemSpec, lam: float, frame: ShootingFrame) -> float:
     """Real, modulus-normalized miss for bracketing real spectra.
 
     Sign changes happen exactly at eigenvalues (the denominator is
@@ -387,7 +383,7 @@ def _search(spec: ProblemSpec, n: int, frame: ShootingFrame, lam=None) -> comple
 
 def _count_real_zeros(spec: ProblemSpec, lam: complex, y0, dy0, x_max: float) -> int:
     """Sign changes of the (real) eigenfunction on [-x_max, x_max]."""
-    field = spec.shifted_field(lam).coefficients
+    field = spec.shifted_field(lam)
     # a zero at the origin itself is shared by both sweeps: both start
     # without a sign there, and it is counted once
     at_origin = y0 == 0 or abs(y0) < 1e-13 * abs(dy0)
@@ -415,7 +411,7 @@ def _count_real_zeros(spec: ProblemSpec, lam: complex, y0, dy0, x_max: float) ->
 
 def _real_bracket(spec: ProblemSpec, lam: complex) -> tuple:
     rts = roots(spec.shifted_field(lam), tol=1e-11)
-    reals = [r.real for r, _ in rts if abs(r.imag) <= 1e-6 * (1 + abs(r))]
+    reals = [r.real for r in rts if abs(r.imag) <= 1e-6 * (1 + abs(r))]
     if not reals:
         raise DomainError("shifted potential has no real roots to bracket zeros")
     return min(reals), max(reals)
@@ -448,8 +444,7 @@ def solve_eigenpair(spec: ProblemSpec, n: int) -> Eigenpair:
     sl, sr, wr = _miss_parts(spec, lam, frame)
     # normalized initial data lives at the origin: climb there from the
     # matching point (the eigenfunction is dominant along that stretch)
-    field = spec.shifted_field(lam).coefficients
-    at0 = transport(field, [frame.z_match, 0j], sr.y, sr.dy, sr.log_scale)
+    at0 = transport(spec.shifted_field(lam), [frame.z_match, 0j], sr.y, sr.dy, sr.log_scale)
     norm = abs(at0.y) + abs(at0.dy)
     y0, dy0 = at0.y / norm, at0.dy / norm
     ph = cmath.phase(y0) if abs(y0) >= 1e-12 else cmath.phase(dy0)
@@ -525,7 +520,6 @@ class EigenfunctionEvaluator:
         self.pair = pair
         self.spec = pair.spec
         self.pot = self.spec.shifted_field(pair.lam)
-        self.field = self.pot.coefficients
         self.f = pair.scale_factor
         self.h = pair.h
         self._anchors = None
@@ -561,7 +555,7 @@ class EigenfunctionEvaluator:
             y, dy = wkb_seed(self.spec, pair.lam, theta, R)
             z0 = R * cmath.exp(1j * theta)
             pts = _segment_points(z0, 0j, spacing)
-            states = transport_states(self.field, pts, y, dy)
+            states = transport_states(self.pot, pts, y, dy)
             end = states[-1]
             if abs(end.y) >= abs(end.dy):
                 factor = complex(pair.y0) / end.y
@@ -596,7 +590,7 @@ class EigenfunctionEvaluator:
                 acc += abs(z - prev)
                 prev = z
                 if acc >= spacing:
-                    cur = transport(self.field, [cur.z, z], cur.y, cur.dy, cur.log_scale)
+                    cur = transport(self.pot, [cur.z, z], cur.y, cur.dy, cur.log_scale)
                     seg_anchors.append(cur)
                     acc = 0.0
             anchors.extend(seg_anchors)
@@ -680,7 +674,7 @@ class EigenfunctionEvaluator:
 
         try:
             return transport(
-                self.field, [st.z, z], st.y, st.dy, st.log_scale, watcher=watch
+                self.pot, [st.z, z], st.y, st.dy, st.log_scale, watcher=watch
             )
         except _HopDiverged:
             return None

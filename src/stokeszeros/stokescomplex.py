@@ -19,7 +19,7 @@ from typing import Optional
 
 from .errors import DomainError, StructuralError
 from .geometry import distance_to_polyline, wrap_angle
-from .polynomials import roots
+from .polynomials import ComplexPolynomial, roots
 from .quaddiff import (
     QuadDiff,
     TraceCaps,
@@ -512,28 +512,24 @@ class AdmissibilityResult:
         return self.admissible
 
 
-def _tps_of(q) -> list:
-    """Turning points of a QuadDiff, or roots of a bare coefficient polynomial."""
-    if isinstance(q, QuadDiff):
-        return turning_points(q)
-    return [r for r, _ in roots(q, 1e-12)] if q.degree >= 1 else []
+def _tps_of(p: ComplexPolynomial) -> list:
+    """The zeros of a coefficient field; none for a constant."""
+    return roots(p, 1e-12) if p.degree >= 1 else []
 
 
-def is_admissible(curve, q, s: float) -> AdmissibilityResult:
+def is_admissible(curve, p: ComplexPolynomial, s: float) -> AdmissibilityResult:
     """Check the two quantitative admissibility conditions along a polyline.
 
     Every checked point must keep distance >= s from the turning points and
     the curve tangent must make an angle >= s (radians, measured between
-    lines) with the local vertical-trajectory direction.
-
-    ``q`` may be a QuadDiff or any ComplexPolynomial coefficient field.
+    lines) with the local vertical-trajectory direction of the field p.
     """
     if s <= 0:
         raise DomainError("admissibility margin must be positive")
     pts = [complex(z) for z in curve]
     if len(pts) < 2:
         raise DomainError("curve needs at least two points")
-    tps = _tps_of(q)
+    tps = _tps_of(p)
 
     first = None
     for k in range(len(pts) - 1):
@@ -546,7 +542,7 @@ def is_admissible(curve, q, s: float) -> AdmissibilityResult:
             if dist < s:
                 first = (k, "turning-point-distance", dist)
                 break
-            w = cmath.sqrt(q(z))
+            w = cmath.sqrt(p(z))
             vert = 1j * w.conjugate() / abs(w)
             rel = abs(wrap_angle(cmath.phase(tangent / vert)))
             angle = min(rel, math.pi - rel)

@@ -95,7 +95,7 @@ def _series(bcoeffs: list, y: complex, dy: complex, order: int) -> list:
 
 
 def transport(
-    field,
+    field: ComplexPolynomial,
     path,
     y: complex,
     dy: complex,
@@ -106,8 +106,8 @@ def transport(
 
     Parameters
     ----------
-    field : sequence of complex
-        Ascending coefficients of W.
+    field : ComplexPolynomial
+        The coefficient field W.
     path : sequence of complex
         Waypoints; integration follows the straight segments between them.
     y, dy : complex
@@ -124,7 +124,6 @@ def transport(
     -------
     TransportState at the final waypoint.
     """
-    poly = ComplexPolynomial(field)
     state = TransportState(complex(path[0]), complex(y), complex(dy), float(log_scale))
     steps = 0
     for target in path[1:]:
@@ -138,7 +137,7 @@ def transport(
         travelled = 0.0
         while travelled < length:
             remaining = length - travelled
-            bc = poly.taylor_coefficients(state.z)
+            bc = field.taylor_coefficients(state.z)
             kappa = 0.0
             for j, b in enumerate(bc):
                 mag = abs(b)
@@ -187,9 +186,9 @@ def transport(
     return state
 
 
-def transport_states(field, path, y, dy, log_scale: float = 0.0) -> list:
+def transport_states(field: ComplexPolynomial, path, y, dy) -> list:
     """Like :func:`transport` but records the state at every waypoint."""
-    out = [TransportState(complex(path[0]), complex(y), complex(dy), float(log_scale))]
+    out = [TransportState(complex(path[0]), complex(y), complex(dy))]
     state = out[0]
     for target in path[1:]:
         state = transport(field, [state.z, target], state.y, state.dy, state.log_scale)

@@ -194,7 +194,7 @@ def check_clustering() -> tuple:
 def check_wkb_certificate() -> tuple:
     """WKB error certificate: the measured relative error of the
     recessive solution against its closed form stays below h0/(h - h0)."""
-    q = build_quad_diff(2, 1)
+    q = build_quad_diff(2, 1).polynomial
     curve = [2.0 + 0.1 * k for k in range(481)]  # [2, 50]
     s_margin = 0.5
     h0, _ = h0_bound(q, [curve], s=s_margin)
@@ -208,7 +208,7 @@ def check_wkb_certificate() -> tuple:
         # independent oracle: transport the recessive solution inward from a
         # far WKB seed (its own truncation there is negligible)
         far = seed_radius**2 - 1.0
-        field = [h * h * c for c in q.polynomial.coefficients]
+        field = ComplexPolynomial([h * h * c for c in q.coefficients])
         y0 = far**-0.25
         dy0 = y0 * (-h * math.sqrt(far) - 2 * seed_radius / (4 * far))
         # match the free constant where both descriptions are still fresh
@@ -245,12 +245,7 @@ def check_zero_finder_oracle() -> tuple:
         p = ComplexPolynomial(list(coeffs))
         zs = locate_zeros(PolynomialStates(p), (-1.6, 1.6, -1.6, 1.6), resolution=1e-3)
         x0, x1, y0, y1 = zs.window
-        oracle = [
-            r
-            for r, m in roots(p)
-            for _ in range(m)
-            if x0 < r.real < x1 and y0 < r.imag < y1
-        ]
+        oracle = [r for r in roots(p) if x0 < r.real < x1 and y0 < r.imag < y1]
         got = [z for z, m in zs.zeros for _ in range(m)]
         if len(got) != len(oracle):
             mismatches += 1

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CertificateError, DomainError, QuadratureError
 from .geometry import SegmentSet, nearest_sign, polyline_cumlen, wrap_angle
-from .polynomials import gamma
+from .polynomials import ComplexPolynomial, gamma
 from .quaddiff import QuadDiff, check_family, min_separation, turning_points
 from .stokescomplex import StokesComplex, _tps_of, is_admissible
 
@@ -87,18 +87,18 @@ def horner_parts(p, x, y) -> tuple:
     return re, im
 
 
-def _sqrt_q(q, z: np.ndarray) -> np.ndarray:
-    """sqrt(Q) at an array of points, principal branch, as one array."""
+def _sqrt_q(p: ComplexPolynomial, z: np.ndarray) -> np.ndarray:
+    """sqrt(p) at an array of points, principal branch, as one array."""
     qz = np.empty(z.shape, dtype=complex)
-    qz.real, qz.imag = horner_parts(_poly_of(q), z.real, z.imag)
+    qz.real, qz.imag = horner_parts(p, z.real, z.imag)
     return np.sqrt(qz)
 
 
-def _panel_roots(q, panels) -> np.ndarray:
-    """sqrt(Q) at the 16 GL nodes of each panel (a, b), one row per panel."""
+def _panel_roots(p: ComplexPolynomial, panels) -> np.ndarray:
+    """sqrt(p) at the 16 GL nodes of each panel (a, b), one row per panel."""
     mid = np.array([0.5 * (a + b) for a, b in panels], dtype=complex)
     half = np.array([0.5 * (b - a) for a, b in panels], dtype=complex)
-    return _sqrt_q(q, mid[:, None] + half[:, None] * _GL_NODES)
+    return _sqrt_q(p, mid[:, None] + half[:, None] * _GL_NODES)
 
 
 def _continued(roots: np.ndarray, w_ref: complex) -> list:
@@ -126,10 +126,10 @@ def _pieces(panels, roots, w_ref: complex, end_root: complex):
     return sum(parts[1:], parts[0]), w_end
 
 
-def _integrate_segment(q: QuadDiff, a: complex, b: complex, w_ref: complex, tol: float, tps):
-    """Adaptive branch-continued integral of sqrt(Q) along [a, b].
+def _integrate_segment(p: ComplexPolynomial, a: complex, b: complex, w_ref: complex, tol: float, tps):
+    """Adaptive branch-continued integral of sqrt(p) along [a, b].
 
-    Each panel is integrated whole and as two halves; Q at the nodes of
+    Each panel is integrated whole and as two halves; p at the nodes of
     every panel and half is evaluated as one array up front, and only the
     branch continuation runs node by node, into every half from the
     branch at the panel's start.
@@ -154,8 +154,8 @@ def _integrate_segment(q: QuadDiff, a: complex, b: complex, w_ref: complex, tol:
             out.append((x, y))
     out.sort(key=lambda seg: abs(seg[0] - a))
     trios = [[(x, y), (x, 0.5 * (x + y)), (0.5 * (x + y), y)] for x, y in out]
-    roots = _panel_roots(q, [p for trio in trios for p in trio]).reshape(len(out), 3, -1)
-    ends = _sqrt_q(q, np.array([y for _, y in out], dtype=complex))
+    roots = _panel_roots(p, [pan for trio in trios for pan in trio]).reshape(len(out), 3, -1)
+    ends = _sqrt_q(p, np.array([y for _, y in out], dtype=complex))
     for (whole, left, right), r, end in zip(trios, roots, ends):
         coarse, _ = _pieces([whole], r[:1], w, end)
         fine, w_end = _pieces([left, right], r[1:], w, end)
@@ -164,7 +164,7 @@ def _integrate_segment(q: QuadDiff, a: complex, b: complex, w_ref: complex, tol:
             # square-root singularities kept at panel-length distance
             (x, m), (_, y) = left, right
             quarters = [(x, 0.5 * (x + m)), (0.5 * (x + m), m), (m, 0.5 * (m + y)), (0.5 * (m + y), y)]
-            fine, w_end = _pieces(quarters, _panel_roots(q, quarters), w, end)
+            fine, w_end = _pieces(quarters, _panel_roots(p, quarters), w, end)
         total += fine
         w = w_end
     return total, w
@@ -187,7 +187,6 @@ class PhaseIntegral:
         self.minsep = min_separation(self.tps)
         self._exc = SegmentSet.from_polylines(sc.exceptional_arcs())
         self._build_waypoints()
-        self._cache = {}
         # the basepoint 0 may sit on the cut (the short exceptional line of a
         # self-adjoint family passes through it); anchor all routes at a point
         # nudged into the cut complement so the branch side is unambiguous
@@ -204,7 +203,6 @@ class PhaseIntegral:
         probe = 2.2 * self.scale * cmath.exp(1j * theta_plus)
         if self._zeta_w(probe)[0].real > 0:
             self._sigma = -1.0
-            self._cache.clear()
 
     # -- routing ------------------------------------------------------------
 
@@ -334,17 +332,13 @@ class PhaseIntegral:
         w = self._sigma * cmath.sqrt(self.q(0j))
         total = 0j
         for a, b in zip(path[:-1], path[1:]):
-            part, w = _integrate_segment(self.q, a, b, w, _QUAD_TOL, self.tps)
+            part, w = _integrate_segment(self.q.polynomial, a, b, w, _QUAD_TOL, self.tps)
             total += part
         return total, w
 
     def u(self, z: complex) -> float:
         """The envelope u(z); path independent, u(0) = 0, continuous on E."""
-        z = complex(z)
-        key = (round(z.real, 13), round(z.imag, 13))
-        if key not in self._cache:
-            self._cache[key] = float(self._zeta_w(z)[0].real)
-        return self._cache[key]
+        return float(self._zeta_w(complex(z))[0].real)
 
     def u_grid(self, corner: complex, nx: int, ny: int, dx: float, dy: float):
         """March u over a rectangular grid, one row at a time.
@@ -440,39 +434,34 @@ def arc_mass_profile(q: QuadDiff, samples) -> tuple:
     return s, cum
 
 
-def _poly_of(q):
-    return q.polynomial if isinstance(q, QuadDiff) else q
-
-
-def liouville_g(q, z: complex) -> complex:
+def liouville_g(p: ComplexPolynomial, z: complex) -> complex:
     """The Liouville-transform perturbation -(5/16) Q'^2/Q^3 + Q''/(4 Q^2)."""
     z = complex(z)
-    p = _poly_of(q)
     qz = p(z)
     if abs(qz) < 1e-12 * max(1.0, p.scaled_magnitude(z)):
         raise DomainError("liouville_g is singular at a turning point")
-    dq = p.derivative()(z)
-    ddq = p.derivative(2)(z)
+    dp = p.derivative()
+    dq = dp(z)
+    ddq = dp.derivative()(z)
     return -(5.0 / 16.0) * dq * dq / qz**3 + ddq / (4.0 * qz * qz)
 
 
-def h0_bound(q, curves, s: float) -> tuple:
+def h0_bound(p: ComplexPolynomial, curves, s: float) -> tuple:
     """Numerical sup over the curve family of int |g| |d zeta|.
 
     Each curve must be s-admissible; the returned pair is (value, estimated
     quadrature error).
     """
-    poly = _poly_of(q)
     worst = 0.0
     err = 0.0
     for curve in curves:
-        res = is_admissible(curve, q, s)
+        res = is_admissible(curve, p, s)
         if not res:
             raise DomainError(f"curve violates {res.first_violation}")
         pts = [complex(z) for z in curve]
 
         def integrand(z):
-            return abs(liouville_g(poly, z)) * math.sqrt(abs(poly(z)))
+            return abs(liouville_g(p, z)) * math.sqrt(abs(p(z)))
 
         total = 0.0
         total_err = 0.0
@@ -524,34 +513,32 @@ class WKBValue:
         return cmath.exp(complex(self.log_modulus, self.phase))
 
 
-def wkb_approximant(q, params: WKBParameters, curve, z: complex) -> WKBValue:
+def wkb_approximant(p: ComplexPolynomial, params: WKBParameters, curve, z: complex) -> WKBValue:
     """The solution form Q^{-1/4} exp(h Phi) at a point of an admissible curve.
 
     Phi is the branch of the phase integral that decreases along the curve
     (mapping the enclosing decay region to a left half-plane), normalized
     to 0 at the first curve vertex; the returned certificate bounds
-    |epsilon| in the representation  y = Q^{-1/4} e^{h Phi} (1 + epsilon).
-
-    ``q`` may be a QuadDiff or a bare polynomial coefficient field; the
-    phase branch is continued along the curve itself.
+    |epsilon| in the representation  y = Q^{-1/4} e^{h Phi} (1 + epsilon),
+    Q the coefficient field p.  The phase branch is continued along the
+    curve itself.
     """
     bound = params.certificate()
-    res = is_admissible(curve, q, params.s)
+    res = is_admissible(curve, p, params.s)
     if not res:
         raise DomainError(f"curve violates admissibility: {res.first_violation}")
-    poly = _poly_of(q)
-    tps = _tps_of(q)
-    pts = [complex(p) for p in curve]
+    tps = _tps_of(p)
+    pts = [complex(v) for v in curve]
     # zeta runs from the first vertex on the branch of sqrt(Q) whose real
     # part decreases along the first segment, continued vertex to vertex
-    w = cmath.sqrt(poly(pts[0]))
+    w = cmath.sqrt(p(pts[0]))
     direction = (pts[1] - pts[0]) / abs(pts[1] - pts[0])
     if (w * direction).real > 0:
         w = -w
     zetas = [0j]
     ws = [w]
     for a, b in zip(pts[:-1], pts[1:]):
-        part, w = _integrate_segment(poly, a, b, w, _QUAD_TOL, tps)
+        part, w = _integrate_segment(p, a, b, w, _QUAD_TOL, tps)
         zetas.append(zetas[-1] + part)
         ws.append(w)
     if zetas[-1].real > zetas[0].real:
@@ -561,7 +548,7 @@ def wkb_approximant(q, params: WKBParameters, curve, z: complex) -> WKBValue:
     k = min(range(len(pts)), key=lambda i: abs(pts[i] - z))
     chain = list(ws[1 : k + 1])
     if abs(pts[k] - z) > 1e-9 * max(1.0, abs(z)):
-        part, w_here = _integrate_segment(poly, pts[k], z, ws[k], _QUAD_TOL, tps)
+        part, w_here = _integrate_segment(p, pts[k], z, ws[k], _QUAD_TOL, tps)
         zeta = zetas[k] + part
         chain.append(w_here)
     else:

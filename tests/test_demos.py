@@ -1,0 +1,27 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import stokeszeros
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+# the SVG demos write tracked files under demos/out/, so only the print-only
+# demos run here
+@pytest.mark.parametrize(
+    "name", ["wkb_certificate.py", "spectrum_asymptotics.py", "envelope_convergence.py"]
+)
+def test_print_only_demo_runs(name):
+    # the subprocess does not inherit pytest's pythonpath setting
+    src = str(Path(stokeszeros.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, inherited))))
+    proc = subprocess.run(
+        [sys.executable, str(DEMOS / name)], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

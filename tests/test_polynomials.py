@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from stokeszeros.errors import DomainError
+from stokeszeros import polynomials
+from stokeszeros.errors import DomainError, RootFindingError
 from stokeszeros.polynomials import ComplexPolynomial, gamma, roots
 
 
@@ -21,24 +22,37 @@ def test_evaluate_cubic_at_i():
 
 def test_roots_quadratic():
     got = roots(ComplexPolynomial([-1, 0, 1]))
-    assert got == [((1 + 0j), 1), ((-1 + 0j), 1)]
+    assert got == [1 + 0j, -1 + 0j]
 
 
 def test_roots_cubic_roots_of_minus_i():
     got = roots(ComplexPolynomial([-1, 0, 0, 1j]))
     expected = [cmath.exp(-5j * math.pi / 6), cmath.exp(-1j * math.pi / 6), 1j]
     assert len(got) == 3
-    for (r, m), e in zip(got, expected):
-        assert m == 1
+    for r, e in zip(got, expected):
         assert abs(r - e) < 1e-12
 
 
 def test_roots_double():
     got = roots(ComplexPolynomial([4, -4, 1]))
-    assert len(got) == 1
-    r, m = got[0]
-    assert m == 2
-    assert abs(r - 2) < 1e-7
+    assert len(got) == 2
+    for r in got:
+        assert abs(r - 2) < 1e-7
+
+
+def test_roots_residual_guard_checks_every_root(monkeypatch):
+    # one iterate knocked 1e-3 off its root must not pass as a root
+    real_aberth = polynomials._aberth
+
+    def moved(p, tol):
+        zs = real_aberth(p, tol)
+        zs[1] += 1e-3
+        return zs
+
+    monkeypatch.setattr(polynomials, "_aberth", moved)
+    with pytest.raises(RootFindingError) as info:
+        roots(ComplexPolynomial([-1, 0, 0, 1j]))
+    assert info.value.residual > 1e-4
 
 
 def test_roots_constant_rejected():
@@ -58,9 +72,8 @@ def test_roots_recover_random_factors():
                 pts.append(cand)
         lead = complex(rng.uniform(0.5, 2), rng.uniform(-1, 1))
         p = ComplexPolynomial(lead * np.poly(pts)[::-1])
-        got = roots(p, tol=1e-10)
-        assert sum(m for _, m in got) == deg
-        found = [r for r, _ in got]
+        found = roots(p, tol=1e-10)
+        assert len(found) == deg
         for target in pts:
             assert min(abs(target - f) for f in found) < 1e-8
 
@@ -70,7 +83,7 @@ def test_roots_against_numpy_cross_check():
     for _ in range(10):
         coeffs = rng.standard_normal(7) + 1j * rng.standard_normal(7)
         p = ComplexPolynomial(list(coeffs))
-        mine = sorted((r for r, _ in roots(p)), key=lambda z: (z.real, z.imag))
+        mine = sorted(roots(p), key=lambda z: (z.real, z.imag))
         ref = sorted(np.roots(coeffs[::-1]), key=lambda z: (z.real, z.imag))
         for a, b in zip(mine, ref):
             assert abs(a - b) < 1e-7

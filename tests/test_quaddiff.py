@@ -187,26 +187,26 @@ def test_short_line_mirror_pairing():
 def test_admissible_real_segment():
     q = build_quad_diff(2, 1)
     # distance to the turning point at 1 is the binding constraint here
-    assert is_admissible([2.0, 2.5, 3.0], q, s=0.9)
-    assert not is_admissible([2.0, 2.5, 3.0], q, s=1.01)
+    assert is_admissible([2.0, 2.5, 3.0], q.polynomial, s=0.9)
+    assert not is_admissible([2.0, 2.5, 3.0], q.polynomial, s=1.01)
     # far from the turning points the vertical foliation allows any margin
     # short of a right angle against the horizontal tangent
-    assert is_admissible([3.0, 3.5, 4.0], q, s=math.pi / 2 - 0.05)
-    assert not is_admissible([3.0, 3.5, 4.0], q, s=math.pi / 2 + 0.01)
+    assert is_admissible([3.0, 3.5, 4.0], q.polynomial, s=math.pi / 2 - 0.05)
+    assert not is_admissible([3.0, 3.5, 4.0], q.polynomial, s=math.pi / 2 + 0.01)
 
 
 def test_admissible_rejects_trajectory_piece():
     q = build_quad_diff(2, 1)
     line = trace_trajectory(q, 1.0, math.pi / 3)
     piece = [z for z in line.samples if abs(z - 1) > 0.8][:60]
-    res = is_admissible(piece, q, s=0.1)
+    res = is_admissible(piece, q.polynomial, s=0.1)
     assert not res.admissible
     assert res.first_violation[1] == "foliation-angle"
 
 
 def test_admissible_rejects_turning_point_contact():
     q = build_quad_diff(2, 1)
-    res = is_admissible([0.5, 1.0, 1.5], q, s=0.01)
+    res = is_admissible([0.5, 1.0, 1.5], q.polynomial, s=0.01)
     assert not res.admissible
 
 
@@ -229,10 +229,10 @@ def test_perturbation_stability_of_admissibility():
     q = build_quad_diff(2, 1)
     curve = [2.2 + 0.2 * k for k in range(20)]
     s = 0.6
-    assert is_admissible(curve, q, s)
+    assert is_admissible(curve, q.polynomial, s)
     for h in (0.01, 0.05, 0.1):
         qp = QuadDiff(2, 1, ComplexPolynomial([-1 + h * (1 + 1j), -h * 0.5j, 1]))
-        assert is_admissible(curve, qp, s / 2)
+        assert is_admissible(curve, qp.polynomial, s / 2)
 
 
 def test_serialization_roundtrip_fields():

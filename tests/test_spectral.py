@@ -8,6 +8,7 @@ import pytest
 
 from stokeszeros import spectral
 from stokeszeros.errors import DomainError, IntegrationError
+from stokeszeros.polynomials import ComplexPolynomial
 from stokeszeros.spectral import (
     EigenfunctionEvaluator,
     ProblemSpec,
@@ -48,7 +49,7 @@ def test_potential_leading_term():
 # the ODE y'' = Q y integrated along a path by transport_states
 
 def test_integrate_ode_cosh():
-    states = transport_states([1.0], [0.0, 1.0], 1.0, 0.0)
+    states = transport_states(ComplexPolynomial([1.0]), [0.0, 1.0], 1.0, 0.0)
     end = states[-1]
     assert abs(end.value() - math.cosh(1.0)) < 1e-12
 
@@ -61,14 +62,14 @@ def test_integrate_ode_airy_series_oracle():
         coeffs[k + 3] = coeffs[k] / ((k + 2) * (k + 3))
         k += 3
     oracle = sum(coeffs.values())
-    states = transport_states([0.0, 1.0], [0.0, 1.0], 1.0, 0.0)
+    states = transport_states(ComplexPolynomial([0.0, 1.0]), [0.0, 1.0], 1.0, 0.0)
     assert abs(states[-1].value() - oracle) < 1e-12
     assert abs(oracle - 1.1723000) < 1e-6
 
 
 def test_integrate_ode_harmonic_gaussian():
     # y'' = (z^2 - 1) y transported from the normalized ground data
-    states = transport_states([-1.0, 0.0, 1.0], [0.0, 3.0], 1.0, 0.0)
+    states = transport_states(ComplexPolynomial([-1.0, 0.0, 1.0]), [0.0, 3.0], 1.0, 0.0)
     assert abs(states[-1].value() - math.exp(-4.5)) < 1e-11
 
 
@@ -88,8 +89,8 @@ def test_miss_function_at_eigenvalue_and_midpoint():
 
 
 def test_miss_surrogate_sign_change():
-    a = miss_surrogate(HARMONIC, 0.8)
-    b = miss_surrogate(HARMONIC, 1.2)
+    a = miss_surrogate(HARMONIC, 0.8, ShootingFrame.for_scale(HARMONIC, 0.8))
+    b = miss_surrogate(HARMONIC, 1.2, ShootingFrame.for_scale(HARMONIC, 1.2))
     assert a * b < 0
 
 
@@ -165,7 +166,7 @@ def test_wronskian_constant_along_connection():
     lam = 4.0 + 0.3j
     frame = ShootingFrame.for_scale(HARMONIC, abs(lam))
     left, right = HARMONIC.boundary_rays
-    field = HARMONIC.shifted_field(lam).coefficients
+    field = HARMONIC.shifted_field(lam)
     from stokeszeros.transport import transport, transport_states
 
     sl = _ray_state(HARMONIC, lam, left, frame.left_path)
@@ -252,7 +253,7 @@ def _piecewise_hop(ev, st, z, budget):
         mid = 0.5 * (cur.z + target)
         rate = abs((cmath.sqrt(ev.pot(mid)) * direction).real)
         prev_log = cur.log_abs_y()
-        cur = transport(ev.field, [cur.z, target], cur.y, cur.dy, cur.log_scale)
+        cur = transport(ev.pot, [cur.z, target], cur.y, cur.dy, cur.log_scale)
         if k < pieces:
             divergence += max(0.0, rate * (total / pieces) - (cur.log_abs_y() - prev_log))
         if divergence > budget:
