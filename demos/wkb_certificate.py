@@ -12,28 +12,27 @@ import math
 
 from stokeszeros.polynomials import ComplexPolynomial
 from stokeszeros.quaddiff import build_quad_diff
-from stokeszeros.transport import transport
+from stokeszeros.transport import transport_states
 from stokeszeros.wkb import WKBParameters, h0_bound, wkb_approximant
 
 q = build_quad_diff(2, 1).polynomial
 curve = [2.0 + 0.1 * k for k in range(481)]
-h0, quad_err = h0_bound(q, [curve], s=0.5)
+h0, quad_err = h0_bound(q, curve, s=0.5)
 print(f"h0 over the admissible curve [2, 50] with margin s=0.5: {h0:.6f}")
 
 R = 60.0
+# the match point, then the test points from the outside in
+path = [R, R * 0.998, 6.0, 4.0, 3.0, 2.5, 2.0]
 for h in (10.0, 20.0, 40.0, 80.0):
     params = WKBParameters(h=h, h0=h0, s=0.5)
     far = R * R - 1.0
     field = ComplexPolynomial([h * h * c for c in q.coefficients])
     y0 = far**-0.25
     dy0 = y0 * (-h * math.sqrt(far) - 2 * R / (4 * far))
-    z_far = R * 0.998
-    state_far = transport(field, [R, z_far], y0, dy0)
-    ref_far = wkb_approximant(q, params, curve, z_far)
+    _, state_far, *states = transport_states(field, path, y0, dy0)
+    ref_far, *refs = wkb_approximant(q, params, curve, path[1:])
     worst = 0.0
-    for z in (2.0, 2.5, 3.0, 4.0, 6.0):
-        state = transport(field, [R, z], y0, dy0)
-        ref = wkb_approximant(q, params, curve, z)
+    for state, ref in zip(states, refs):
         dlog = (state.log_abs_y() - state_far.log_abs_y()) - (
             ref.log_modulus - ref_far.log_modulus
         )

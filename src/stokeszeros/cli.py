@@ -1,17 +1,19 @@
 """Command-line front end: stokes | spectrum | zeros | verify.
 
-Every run writes its full configuration into the JSON output so results are
-reproducible from the artifacts alone.  Exit codes: 0 success, 1 criterion
-or convergence failure, 2 usage or domain error.
+The parsed flags are the run configuration: every JSON artifact records
+them, exactly as its command accepted them, under ``config``, so results
+are reproducible from the artifacts alone.  Exit codes: 0 success, 1
+criterion or convergence failure, 2 usage or domain error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from pathlib import Path
 
 from .errors import StokesZerosError, DomainError
@@ -30,40 +32,17 @@ from .wkb import eigenvalue_estimate
 from .zeros import compare_to_limit, empirical_measure, locate_zeros
 
 
-@dataclass
-class RunConfig:
-    """Serializable description of one command invocation."""
-
-    command: str
-    d: int = 2
-    ell: int = 1
-    coefficients: list = field(default_factory=list)  # [[k, re, im], ...]
-    n_min: int = 0
-    n_max: int = 0
-    window: list = field(default_factory=lambda: [-1.6, 1.6, -1.6, 1.6])
-    resolution: float = 0.015
-    delta: float = 0.1
-    out_dir: str = "."
-    formats: list = field(default_factory=lambda: ["json"])
-
-    def spec(self) -> ProblemSpec:
-        ks = [int(k) for k, *_ in self.coefficients]
-        for k in ks:
-            if ks.count(k) > 1:
-                # a second value would silently replace the first
-                raise DomainError(f"--coeff sets a_{k} more than once")
-        a = [0j] * max(ks, default=0)
-        for k, re, im in self.coefficients:
-            a[int(k) - 1] = complex(re, im)
-        return ProblemSpec(self.d, self.ell, tuple(a))
-
-
-# the artifact formats each command can write, its default when --format is absent
-_WRITES = {
-    "stokes": ("json", "svg"),
-    "spectrum": ("json", "csv"),
-    "zeros": ("json", "csv", "svg"),
-}
+def _spec(args) -> ProblemSpec:
+    """The problem that the --d, --ell and --coeff flags describe."""
+    ks = [int(k) for k, *_ in args.coefficients]
+    for k in ks:
+        if ks.count(k) > 1:
+            # a second value would silently replace the first
+            raise DomainError(f"--coeff sets a_{k} more than once")
+    a = [0j] * max(ks, default=0)
+    for k, re, im in args.coefficients:
+        a[int(k) - 1] = complex(re, im)
+    return ProblemSpec(args.d, args.ell, tuple(a))
 
 
 def _parse_coeff(text: str):
@@ -119,6 +98,21 @@ _parse_criteria = _checked(
 )
 
 
+def _parse_formats(writable: tuple):
+    """An argparse type for --format: a nonempty subset of ``writable``."""
+
+    def parse(text: str) -> list:
+        chosen = [f.strip() for f in text.split(",") if f.strip()]
+        if not chosen:
+            raise argparse.ArgumentTypeError(f"names no format; the command writes {','.join(writable)}")
+        for f in chosen:
+            if f not in writable:
+                raise argparse.ArgumentTypeError(f"the command writes {','.join(writable)}, not {f!r}")
+        return chosen
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stokeszeros",
@@ -128,31 +122,28 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, formats=(), needs_spec=True, coeff=True):
-        if needs_spec:
-            p.add_argument("--d", type=int, required=True, help="potential degree")
-            p.add_argument("--ell", type=int, required=True, help="boundary index")
-        if needs_spec and coeff:
-            p.add_argument(
-                "--coeff",
-                type=_parse_coeff,
-                action="append",
-                default=[],
-                metavar="k=re,im",
-                help="lower-order coefficient a_k (repeatable)",
-            )
-        p.add_argument("--out", default=".", help="output directory")
-        if formats:
-            p.add_argument(
-                "--format",
-                default=None,
-                help=f"comma-separated subset of {','.join(formats)}",
-            )
-
     p_stokes = sub.add_parser("stokes", help="trace and render the Stokes complex")
-    # the limit Stokes complex depends on (d, ell) alone: no --coeff
-    common(p_stokes, _WRITES["stokes"], coeff=False)
+    p_spec = sub.add_parser("spectrum", help="eigenvalues by complex shooting")
+    p_zeros = sub.add_parser("zeros", help="zero clouds of rescaled eigenfunctions")
+    p_verify = sub.add_parser("verify", help="run the verification suite")
+
+    # vars(args) is every artifact's config, its keys in the order the flags
+    # are added here: nothing but flags may go into the namespace
+    for p in (p_stokes, p_spec, p_zeros):
+        p.add_argument("--d", type=int, required=True, help="potential degree")
+        p.add_argument("--ell", type=int, required=True, help="boundary index")
+    # the limit Stokes complex depends on (d, ell) alone: stokes takes no --coeff
+    for p in (p_spec, p_zeros):
+        p.add_argument(
+            "--coeff",
+            dest="coefficients",
+            type=_parse_coeff,
+            action="append",
+            default=[],
+            metavar="k=re,im",
+            help="lower-order coefficient a_k (repeatable)",
+        )
+
     p_stokes.add_argument("--window", type=_parse_window, default=None)
     p_stokes.add_argument(
         "--u-grid",
@@ -162,22 +153,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also sample the envelope u on an NxN grid (N >= 2) into ufield.json",
     )
 
-    p_spec = sub.add_parser("spectrum", help="eigenvalues by complex shooting")
-    common(p_spec, _WRITES["spectrum"])
     p_spec.add_argument("--n-min", type=_parse_index, default=0)
     p_spec.add_argument("--n-max", type=_parse_index, default=9)
 
-    p_zeros = sub.add_parser("zeros", help="zero clouds of rescaled eigenfunctions")
-    common(p_zeros, _WRITES["zeros"])
     p_zeros.add_argument("--n-min", type=_parse_index, default=10)
     p_zeros.add_argument("--n-max", type=_parse_index, default=10)
     p_zeros.add_argument("--window", type=_parse_window, default=_parse_window("1.6"))
     p_zeros.add_argument("--resolution", type=_parse_positive, default=0.015)
     p_zeros.add_argument("--delta", type=_parse_positive, default=0.1)
 
-    p_verify = sub.add_parser("verify", help="run the verification suite")
-    # verify always writes report.json: no --format
-    common(p_verify, needs_spec=False)
     p_verify.add_argument(
         "--suite",
         default=None,
@@ -190,51 +174,53 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"comma-separated criterion numbers ({_CRITERIA_RANGE})",
     )
+
+    # verify always writes report.json: no --format
+    writes = (
+        (p_stokes, ("json", "svg")),
+        (p_spec, ("json", "csv")),
+        (p_zeros, ("json", "csv", "svg")),
+        (p_verify, ()),
+    )
+    for p, formats in writes:
+        p.add_argument("--out", dest="out_dir", default=".", help="output directory")
+        if formats:
+            p.add_argument(
+                "--format",
+                dest="formats",
+                type=_parse_formats(formats),
+                default=list(formats),
+                help=f"comma-separated subset of {','.join(formats)}",
+            )
     return parser
-
-
-def _formats(args, writable):
-    """The formats chosen with --format; each must be one the command writes."""
-    if args.format is None:
-        return list(writable)
-    chosen = [f.strip() for f in args.format.split(",") if f.strip()]
-    if not chosen:
-        raise DomainError(f"--format names no format; {args.command} writes {','.join(writable)}")
-    for f in chosen:
-        if f not in writable:
-            raise DomainError(f"{args.command} writes {','.join(writable)}, not {f!r}")
-    return chosen
 
 
 def _write(path: Path, text: str):
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    path.write_text(text, newline="")
     print(f"wrote {path}")
 
 
+def _csv(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
 def cmd_stokes(args) -> int:
-    cfg = RunConfig(
-        command="stokes",
-        d=args.d,
-        ell=args.ell,
-        window=args.window or [],
-        formats=_formats(args, _WRITES["stokes"]),
-        out_dir=args.out,
-    )
-    sc = _limit_complex_cached(cfg.d, cfg.ell)
-    out = Path(cfg.out_dir)
-    payload = {"config": asdict(cfg), "stokes_complex": sc.to_dict()}
-    if "json" in cfg.formats:
+    sc = _limit_complex_cached(args.d, args.ell)
+    out = Path(args.out_dir)
+    payload = {"config": vars(args), "stokes_complex": sc.to_dict()}
+    if "json" in args.formats:
         _write(out / "stokes.json", json.dumps(payload, indent=1, allow_nan=False))
-    if "svg" in cfg.formats:
-        window = tuple(cfg.window) if cfg.window else None
+    if "svg" in args.formats:
+        window = tuple(args.window) if args.window else None
         _write(out / "stokes.svg", render_stokes_svg(sc, window))
     census = payload["stokes_complex"]["census"]
-    if getattr(args, "u_grid", 0):
+    if args.u_grid:
         n = args.u_grid
-        window = cfg.window or [-2.5, 2.5, -2.5, 2.5]
-        x0, x1, y0, y1 = window
-        phase = _limit_phase_cached(cfg.d, cfg.ell)
+        x0, x1, y0, y1 = args.window or [-2.5, 2.5, -2.5, 2.5]
+        phase = _limit_phase_cached(args.d, args.ell)
         zs, ug = phase.u_grid(
             complex(x0, y0), n, n, (x1 - x0) / (n - 1), (y1 - y0) / (n - 1)
         )
@@ -242,7 +228,7 @@ def cmd_stokes(args) -> int:
             out / "ufield.json",
             json.dumps(
                 {
-                    "config": asdict(cfg),
+                    "config": vars(args),
                     "grid_re": [[z.real for z in row] for row in zs],
                     "grid_im": [[z.imag for z in row] for row in zs],
                     "u": [[float(v) for v in row] for row in ug],
@@ -252,7 +238,7 @@ def cmd_stokes(args) -> int:
             ),
         )
     print(
-        f"d={cfg.d} ell={cfg.ell}: {len(sc.turning_points)} turning points, "
+        f"d={args.d} ell={args.ell}: {len(sc.turning_points)} turning points, "
         f"{len(sc.lines)} lines, {census['half_plane_regions']} half-plane regions, "
         f"{census['strip_regions']} strips, {len(sc.exceptional_lines)} exceptional lines"
     )
@@ -260,23 +246,13 @@ def cmd_stokes(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    cfg = RunConfig(
-        command="spectrum",
-        d=args.d,
-        ell=args.ell,
-        coefficients=args.coeff,
-        n_min=args.n_min,
-        n_max=args.n_max,
-        formats=_formats(args, _WRITES["spectrum"]),
-        out_dir=args.out,
-    )
-    if cfg.n_max < cfg.n_min:
+    if args.n_max < args.n_min:
         raise DomainError("empty index range")
-    spec = cfg.spec()
+    spec = _spec(args)
     rows = []
     pairs = []
     failures = 0
-    for n in range(cfg.n_min, cfg.n_max + 1):
+    for n in range(args.n_min, args.n_max + 1):
         try:
             pair = solve_eigenpair(spec, n)
         except StokesZerosError as exc:
@@ -284,7 +260,7 @@ def cmd_spectrum(args) -> int:
             failures += 1
             continue
         pairs.append(pair)
-        ratio = abs(pair.lam) / eigenvalue_estimate(cfg.d, cfg.ell, n) if n > 0 else None
+        ratio = abs(pair.lam) / eigenvalue_estimate(args.d, args.ell, n) if n > 0 else None
         rows.append(
             {
                 "n": n,
@@ -300,27 +276,20 @@ def cmd_spectrum(args) -> int:
     # every index is solved on its own, so only the set can show a skip
     violations = ordering_violations(pairs)
     failures += len(violations)
-    payload = {"config": asdict(cfg), "eigenvalues": rows}
+    payload = {"config": vars(args), "eigenvalues": rows}
     if violations:
         payload["ordering_violations"] = violations
-    out = Path(cfg.out_dir)
-    if "json" in cfg.formats:
+    out = Path(args.out_dir)
+    if "json" in args.formats:
         _write(out / "spectrum.json", json.dumps(payload, indent=1, allow_nan=False))
-    if "csv" in cfg.formats:
-        out.mkdir(parents=True, exist_ok=True)
-        with (out / "spectrum.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["n", "re_lambda", "im_lambda", "h", "residual", "asymptotic_ratio"]
-            )
-            for r in rows:
-                if "error" in r:
-                    writer.writerow([r["n"], "", "", "", r["error"], ""])
-                else:
-                    writer.writerow(
-                        [r["n"], r["re_lambda"], r["im_lambda"], r["h"], r["residual"], r["asymptotic_ratio"]]
-                    )
-        print(f"wrote {out / 'spectrum.csv'}")
+    if "csv" in args.formats:
+        table = [["n", "re_lambda", "im_lambda", "h", "residual", "asymptotic_ratio"]]
+        for r in rows:
+            if "error" in r:
+                table.append([r["n"], "", "", "", r["error"], ""])
+            else:
+                table.append([r["n"], r["re_lambda"], r["im_lambda"], r["h"], r["residual"], r["asymptotic_ratio"]])
+        _write(out / "spectrum.csv", _csv(table))
     for r in rows:
         if "error" in r:
             print(f"n={r['n']}: FAILED {r['error']}")
@@ -335,30 +304,17 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_zeros(args) -> int:
-    cfg = RunConfig(
-        command="zeros",
-        d=args.d,
-        ell=args.ell,
-        coefficients=args.coeff,
-        n_min=args.n_min,
-        n_max=args.n_max,
-        window=args.window,
-        resolution=args.resolution,
-        delta=args.delta,
-        formats=_formats(args, _WRITES["zeros"]),
-        out_dir=args.out,
-    )
-    if cfg.n_max < cfg.n_min:
+    if args.n_max < args.n_min:
         raise DomainError("empty index range")
-    spec = cfg.spec()
-    sc = _limit_complex_cached(cfg.d, cfg.ell)
-    out = Path(cfg.out_dir)
+    spec = _spec(args)
+    sc = _limit_complex_cached(args.d, args.ell)
+    out = Path(args.out_dir)
     all_zeros = []
     per_n = []
-    for n in range(cfg.n_min, cfg.n_max + 1):
+    for n in range(args.n_min, args.n_max + 1):
         resc = rescale(EigenfunctionEvaluator(solve_eigenpair(spec, n)))
-        zs = locate_zeros(resc, tuple(cfg.window), cfg.resolution)
-        rep = compare_to_limit(empirical_measure(zs, max(n, 1)), sc, delta=cfg.delta)
+        zs = locate_zeros(resc, tuple(args.window), args.resolution)
+        rep = compare_to_limit(empirical_measure(zs, max(n, 1)), sc, delta=args.delta)
         per_n.append(
             {
                 "n": n,
@@ -381,60 +337,40 @@ def cmd_zeros(args) -> int:
         print(
             f"n={n}: {zs.total_count} zeros, near-fraction {rep.near_fraction:.3f}"
         )
-    if "json" in cfg.formats:
+    if "json" in args.formats:
         _write(
             out / "zeros.json",
-            json.dumps({"config": asdict(cfg), "results": per_n}, indent=1, allow_nan=False),
+            json.dumps({"config": vars(args), "results": per_n}, indent=1, allow_nan=False),
         )
-    if "csv" in cfg.formats:
-        out.mkdir(parents=True, exist_ok=True)
-        with (out / "zeros.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "re", "im", "multiplicity"])
-            for entry in per_n:
-                for re_z, im_z, m in entry["zeros"]:
-                    writer.writerow([entry["n"], re_z, im_z, m])
-        print(f"wrote {out / 'zeros.csv'}")
-    if "svg" in cfg.formats:
+    if "csv" in args.formats:
+        table = [["n", "re", "im", "multiplicity"]]
+        table += [[entry["n"], *zero] for entry in per_n for zero in entry["zeros"]]
+        _write(out / "zeros.csv", _csv(table))
+    if "svg" in args.formats:
         _write(
             out / "zeros.svg",
-            render_zeros_svg(sc, all_zeros, tuple(cfg.window)),
+            render_zeros_svg(sc, all_zeros, tuple(args.window)),
         )
     return 0
 
 
 def cmd_verify(args) -> int:
     results = run_criteria(numbers=args.criteria, suite=args.suite)
-    report = []
-    failed = 0
     for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{status} {r.name} ({r.seconds:.1f}s)")
+        print(f"{'PASS' if r.passed else 'FAIL'} {r.name} ({r.seconds:.1f}s)")
         if r.detail:
             print(f"     {r.detail}")
-        if not r.passed:
-            failed += 1
-        report.append(
-            {
-                "name": r.name,
-                "suite": r.suite,
-                "passed": r.passed,
-                "seconds": r.seconds,
-                "measured": r.measured,
-                "detail": r.detail,
-            }
-        )
-    out = Path(args.out)
+    passed = all(r.passed for r in results)
     _write(
-        out / "report.json",
+        Path(args.out_dir) / "report.json",
         json.dumps(
-            {"passed": failed == 0, "criteria": report},
+            {"config": vars(args), "passed": passed, "criteria": [asdict(r) for r in results]},
             indent=1,
             default=str,
             allow_nan=False,
         ),
     )
-    return 1 if failed else 0
+    return 0 if passed else 1
 
 
 def main(argv=None) -> int:

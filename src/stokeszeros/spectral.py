@@ -550,7 +550,6 @@ class EigenfunctionEvaluator:
         # eigenfunction (the rays agree only up to the converged residual)
         left, right = self.spec.boundary_rays
         R = pair.seed_radius
-        self._ray_seeds = []
         for theta in (right, left):
             y, dy = wkb_seed(self.spec, pair.lam, theta, R)
             z0 = R * cmath.exp(1j * theta)
@@ -714,9 +713,7 @@ class EigenfunctionEvaluator:
             got = self._monitored_hop(self._anchors[i], z, self._HOP_BUDGET)
             if got is not None:
                 return got
-        if self._ray_seeds:
-            return self._wkb_state(z)
-        raise IntegrationError(f"no stable evaluation path to {z:.6g}")
+        return self._wkb_state(z)
 
     def _hop_from(self, z: complex) -> TransportState:
         """Evaluate one point: a batch of one through :meth:`_rank`."""

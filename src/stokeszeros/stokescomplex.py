@@ -50,7 +50,6 @@ class Region:
     kind: str
     line_indices: tuple
     tp_indices: tuple
-    arc_spans: tuple  # ccw azimuth intervals on the census circle
     anchor: complex
     label: str  # "omega+", "omega-" (the boundary regions), "D+" or "D-"
 
@@ -372,7 +371,6 @@ def _assemble(q, tps, lines, caps, boundary_rays) -> tuple:
                 kind=kind,
                 line_indices=tuple(line_idx),
                 tp_indices=tuple(tp_idx),
-                arc_spans=tuple(spans),
                 anchor=anchor,
                 label=label,
             )

@@ -13,7 +13,6 @@ import cmath
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -30,7 +29,7 @@ from .spectral import (
     rescale,
     solve_eigenpair,
 )
-from .transport import transport
+from .transport import transport_states
 from .wkb import WKBParameters, eigenvalue_estimate, h0_bound, wkb_approximant
 from .zeros import PolynomialStates, compare_to_limit, empirical_measure, hille_disc_check, locate_zeros
 
@@ -42,18 +41,13 @@ class CriterionResult:
     name: str
     suite: str
     passed: bool
+    seconds: float
     measured: dict
     detail: str
-    seconds: float
-
-
-@lru_cache(maxsize=64)
-def _evaluator(spec: ProblemSpec, n: int) -> EigenfunctionEvaluator:
-    return EigenfunctionEvaluator(solve_eigenpair(spec, n))
 
 
 def _strip_zeros(spec: ProblemSpec, n: int):
-    resc = rescale(_evaluator(spec, n))
+    resc = rescale(EigenfunctionEvaluator(solve_eigenpair(spec, n)))
     lo, hi = resc.real_bracket()
     window = (lo - 0.1, hi + 0.1, -0.08, 0.08)
     return resc, locate_zeros(resc, window, resolution=0.01)
@@ -166,7 +160,7 @@ def check_log_growth() -> tuple:
         phase = _limit_phase_cached(d, ell)
         devs = {}
         for n in (10, 40):
-            resc = rescale(_evaluator(spec, n))
+            resc = rescale(EigenfunctionEvaluator(solve_eigenpair(spec, n)))
             devs[n] = envelope_deviation(resc, phase, pts)
         measured[f"({d},{ell})"] = devs
         ok = ok and devs[40] <= 0.05 and devs[40] < devs[10]
@@ -176,7 +170,7 @@ def check_log_growth() -> tuple:
 def check_clustering() -> tuple:
     """PT quartic (4,1), n=40: zeros concentrate on the exceptional set."""
     spec = ProblemSpec(4, 1)
-    resc = rescale(_evaluator(spec, 40))
+    resc = rescale(EigenfunctionEvaluator(solve_eigenpair(spec, 40)))
     zs = locate_zeros(resc, (-1.6, 1.6, -1.6, 1.6), resolution=0.015)
     sc = _limit_complex_cached(4, 1)
     rep = compare_to_limit(empirical_measure(zs, 40), sc, delta=0.1)
@@ -197,9 +191,12 @@ def check_wkb_certificate() -> tuple:
     q = build_quad_diff(2, 1).polynomial
     curve = [2.0 + 0.1 * k for k in range(481)]  # [2, 50]
     s_margin = 0.5
-    h0, _ = h0_bound(q, [curve], s=s_margin)
-    test_points = [2.0, 2.5, 3.0, 4.0, 6.0]
+    h0, _ = h0_bound(q, curve, s=s_margin)
     seed_radius = 60.0
+    # the oracle's path from its seed: first the point where the free
+    # constant is matched, while both descriptions are still fresh, then
+    # the test points from the outside in
+    path = [seed_radius, seed_radius * 0.998, 6.0, 4.0, 3.0, 2.5, 2.0]
     ok = True
     measured = {"h0": h0}
     for h in (20.0, 40.0):
@@ -211,14 +208,10 @@ def check_wkb_certificate() -> tuple:
         field = ComplexPolynomial([h * h * c for c in q.coefficients])
         y0 = far**-0.25
         dy0 = y0 * (-h * math.sqrt(far) - 2 * seed_radius / (4 * far))
-        # match the free constant where both descriptions are still fresh
-        z_far = seed_radius * 0.998
-        state_far = transport(field, [seed_radius, z_far], y0, dy0)
-        ref_far = wkb_approximant(q, params, curve, z_far)
+        _, state_far, *states = transport_states(field, path, y0, dy0)
+        ref_far, *refs = wkb_approximant(q, params, curve, path[1:])
         worst = 0.0
-        for z in test_points:
-            state = transport(field, [seed_radius, z], y0, dy0)
-            ref = wkb_approximant(q, params, curve, z)
+        for state, ref in zip(states, refs):
             dlog = (state.log_abs_y() - state_far.log_abs_y()) - (
                 ref.log_modulus - ref_far.log_modulus
             )
@@ -262,7 +255,7 @@ def check_hille_disc() -> tuple:
     ok = True
     worst = 0.0
     for n in range(20, 31):
-        resc = rescale(_evaluator(spec, n))
+        resc = rescale(EigenfunctionEvaluator(solve_eigenpair(spec, n)))
         zs = locate_zeros(resc, (-0.85, 0.85, -0.85, 0.85), resolution=0.01)
         if not hille_disc_check(zs, 0.8):
             ok = False
@@ -335,6 +328,6 @@ def run_criteria(numbers=None, suite=None) -> list:
         except Exception as exc:  # structural failures count as criterion failures
             passed, measured, detail = False, {}, f"{type(exc).__name__}: {exc}"
         out.append(
-            CriterionResult(c.name, c.suite, passed, measured, detail, time.perf_counter() - t0)
+            CriterionResult(c.name, c.suite, passed, time.perf_counter() - t0, measured, detail)
         )
     return out

@@ -446,41 +446,36 @@ def liouville_g(p: ComplexPolynomial, z: complex) -> complex:
     return -(5.0 / 16.0) * dq * dq / qz**3 + ddq / (4.0 * qz * qz)
 
 
-def h0_bound(p: ComplexPolynomial, curves, s: float) -> tuple:
-    """Numerical sup over the curve family of int |g| |d zeta|.
+def h0_bound(p: ComplexPolynomial, curve, s: float) -> tuple:
+    """Numerical value of int |g| |d zeta| along one curve.
 
-    Each curve must be s-admissible; the returned pair is (value, estimated
+    The curve must be s-admissible; the returned pair is (value, estimated
     quadrature error).
     """
-    worst = 0.0
-    err = 0.0
-    for curve in curves:
-        res = is_admissible(curve, p, s)
-        if not res:
-            raise DomainError(f"curve violates {res.first_violation}")
-        pts = [complex(z) for z in curve]
+    res = is_admissible(curve, p, s)
+    if not res:
+        raise DomainError(f"curve violates {res.first_violation}")
+    pts = [complex(z) for z in curve]
 
-        def integrand(z):
-            return abs(liouville_g(p, z)) * math.sqrt(abs(p(z)))
+    def integrand(z):
+        return abs(liouville_g(p, z)) * math.sqrt(abs(p(z)))
 
-        total = 0.0
-        total_err = 0.0
-        for a, b in zip(pts[:-1], pts[1:]):
-            # GL-16 with one refinement level as the error estimate
-            def gl(x, y):
-                mid = 0.5 * (x + y)
-                half = 0.5 * (y - x)
-                nodes = mid + half * _GL_NODES
-                return abs(half) * float(np.sum(_GL_WEIGHTS * [integrand(complex(t)) for t in nodes]))
+    def gl(x, y):
+        mid = 0.5 * (x + y)
+        half = 0.5 * (y - x)
+        nodes = mid + half * _GL_NODES
+        return abs(half) * float(np.sum(_GL_WEIGHTS * [integrand(complex(t)) for t in nodes]))
 
-            coarse = gl(a, b)
-            m = 0.5 * (a + b)
-            fine = gl(a, m) + gl(m, b)
-            total += fine
-            total_err += abs(fine - coarse)
-        if total > worst:
-            worst, err = total, total_err
-    return worst, err
+    total = 0.0
+    total_err = 0.0
+    for a, b in zip(pts[:-1], pts[1:]):
+        # GL-16 with one refinement level as the error estimate
+        coarse = gl(a, b)
+        m = 0.5 * (a + b)
+        fine = gl(a, m) + gl(m, b)
+        total += fine
+        total_err += abs(fine - coarse)
+    return total, total_err
 
 
 @dataclass(frozen=True)
@@ -513,15 +508,16 @@ class WKBValue:
         return cmath.exp(complex(self.log_modulus, self.phase))
 
 
-def wkb_approximant(p: ComplexPolynomial, params: WKBParameters, curve, z: complex) -> WKBValue:
-    """The solution form Q^{-1/4} exp(h Phi) at a point of an admissible curve.
+def wkb_approximant(p: ComplexPolynomial, params: WKBParameters, curve, zs) -> list:
+    """The solution form Q^{-1/4} exp(h Phi) at points of an admissible curve.
 
     Phi is the branch of the phase integral that decreases along the curve
     (mapping the enclosing decay region to a left half-plane), normalized
-    to 0 at the first curve vertex; the returned certificate bounds
-    |epsilon| in the representation  y = Q^{-1/4} e^{h Phi} (1 + epsilon),
-    Q the coefficient field p.  The phase branch is continued along the
-    curve itself.
+    to 0 at the first curve vertex; each returned :class:`WKBValue`, one per
+    point of ``zs`` in order, carries the certificate bounding |epsilon| in
+    the representation  y = Q^{-1/4} e^{h Phi} (1 + epsilon), Q the
+    coefficient field p.  The phase branch is continued along the curve
+    itself, which is checked and integrated once for all the points.
     """
     bound = params.certificate()
     res = is_admissible(curve, p, params.s)
@@ -544,21 +540,24 @@ def wkb_approximant(p: ComplexPolynomial, params: WKBParameters, curve, z: compl
     if zetas[-1].real > zetas[0].real:
         raise DomainError("curve does not run into the decay region")
 
-    z = complex(z)
-    k = min(range(len(pts)), key=lambda i: abs(pts[i] - z))
-    chain = list(ws[1 : k + 1])
-    if abs(pts[k] - z) > 1e-9 * max(1.0, abs(z)):
-        part, w_here = _integrate_segment(p, pts[k], z, ws[k], _QUAD_TOL, tps)
-        zeta = zetas[k] + part
-        chain.append(w_here)
-    else:
-        zeta = zetas[k]
+    out = []
+    for z in zs:
+        z = complex(z)
+        k = min(range(len(pts)), key=lambda i: abs(pts[i] - z))
+        chain = list(ws[1 : k + 1])
+        if abs(pts[k] - z) > 1e-9 * max(1.0, abs(z)):
+            part, w_here = _integrate_segment(p, pts[k], z, ws[k], _QUAD_TOL, tps)
+            zeta = zetas[k] + part
+            chain.append(w_here)
+        else:
+            zeta = zetas[k]
 
-    # Q^{1/4} continued along the curve: sqrt of the tracked branch
-    q4 = cmath.sqrt(ws[0])
-    for wv in chain:
-        q4 = nearest_sign(cmath.sqrt(wv), q4)
+        # Q^{1/4} continued along the curve: sqrt of the tracked branch
+        q4 = cmath.sqrt(ws[0])
+        for wv in chain:
+            q4 = nearest_sign(cmath.sqrt(wv), q4)
 
-    log_mod = params.h * zeta.real - math.log(abs(q4))
-    ph = params.h * zeta.imag - cmath.phase(q4)
-    return WKBValue(log_modulus=log_mod, phase=wrap_angle(ph), certificate=bound)
+        log_mod = params.h * zeta.real - math.log(abs(q4))
+        ph = params.h * zeta.imag - cmath.phase(q4)
+        out.append(WKBValue(log_modulus=log_mod, phase=wrap_angle(ph), certificate=bound))
+    return out

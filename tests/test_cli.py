@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,7 +11,7 @@ import pytest
 
 import stokeszeros
 from stokeszeros import cli, spectral, stokescomplex, verify, wkb
-from stokeszeros.cli import RunConfig, main
+from stokeszeros.cli import _spec, main
 from stokeszeros.errors import DomainError, StructuralError
 
 ZEROS_SMALL = [
@@ -159,6 +161,23 @@ def test_artifacts_are_strict_json(tmp_path, args, name):
         assert (tmp_path / "spectrum.csv").read_text().splitlines()[1].endswith(",")
 
 
+def test_artifact_config_is_the_command_flags(tmp_path):
+    # each artifact records the flags its command accepted, and no other
+    assert run_cli(["stokes", "--d", "2", "--ell", "1", "--u-grid", "3", "--out", str(tmp_path)]) == 0
+    for name in ("stokes.json", "ufield.json"):
+        config = json.loads((tmp_path / name).read_text())["config"]
+        assert list(config) == ["command", "d", "ell", "window", "u_grid", "out_dir", "formats"]
+        assert config["u_grid"] == 3 and config["window"] is None
+    spectrum = ["spectrum", "--d", "2", "--ell", "1", "--n-min", "0", "--n-max", "1"]
+    assert run_cli(spectrum + ["--out", str(tmp_path)]) == 0
+    config = json.loads((tmp_path / "spectrum.json").read_text())["config"]
+    assert list(config) == ["command", "d", "ell", "coefficients", "n_min", "n_max", "out_dir", "formats"]
+    assert run_cli(["verify", "--criteria", "1", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert list(report)[0] == "config"
+    assert report["config"] == {"command": "verify", "suite": None, "criteria": [1], "out_dir": str(tmp_path)}
+
+
 def test_console_entry_point_help():
     # the subprocess does not inherit pytest's pythonpath setting
     src = str(Path(stokeszeros.__file__).resolve().parent.parent)
@@ -172,6 +191,24 @@ def test_console_entry_point_help():
     )
     assert proc.returncode == 0
     assert "stokes" in proc.stdout and "verify" in proc.stdout
+    # each subcommand lists its own flags and no other command's
+    spec = ("--d", "--ell")
+    own = {
+        "stokes": spec + ("--window", "--u-grid", "--out", "--format"),
+        "spectrum": spec + ("--coeff", "--n-min", "--n-max", "--out", "--format"),
+        "zeros": spec + ("--coeff", "--n-min", "--n-max", "--window", "--resolution", "--delta", "--out", "--format"),
+        "verify": ("--suite", "--criteria", "--out"),
+    }
+    for command, flags in own.items():
+        proc = subprocess.run(
+            [sys.executable, "-m", "stokeszeros.cli", command, "--help"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0
+        listed = set(re.findall(r"--[a-z][a-z-]*", proc.stdout))
+        assert listed == {"--help", *flags}, command
 
 
 def test_stokes_rejects_coeff(tmp_path, capsys):
@@ -302,10 +339,10 @@ def test_repeated_coeff_is_usage_error(tmp_path, capsys, command):
 
 def test_run_config_rejects_repeated_coefficient():
     # a_2 given twice: keeping either value would silently drop the other
-    cfg = RunConfig(command="spectrum", d=4, ell=1, coefficients=[[2, 1.0, 0.0], [2, 3.0, 0.0]])
+    args = argparse.Namespace(d=4, ell=1, coefficients=[[2, 1.0, 0.0], [2, 3.0, 0.0]])
     with pytest.raises(DomainError, match="a_2"):
-        cfg.spec()
-    assert RunConfig(command="spectrum", d=4, ell=1, coefficients=[[2, 3.0, 0.0]]).spec().a == (0j, 3 + 0j)
+        _spec(args)
+    assert _spec(argparse.Namespace(d=4, ell=1, coefficients=[[2, 3.0, 0.0]])).a == (0j, 3 + 0j)
 
 
 @pytest.mark.parametrize(

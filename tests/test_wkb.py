@@ -166,7 +166,7 @@ def test_liouville_g_singular_at_turning_point():
 
 
 def test_h0_constant_field_zero():
-    h0, err = h0_bound(ComplexPolynomial([2.0]), [[1.0, 5.0, 9.0]], s=0.5)
+    h0, err = h0_bound(ComplexPolynomial([2.0]), [1.0, 5.0, 9.0], s=0.5)
     assert h0 == 0.0
 
 
@@ -174,8 +174,8 @@ def test_h0_tail_stability():
     q = build_quad_diff(2, 1).polynomial
     curve_a = [2.0 + 0.1 * k for k in range(481)]  # [2, 50]
     curve_b = [2.0 + 0.1 * k for k in range(981)]  # [2, 100]
-    a, _ = h0_bound(q, [curve_a], s=0.5)
-    b, _ = h0_bound(q, [curve_b], s=0.5)
+    a, _ = h0_bound(q, curve_a, s=0.5)
+    b, _ = h0_bound(q, curve_b, s=0.5)
     assert abs(b - a) / a < 0.01
 
 
@@ -193,9 +193,11 @@ def test_h0_quadratic_scaling():
 def test_wkb_approximant_exact_for_constant_field():
     params = WKBParameters(h=3.0, h0=0.0, s=0.3)
     curve = [0.0, -1.0, -2.0]
-    got = wkb_approximant(ComplexPolynomial([1.0]), params, curve, -1.5)
-    assert abs(got.value - math.exp(-4.5)) < 1e-12
-    assert got.certificate == 0.0
+    # a vertex and a point inside a segment, through one call
+    at_vertex, inside = wkb_approximant(ComplexPolynomial([1.0]), params, curve, [-1.0, -1.5])
+    assert abs(at_vertex.value - math.exp(-3.0)) < 1e-12
+    assert abs(inside.value - math.exp(-4.5)) < 1e-12
+    assert at_vertex.certificate == inside.certificate == 0.0
 
 
 def test_wkb_certificate_monotone_in_h():
