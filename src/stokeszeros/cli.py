@@ -208,6 +208,9 @@ def _csv(rows) -> str:
 
 
 def cmd_stokes(args) -> int:
+    if args.window is not None and "svg" not in args.formats and not args.u_grid:
+        # only the picture and the envelope grid read the window
+        raise DomainError("--window frames stokes.svg and the --u-grid; this run writes neither")
     sc = _limit_complex_cached(args.d, args.ell)
     out = Path(args.out_dir)
     payload = {"config": vars(args), "stokes_complex": sc.to_dict()}

@@ -170,6 +170,29 @@ def _integrate_segment(p: ComplexPolynomial, a: complex, b: complex, w_ref: comp
     return total, w
 
 
+_SERIES_TERMS = 40  # the near disc reaches a quarter of the radius of convergence
+
+
+def _local_phase(p: ComplexPolynomial, t: complex, x: np.ndarray) -> tuple:
+    """F(t + x) = int_t^{t+x} sqrt(p) and F'(t + x), near a simple zero t.
+
+    With p(t + x) = q1 x (1 + a(x)), sqrt(p) = sqrt(q1) x^{1/2} g(x) for
+    g = sqrt(1 + a) from the power-series square-root recurrence, and
+    F = sqrt(q1) x^{3/2} sum_k g_k x^k / (k + 3/2).  The series converges
+    out to the next zero of p; x^{1/2} is principal, so F and F' both
+    change sign across the cut t + (-inf, 0].
+    """
+    q = p.taylor_coefficients(t)
+    a = [c / q[1] for c in q[2:]]
+    g = [1 + 0j]
+    for n in range(1, _SERIES_TERMS):
+        an = a[n - 1] if n <= len(a) else 0j
+        g.append(0.5 * (an - sum(g[k] * g[n - k] for k in range(1, n))))
+    c = [gk / (k + 1.5) for k, gk in enumerate(g)]
+    root = cmath.sqrt(q[1]) * np.sqrt(x)
+    return root * x * np.polyval(c[::-1], x), root * np.polyval(g[::-1], x)
+
+
 class PhaseIntegral:
     """Branch-tracked zeta(z) = int_0^z sqrt(Q) and its envelope u = Re zeta.
 
@@ -340,6 +363,43 @@ class PhaseIntegral:
         """The envelope u(z); path independent, u(0) = 0, continuous on E."""
         return float(self._zeta_w(complex(z))[0].real)
 
+    def _near_values(self, zs: np.ndarray) -> tuple:
+        """u and the branch w = zeta' at the nodes near a turning point.
+
+        A node is near when it lies within 0.25 minsep of a turning point
+        t.  There zeta = zeta(t) + s F with F the local series of
+        :func:`_local_phase`.  One node per turning point, the near node
+        farthest from t, is routed; it fixes Re zeta(t) and s there.  Every
+        other near node flips s once per crossing of the chord from that
+        node, inside the disc, with the exceptional set (where the routed
+        branch changes sign) and with the series' cut.  Returns the mask
+        of near nodes and u and w arrays filled under it.
+        """
+        dist = np.abs(zs[..., None] - np.array(self.tps))
+        owner = dist.argmin(axis=-1)
+        radius = 0.25 * self.minsep
+        near = dist.min(axis=-1) < radius
+        u = np.zeros(zs.shape)
+        w = np.zeros(zs.shape, dtype=complex)
+        for k, t in enumerate(self.tps):
+            idx = np.flatnonzero(near & (owner == k))
+            if not idx.size:
+                continue
+            z = zs.flat[idx]
+            F, dF = _local_phase(self.q.polynomial, t, z - t)
+            # away from t, where F' = 0 would leave the sign undecided
+            r = int(np.argmax(np.abs(z - t)))
+            zeta_r, w_r = self._zeta_w(complex(z[r]))
+            s_r = 1.0 if abs(w_r - dF[r]) <= abs(w_r + dF[r]) else -1.0
+            chords = (np.full(z.shape, z[r].real), np.full(z.shape, z[r].imag), z.real, z.imag)
+            band = self._exc.band(t.imag - radius, t.imag + radius)
+            cut = SegmentSet.from_polylines([[t, t - 2 * radius]])
+            flips = [len(e) + len(c) for e, c in zip(band.fractions(*chords), cut.fractions(*chords))]
+            s = np.where(np.array(flips) % 2, -s_r, s_r)
+            u.flat[idx] = zeta_r.real - s_r * F[r].real + s * F.real
+            w.flat[idx] = s * dF
+        return near, u, w
+
     def u_grid(self, corner: complex, nx: int, ny: int, dx: float, dy: float):
         """March u over a rectangular grid, one row at a time.
 
@@ -349,8 +409,10 @@ class PhaseIntegral:
         grid reproduces the creases of u; accuracy is grid-limited.  The
         crossings of a whole row of steps are found in one call, against
         only the exceptional segments that meet the row's band of y (an
-        exact prefilter).  Nodes next to a turning point are routed and
-        integrated instead.  The grid is jittered off axis-aligned
+        exact prefilter).  Nodes within 0.25 minsep of a turning point are
+        not marched: they take the turning point's local series, with one
+        routed node per turning point (:meth:`_near_values`), and the march
+        continues from their branch.  The grid is jittered off axis-aligned
         positions so that no node lands exactly on an exceptional line,
         which would defeat the crossing-parity bookkeeping; the returned
         coordinates include the jitter.
@@ -363,12 +425,10 @@ class PhaseIntegral:
             ],
             dtype=complex,
         )
-        u = np.zeros((ny, nx))
-        wgrid = np.zeros((ny, nx), dtype=complex)
-        z00 = complex(zs[0, 0])
-        zeta0, w00 = self._zeta_w(z00)
-        u[0, 0] = zeta0.real
-        wgrid[0, 0] = w00
+        near, u, wgrid = self._near_values(zs)
+        if not near[0, 0]:
+            zeta0, wgrid[0, 0] = self._zeta_w(complex(zs[0, 0]))
+            u[0, 0] = zeta0.real
 
         def advance(z_from, z_to, u_from, w_from, ts):
             delta = z_to - z_from
@@ -386,24 +446,19 @@ class PhaseIntegral:
                     sign = -sign
             return u_from + du, sign * w_prev
 
-        near = 0.25 * self.minsep
-
         def march(iy, ixs, jy, jxs):
-            # the steps (jy, jx) -> (iy, ix), taken in order
+            # the steps (jy, jx) -> (iy, ix), taken in order; trapezoid
+            # marching is unreliable next to a turning point
+            keep = ~near[iy, ixs]
+            ixs, jxs = ixs[keep], jxs[keep]
             a, b = zs[jy, jxs], zs[iy, ixs]
             rows = np.concatenate([zs[jy].imag, zs[iy].imag])
             band = self._exc.band(rows.min(), rows.max())
             crossings = band.fractions(a.real, a.imag, b.real, b.imag)
             for ix, jx, ts in zip(ixs.tolist(), jxs.tolist(), crossings):
-                z_to = complex(zs[iy, ix])
-                if min(abs(z_to - v) for v in self.tps) < near:
-                    # trapezoid marching is unreliable next to a turning point
-                    zeta, w = self._zeta_w(z_to)
-                    u[iy, ix], wgrid[iy, ix] = zeta.real, w
-                else:
-                    u[iy, ix], wgrid[iy, ix] = advance(
-                        complex(zs[jy, jx]), z_to, u[jy, jx], wgrid[jy, jx], ts
-                    )
+                u[iy, ix], wgrid[iy, ix] = advance(
+                    complex(zs[jy, jx]), complex(zs[iy, ix]), u[jy, jx], wgrid[jy, jx], ts
+                )
 
         march(0, np.arange(1, nx), 0, np.arange(nx - 1))
         for iy in range(1, ny):

@@ -221,6 +221,19 @@ def test_stokes_rejects_coeff(tmp_path, capsys):
     assert not (tmp_path / "stokes.json").exists()
 
 
+def test_stokes_rejects_unread_window(tmp_path, capsys):
+    # only stokes.svg and --u-grid read --window: without them it would be ignored
+    code = run_cli(
+        ["stokes", "--d", "4", "--ell", "1", "--window", "2", "--format", "json", "--out", str(tmp_path)]
+    )
+    assert code == 2
+    assert "--window" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    # either reader makes it a valid flag
+    for extra in (["--format", "svg"], ["--format", "json", "--u-grid", "3"]):
+        assert run_cli(["stokes", "--d", "4", "--ell", "1", "--window", "2", *extra, "--out", str(tmp_path)]) == 0
+
+
 def test_verify_rejects_format(tmp_path, capsys):
     # verify always writes report.json: --format would be ignored
     code = run_cli(["verify", "--criteria", "1", "--format", "csv", "--out", str(tmp_path)])

@@ -401,11 +401,14 @@ class _ScalarPhase:
             [[corner + ix * dx + 1j * iy * dy for ix in range(nx)] for iy in range(ny)],
             dtype=complex,
         )
-        u = np.zeros((ny, nx))
-        wgrid = np.zeros((ny, nx), dtype=complex)
-        zeta0, w00 = self.zeta_w(complex(zs[0, 0]))
-        u[0, 0], wgrid[0, 0] = zeta0.real, w00
-        self.crossing_steps = self.routed_nodes = 0
+        # the nodes next to a turning point come from the program's local
+        # series; the march from them is checked here, the series separately
+        near, u, wgrid = phase._near_values(zs)
+        if not near[0, 0]:
+            zeta0, wgrid[0, 0] = self.zeta_w(complex(zs[0, 0]))
+            u[0, 0] = zeta0.real
+        self.crossing_steps = 0
+        self.near_nodes = int(near.sum())
 
         def advance(z_from, z_to, u_from, w_from):
             delta = z_to - z_from
@@ -426,16 +429,9 @@ class _ScalarPhase:
                     sign = -sign
             return u_from + du, sign * w_prev
 
-        near = 0.25 * phase.minsep
-
         def fill(iy, ix, z_from, u_from, w_from):
-            z_to = complex(zs[iy, ix])
-            if min(abs(z_to - v) for v in phase.tps) < near:
-                self.routed_nodes += 1
-                zeta, w = self.zeta_w(z_to)
-                u[iy, ix], wgrid[iy, ix] = zeta.real, w
-            else:
-                u[iy, ix], wgrid[iy, ix] = advance(z_from, z_to, u_from, w_from)
+            if not near[iy, ix]:
+                u[iy, ix], wgrid[iy, ix] = advance(z_from, complex(zs[iy, ix]), u_from, w_from)
 
         for ix in range(1, nx):
             fill(0, ix, complex(zs[0, ix - 1]), u[0, ix - 1], wgrid[0, ix - 1])
@@ -454,13 +450,49 @@ def test_u_grid_bits_match_scalar_march(d, ell):
     zs, u = phase.u_grid(*grid)
     zs_ref, u_ref = ref.u_grid(*grid)
     # the grid holds turning points and its steps cross exceptional lines
-    assert ref.routed_nodes > 0 and ref.crossing_steps > 0
+    assert ref.near_nodes > 0 and ref.crossing_steps > 0
     assert zs.tobytes() == zs_ref.tobytes()
     assert u.tobytes() == u_ref.tobytes()
     rng = np.random.default_rng(d + ell)
     for _ in range(6):
         z = complex(rng.uniform(-2.4, 2.4), rng.uniform(-2.4, 2.4))
         assert repr(phase.u(z)) == repr(float(ref.zeta_w(z)[0].real))
+
+
+NINE_FAMILIES = [(2, 1), (3, 1), (4, 1), (4, 2), (4, 3), (6, 1), (6, 2), (6, 3), (6, 4)]
+
+
+def _assert_near_nodes_are_routed_values(phase, grid):
+    """The grid's nodes next to a turning point against routed quadrature."""
+    zs, u = phase.u_grid(*grid)
+    near, u_near, w_near = phase._near_values(zs)
+    assert u[near].tobytes() == u_near[near].tobytes()
+    for z, un, wn in zip(zs[near], u_near[near], w_near[near]):
+        zeta, w = phase._zeta_w(complex(z))
+        assert abs(un - zeta.real) <= 1e-12, z
+        # the branch the march continues from; at t itself w = 0 has no sign
+        if min(abs(z - v) for v in phase.tps) > 1e-9:
+            assert abs(wn - w) < abs(wn + w), z
+    return int(near.sum())
+
+
+@pytest.mark.parametrize("d, ell", NINE_FAMILIES)
+def test_u_grid_near_nodes_match_routes(d, ell):
+    phase = PhaseIntegral(stokes_complex(d, ell))
+    # the envelope grid of hop ranking, then coarse `stokes --u-grid` grids
+    # over +-2.5 whose march neighbours lie far outside the near disc
+    assert _assert_near_nodes_are_routed_values(phase, (-2.7 - 2.7j, 55, 55, 0.1, 0.1)) > 0
+    for n in (3, 7):
+        _assert_near_nodes_are_routed_values(phase, (-2.5 - 2.5j, n, n, 5 / (n - 1), 5 / (n - 1)))
+
+
+def test_u_grid_node_on_a_turning_point(phase21):
+    # after the jitter, node [2, 2] is the turning point 1 itself: the only
+    # near node of its turning point, where F' = 0
+    grid = (complex(-1.85e-4, -1.000115), 5, 5, 0.5, 0.5)
+    zs, _ = phase21.u_grid(*grid)
+    assert complex(zs[2, 2]) in phase21.tps
+    assert _assert_near_nodes_are_routed_values(phase21, grid) == 1
 
 
 @pytest.mark.parametrize("tol", [1e-11, 0.0])
