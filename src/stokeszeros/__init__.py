@@ -17,7 +17,7 @@ from .errors import (
     StructuralError,
     TraceError,
 )
-from .polynomials import ComplexPolynomial, gamma, roots
+from .polynomials import ComplexPolynomial, roots
 from .quaddiff import (
     QuadDiff,
     StokesDirections,
@@ -55,7 +55,6 @@ from .spectral import (
     RescaledEigenfunction,
     ShootingFrame,
     envelope_deviation,
-    find_eigenvalues,
     miss_function,
     miss_surrogate,
     rescale,
@@ -70,14 +69,12 @@ from .zeros import (
     compare_to_limit,
     count_zeros_rect,
     empirical_measure,
-    hille_disc_check,
     locate_zeros,
 )
 
 __all__ = [
     "ComplexPolynomial",
     "roots",
-    "gamma",
     "QuadDiff",
     "build_quad_diff",
     "turning_points",
@@ -111,7 +108,6 @@ __all__ = [
     "wkb_seed",
     "miss_function",
     "miss_surrogate",
-    "find_eigenvalues",
     "solve_eigenpair",
     "EigenfunctionEvaluator",
     "RescaledEigenfunction",
@@ -125,7 +121,6 @@ __all__ = [
     "empirical_measure",
     "ComparisonReport",
     "compare_to_limit",
-    "hille_disc_check",
     "StokesZerosError",
     "DomainError",
     "RootFindingError",

@@ -1,4 +1,4 @@
-"""Complex polynomials, simultaneous root finding, and Euler Gamma.
+"""Complex polynomials and simultaneous root finding.
 
 The polynomial type is deliberately minimal: evaluation, differentiation,
 Taylor coefficients and root finding are all the rest of the package
@@ -19,7 +19,6 @@ from .errors import DomainError, RootFindingError
 __all__ = [
     "ComplexPolynomial",
     "roots",
-    "gamma",
 ]
 
 
@@ -204,34 +203,3 @@ def _aberth(p: ComplexPolynomial, tol: float) -> list:
             zs[k] = zs[k] - step
     return zs
 
-
-# Lanczos approximation, g = 7, 9 terms; accurate to ~1e-13 relative on the
-# positive half line, which covers the handful of rational arguments the
-# eigenvalue asymptotics need with margin.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma(x: float) -> float:
-    """Euler Gamma for positive real argument."""
-    if x <= 0:
-        raise DomainError("gamma requires a positive argument")
-    if x < 0.5:
-        # reflection keeps the rational fit on its accurate range
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    x -= 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return math.sqrt(2 * math.pi) * t ** (x + 0.5) * math.exp(-t) * acc

@@ -91,25 +91,23 @@ class StokesDirections:
     """Asymptotic directions of the Stokes geometry at infinity."""
 
     stokes: tuple
-    anti_stokes: tuple
     boundary_rays: tuple  # (left ray toward omega-, right ray toward omega+)
 
 
 def stokes_directions(d: int, ell: int) -> StokesDirections:
-    """Stokes directions, their bisectors, and the two boundary rays.
+    """Stokes directions and the two boundary rays.
 
-    The d+2 Stokes directions are theta_k = -pi/2 + pi (ell + 2k)/(d+2);
-    anti-Stokes directions bisect adjacent ones.  The boundary rays
-    -pi/2 +/- (ell+1) pi/(d+2) are the anti-Stokes directions along which
-    solutions are required to decay.
+    The d+2 Stokes directions are theta_k = -pi/2 + pi (ell + 2k)/(d+2).
+    The boundary rays -pi/2 +/- (ell+1) pi/(d+2) are the anti-Stokes
+    directions (bisecting adjacent Stokes directions) along which solutions
+    are required to decay.
     """
     check_family(d, ell)
     n = d + 2
     stokes = tuple(wrap_angle(-math.pi / 2 + math.pi * (ell + 2 * k) / n) for k in range(n))
-    anti = tuple(wrap_angle(-math.pi / 2 + math.pi * (ell + 2 * k + 1) / n) for k in range(n))
     right = wrap_angle(-math.pi / 2 + (ell + 1) * math.pi / n)
     left = wrap_angle(-math.pi / 2 - (ell + 1) * math.pi / n)
-    return StokesDirections(stokes, anti, (left, right))
+    return StokesDirections(stokes, (left, right))
 
 
 def launch_directions(q: QuadDiff, v: complex) -> list:
@@ -159,7 +157,6 @@ class StokesLine:
     is_short: bool
     is_exceptional: bool = False
     re_zeta_drift: float = 0.0
-    axis_ray: bool = False
 
 
 _STEP_TOL = 1e-10  # local error per unit step of the trajectory tracer

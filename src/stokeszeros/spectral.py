@@ -33,7 +33,6 @@ __all__ = [
     "wkb_seed",
     "miss_function",
     "miss_surrogate",
-    "find_eigenvalues",
     "ordering_violations",
     "solve_eigenpair",
     "EigenfunctionEvaluator",
@@ -185,15 +184,6 @@ class ShootingFrame:
         left_path = (R * cmath.exp(1j * left),) + tuple(f * z for z in from_minus)
         return ShootingFrame(R=R, right_path=right_path, left_path=left_path)
 
-    def doubled(self, spec: "ProblemSpec") -> "ShootingFrame":
-        left, right = spec.boundary_rays
-        R2 = 2.0 * self.R
-        return ShootingFrame(
-            R=R2,
-            right_path=(R2 * cmath.exp(1j * right),) + self.right_path[1:],
-            left_path=(R2 * cmath.exp(1j * left),) + self.left_path[1:],
-        )
-
 
 def _ray_state(spec: ProblemSpec, lam: complex, ray_angle: float, path) -> TransportState:
     R = abs(path[0])
@@ -222,7 +212,9 @@ def miss_function(spec: ProblemSpec, lam: complex, frame: ShootingFrame) -> comp
     nl = sl.y + _BETA * sl.dy
     nr = sr.y + _BETA * sr.dy
     if nl == 0 or nr == 0:
-        raise IntegrationError("normalization functional vanished; perturb lambda")
+        raise IntegrationError(
+            f"normalization functional vanished at lambda={lam:.17g}; perturb lambda"
+        )
     return wr / (nl * nr)
 
 
@@ -434,7 +426,7 @@ def solve_eigenpair(spec: ProblemSpec, n: int) -> Eigenpair:
     frame = ShootingFrame.for_scale(spec, seed)
     lam = _search(spec, n, frame)
     for _ in range(3):
-        frame2 = frame.doubled(spec)
+        frame2 = ShootingFrame.for_scale(spec, seed, 2.0 * frame.R)
         lam2 = _search(spec, n, frame2, lam)
         stable = abs(lam2 - lam) <= 1e-9 * (1.0 + abs(lam2))
         lam, frame = lam2, frame2
@@ -481,19 +473,6 @@ def ordering_violations(pairs) -> list:
         for pa, pb in zip(pairs, pairs[1:])
         if pb.lam.real <= pa.lam.real
     ]
-
-
-def find_eigenvalues(spec: ProblemSpec, n_range) -> list:
-    """Eigenpairs for the requested indices (each seeded independently).
-
-    An index that does not converge raises, and so does an ordering
-    violation (see :func:`ordering_violations`).
-    """
-    pairs = [solve_eigenpair(spec, n) for n in sorted(set(int(n) for n in n_range))]
-    violations = ordering_violations(pairs)
-    if violations:
-        raise IntegrationError(violations[0])
-    return pairs
 
 
 # ---------------------------------------------------------------------------

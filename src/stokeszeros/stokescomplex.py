@@ -158,7 +158,7 @@ def _circle_crossing(samples, radius):
             t = min(max(t, 0.0), 1.0)
             cross = a + t * d
             inward = cmath.phase(a - cross) if a != cross else cmath.phase(-d)
-            return cross, inward, k - 1
+            return cross, inward
     raise StructuralError("unbounded line does not reach the census circle")
 
 
@@ -257,10 +257,10 @@ def _assemble(q, tps, lines, caps, boundary_rays) -> tuple:
     def add_pair(n1, n2, a1, a2, kind, ref):
         i = len(half_edges)
         half_edges.append(
-            {"origin": n1, "head": n2, "angle": a1, "twin": i + 1, "kind": kind, "ref": ref}
+            {"origin": n1, "angle": a1, "twin": i + 1, "kind": kind, "ref": ref}
         )
         half_edges.append(
-            {"origin": n2, "head": n1, "angle": a2, "twin": i, "kind": kind, "ref": ref}
+            {"origin": n2, "angle": a2, "twin": i, "kind": kind, "ref": ref}
         )
         return i
 
@@ -273,7 +273,7 @@ def _assemble(q, tps, lines, caps, boundary_rays) -> tuple:
             a_end = _entry_angle(q, ln, tps[ln.terminal], caps)
             add_pair(ln.origin, ln.terminal, a_start, a_end, "line", li)
         else:
-            cross, inward, _ = _circle_crossing(ln.samples, radius)
+            cross, inward = _circle_crossing(ln.samples, radius)
             node = node_count
             node_count += 1
             az = cmath.phase(cross)
@@ -290,17 +290,15 @@ def _assemble(q, tps, lines, caps, boundary_rays) -> tuple:
         i = add_pair(n1, n2, wrap_angle(az1 + math.pi / 2), wrap_angle(az2 - math.pi / 2), "arc", j)
         arc_spans[j] = (az1, az2)
         half_edges[i]["arc_ccw"] = True
-        half_edges[i + 1]["arc_ccw"] = False
 
     # rotation system: outgoing half-edges per node, ccw by angle
     outgoing = defaultdict(list)
     for idx, he in enumerate(half_edges):
         outgoing[he["origin"]].append(idx)
-    for node, idxs in outgoing.items():
+    for idxs in outgoing.values():
         idxs.sort(key=lambda i: half_edges[i]["angle"])
         for pos, i in enumerate(idxs):
             half_edges[i]["rot_pos"] = pos
-            half_edges[i]["rot_node"] = node
 
     def sigma(i):
         node = half_edges[i]["origin"]
@@ -483,7 +481,6 @@ def _mark_exceptional(tps, lines, regions, boundary_rays) -> tuple:
             if abs(wrap_angle(lines[ray].terminal_angle - target)) > 1e-6:
                 raise StructuralError("axis turning point has no axis ray")
             lines[ray].is_exceptional = True
-            lines[ray].axis_ray = True
             continue
         if len(unbounded) != 2:
             raise StructuralError("off-axis turning point without two unbounded lines")

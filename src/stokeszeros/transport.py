@@ -182,7 +182,9 @@ def transport(
 
             steps += 1
             if steps > _MAX_STEPS:
-                raise IntegrationError("transport exceeded step budget")
+                raise IntegrationError(
+                    f"transport exceeded its budget of {_MAX_STEPS} steps at z={state.z:.6g}"
+                )
     return state
 
 

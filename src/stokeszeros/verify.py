@@ -31,7 +31,7 @@ from .spectral import (
 )
 from .transport import transport_states
 from .wkb import WKBParameters, eigenvalue_estimate, h0_bound, wkb_approximant
-from .zeros import PolynomialStates, compare_to_limit, empirical_measure, hille_disc_check, locate_zeros
+from .zeros import PolynomialStates, compare_to_limit, empirical_measure, locate_zeros
 
 __all__ = ["Criterion", "CriterionResult", "CRITERIA", "run_criteria", "suites"]
 
@@ -252,16 +252,13 @@ def check_zero_finder_oracle() -> tuple:
 def check_hille_disc() -> tuple:
     """(4,2), n = 20..30: all zeros in |z| <= 0.8 are real to 1e-8."""
     spec = ProblemSpec(4, 2)
-    ok = True
     worst = 0.0
     for n in range(20, 31):
         resc = rescale(EigenfunctionEvaluator(solve_eigenpair(spec, n)))
         zs = locate_zeros(resc, (-0.85, 0.85, -0.85, 0.85), resolution=0.01)
-        if not hille_disc_check(zs, 0.8):
-            ok = False
         this = max((abs(z.imag) for z, _ in zs.zeros if abs(z) <= 0.8), default=0.0)
         worst = max(worst, this)
-    return ok, {"worst_imag_in_disc": worst, "tolerance": 1e-8}
+    return worst <= 1e-8, {"worst_imag_in_disc": worst, "tolerance": 1e-8}
 
 
 class Criterion(NamedTuple):

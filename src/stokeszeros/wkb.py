@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import CertificateError, DomainError, QuadratureError
 from .geometry import SegmentSet, nearest_sign, polyline_cumlen, wrap_angle
-from .polynomials import ComplexPolynomial, gamma
-from .quaddiff import QuadDiff, check_family, min_separation, turning_points
+from .polynomials import ComplexPolynomial
+from .quaddiff import QuadDiff, check_family, min_separation
 from .stokescomplex import StokesComplex, _tps_of, is_admissible
 
 __all__ = [
@@ -48,8 +48,8 @@ def growth_constant(d: int, ell: int) -> float:
     check_family(d, ell)
     return (
         math.sqrt(math.pi)
-        * gamma(1.5 + 1.0 / d)
-        / (math.sin(ell * math.pi / d) * gamma(1.0 + 1.0 / d))
+        * math.gamma(1.5 + 1.0 / d)
+        / (math.sin(ell * math.pi / d) * math.gamma(1.0 + 1.0 / d))
     )
 
 
@@ -205,7 +205,7 @@ class PhaseIntegral:
     def __init__(self, sc: StokesComplex):
         self.sc = sc
         self.q = sc.quaddiff
-        self.tps = turning_points(self.q)
+        self.tps = sc.turning_points
         self.scale = max(1.0, max(abs(v) for v in self.tps))
         self.minsep = min_separation(self.tps)
         self._exc = SegmentSet.from_polylines(sc.exceptional_arcs())
@@ -412,10 +412,11 @@ class PhaseIntegral:
         exact prefilter).  Nodes within 0.25 minsep of a turning point are
         not marched: they take the turning point's local series, with one
         routed node per turning point (:meth:`_near_values`), and the march
-        continues from their branch.  The grid is jittered off axis-aligned
-        positions so that no node lands exactly on an exceptional line,
-        which would defeat the crossing-parity bookkeeping; the returned
-        coordinates include the jitter.
+        continues from their branch; a step from a node on a turning point
+        itself, where w = 0, routes its end instead.  The grid is jittered
+        off axis-aligned positions so that no node lands exactly on an
+        exceptional line, which would defeat the crossing-parity
+        bookkeeping; the returned coordinates include the jitter.
         """
         corner = complex(corner) + (3.7e-4 * dx + 2.3e-4j * dy)
         zs = np.array(
@@ -431,6 +432,11 @@ class PhaseIntegral:
             u[0, 0] = zeta0.real
 
         def advance(z_from, z_to, u_from, w_from, ts):
+            if w_from == 0:
+                # from a turning point, w = 0 names no branch and a trapezoid
+                # over the x^{1/2} singularity is a quarter off: route the end
+                zeta, w = self._zeta_w(z_to)
+                return zeta.real, w
             delta = z_to - z_from
             # integrate piecewise, flipping the branch sign at every crease
             breaks = [0.0] + ts + [1.0]

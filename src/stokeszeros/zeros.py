@@ -36,7 +36,6 @@ __all__ = [
     "empirical_measure",
     "ComparisonReport",
     "compare_to_limit",
-    "hille_disc_check",
 ]
 
 _NUDGE_STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1))
@@ -60,10 +59,6 @@ class EmpiricalMeasure:
 
     zeroset: ZeroSet
     n: int
-
-    @property
-    def mass(self) -> float:
-        return self.zeroset.total_count / self.n
 
     def atoms(self) -> list:
         return [(z, m / self.n) for z, m in self.zeroset.zeros]
@@ -110,7 +105,7 @@ def _samples(f, zs) -> list:
     out = []
     for st in f.states(zs):
         if st.y == 0:
-            raise GeometryError("zero exactly on the counting boundary")
+            raise GeometryError(f"zero exactly on the counting boundary at z={st.z:.6g}")
         out.append((math.log(abs(st.y)) + st.log_scale, cmath.phase(st.y)))
     return out
 
@@ -156,7 +151,9 @@ def _winding(f, rect, boost: int = 1) -> float:
         for j in range(1, len(values) - 1):
             nb = max(values[j - 1][0], values[j + 1][0])
             if values[j][0] - nb < -23.0:
-                raise GeometryError("boundary passes too close to a zero")
+                raise GeometryError(
+                    f"boundary passes too close to a zero near z={a + (b - a) * params[j]:.6g}"
+                )
         args += [av for _, av in values[:-1]]
     args.append(_samples(f, [loop[0]])[0][1])
     return sum(wrap_angle(y - x) for x, y in zip(args, args[1:])) / (2 * math.pi)
@@ -175,10 +172,13 @@ def count_zeros_rect(f, rect) -> int:
             break
         raw = _winding(f, rect, boost=2**attempt)
     if abs(raw - round(raw)) > 0.25:
-        raise GeometryError(f"winding {raw:.3f} is not close to an integer")
+        raise GeometryError(
+            f"winding {raw:.3f} over rectangle {rect} is not close to an integer "
+            f"after 3 doublings of the base sampling"
+        )
     n = int(round(raw))
     if n < 0:
-        raise GeometryError(f"negative winding {n}; boundary data inconsistent")
+        raise GeometryError(f"negative winding {n} over rectangle {rect}; boundary data inconsistent")
     return n
 
 
@@ -254,7 +254,7 @@ def locate_zeros(f, window, resolution: float) -> ZeroSet:
             found.append((complex(0.5 * (x0 + x1), 0.5 * (y0 + y1)), n))
             return
         if depth > 60:
-            raise GeometryError("quadtree depth exceeded")
+            raise GeometryError(f"quadtree depth budget of 60 exceeded in cell {rect} (n={n})")
 
         # split slightly off-center (symmetric zero patterns love to sit on
         # cell midlines), nudging the cross further when a zero is hit
@@ -321,7 +321,6 @@ class ComparisonReport:
 
     arcs: tuple
     near_fraction: float
-    delta: float
 
 
 def compare_to_limit(em: EmpiricalMeasure, sc, delta: float = 0.1) -> ComparisonReport:
@@ -388,12 +387,5 @@ def compare_to_limit(em: EmpiricalMeasure, sc, delta: float = 0.1) -> Comparison
     return ComparisonReport(
         arcs=tuple(out),
         near_fraction=(near_mass / total_mass) if total_mass else 1.0,
-        delta=delta,
     )
 
-
-def hille_disc_check(zs: ZeroSet, r: float) -> bool:
-    """True when every zero inside |z| <= r is real to within 1e-8."""
-    if not 0 < r < 1:
-        raise GeometryError("the disc radius must lie in (0, 1)")
-    return all(abs(z.imag) <= 1e-8 for z, _ in zs.zeros if abs(z) <= r)

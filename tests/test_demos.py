@@ -1,3 +1,5 @@
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -25,3 +27,17 @@ def test_print_only_demo_runs(name):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_demo_imports_resolve():
+    # the SVG demos do not run here, so check that every name any demo
+    # imports from the package still exists
+    checked = 0
+    for path in sorted(DEMOS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "stokeszeros":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(module, alias.name), f"{path.name}: {node.module}.{alias.name}"
+                    checked += 1
+    assert checked > 0

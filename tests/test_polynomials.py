@@ -6,7 +6,7 @@ import pytest
 
 from stokeszeros import polynomials
 from stokeszeros.errors import DomainError, RootFindingError
-from stokeszeros.polynomials import ComplexPolynomial, gamma, roots
+from stokeszeros.polynomials import ComplexPolynomial, roots
 
 
 def test_evaluate_simple():
@@ -100,22 +100,3 @@ def test_taylor_shift():
         via = sum(c * t**k for k, c in enumerate(shifted))
         assert abs(direct - via) < 1e-13 * (1 + abs(direct))
 
-
-def test_gamma_half_integer():
-    assert abs(gamma(1.5) - math.sqrt(math.pi) / 2) < 1e-13
-
-
-def test_gamma_seven_quarters_vs_independent_oracle():
-    # math.gamma is an independent C implementation
-    assert abs(gamma(1.75) - math.gamma(1.75)) < 1e-12 * math.gamma(1.75)
-    assert abs(gamma(1.75) - 0.9190625268488832) < 1e-10
-
-
-def test_gamma_recurrence_property():
-    for x in np.linspace(0.1, 5.0, 50):
-        assert abs(gamma(x + 1) - x * gamma(x)) < 1e-12 * gamma(x + 1)
-
-
-def test_gamma_rejects_nonpositive():
-    with pytest.raises(DomainError):
-        gamma(0.0)

@@ -10,7 +10,6 @@ from stokeszeros.zeros import (
     compare_to_limit,
     count_zeros_rect,
     empirical_measure,
-    hille_disc_check,
     locate_zeros,
 )
 
@@ -83,7 +82,14 @@ def test_empirical_measure_mass():
     zs = locate_zeros(resc, (-1.05, 1.05, -0.08, 0.08), resolution=0.01)
     em = empirical_measure(zs, 5)
     assert zs.total_count == 5
-    assert abs(em.mass - 1.0) < 1e-12
+    assert abs(em.zeroset.total_count / em.n - 1.0) < 1e-12
+
+
+def test_boundary_zero_error_names_the_point():
+    # the left edge samples the zero -0.5 exactly
+    p = PolynomialStates(ComplexPolynomial([-0.25, 0, 1]))
+    with pytest.raises(GeometryError, match=r"at z=-0\.5\+0j"):
+        count_zeros_rect(p, (-0.5, 1, -1, 1))
 
 
 def test_empirical_measure_single_zero_ground_pair():
@@ -154,13 +160,7 @@ def test_hille_disc_harmonic():
     pair = solve_eigenpair(HARMONIC, 8)
     resc = rescale(EigenfunctionEvaluator(pair))
     zs = locate_zeros(resc, (-1.05, 1.05, -0.08, 0.08), resolution=0.01)
-    assert hille_disc_check(zs, 0.9)
-
-
-def test_hille_radius_domain():
-    zs = locate_zeros(PolynomialStates(ComplexPolynomial([0, 1])), (-1, 1, -1, 1), resolution=1e-3)
-    with pytest.raises(GeometryError):
-        hille_disc_check(zs, 1.5)
+    assert all(abs(z.imag) <= 1e-8 for z, _ in zs.zeros if abs(z) <= 0.9)
 
 
 class _Recorder:
