@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -84,11 +85,11 @@ def _window(text: str) -> list:
 
 _parse_window = _checked(
     _window,
-    lambda w: len(w) == 4 and w[0] < w[1] and w[2] < w[3],
-    "window is 'halfwidth' or 'x0,x1,y0,y1' with x0 < x1 and y0 < y1",
+    lambda w: len(w) == 4 and all(map(math.isfinite, w)) and w[0] < w[1] and w[2] < w[3],
+    "window is a finite 'halfwidth' or 'x0,x1,y0,y1' with x0 < x1 and y0 < y1",
 )
 _parse_index = _checked(int, lambda n: n >= 0, "an eigenvalue index is at least 0")
-_parse_positive = _checked(float, lambda x: x > 0, "the value must be positive")
+_parse_positive = _checked(float, lambda x: 0 < x < math.inf, "the value must be positive and finite")
 _parse_grid_size = _checked(int, lambda n: n == 0 or n >= 2, "grid size is 0 (off) or at least 2")
 _CRITERIA_RANGE = f"{min(CRITERIA)}..{max(CRITERIA)}"
 _parse_criteria = _checked(

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, IntegrationError
-from .geometry import mid_arclength_index, nearest_sign, wrap_angle
+from .geometry import mid_arclength_index
 from .polynomials import ComplexPolynomial, roots
 from .quaddiff import _leading_coefficient, check_family, stokes_directions
 from .stokescomplex import stokes_complex
@@ -461,18 +461,22 @@ def solve_eigenpair(spec: ProblemSpec, n: int) -> Eigenpair:
 
 
 def ordering_violations(pairs) -> list:
-    """Messages for consecutive eigenpairs whose Re lambda does not increase.
+    """Messages for consecutive eigenpairs whose lambda repeat or whose
+    Re lambda does not increase.
 
     Solved indices are seeded independently, so for non-self-adjoint specs
     this check across a sorted set is what guards against index skips;
     self-adjoint indices are also certified by their real-zero count inside
-    :func:`solve_eigenpair`.
+    :func:`solve_eigenpair`.  Two lambda within the solve's 1e-9 relative
+    tolerance of each other are one eigenvalue solved twice.
     """
-    return [
-        f"eigenvalue ordering violated between n={pa.n} and n={pb.n}"
-        for pa, pb in zip(pairs, pairs[1:])
-        if pb.lam.real <= pa.lam.real
-    ]
+    out = []
+    for pa, pb in zip(pairs, pairs[1:]):
+        if abs(pb.lam - pa.lam) <= 1e-9 * (1.0 + abs(pb.lam)):
+            out.append(f"eigenvalue repeated: n={pa.n} and n={pb.n} agree to 1e-9 relative")
+        elif pb.lam.real <= pa.lam.real:
+            out.append(f"eigenvalue ordering violated between n={pa.n} and n={pb.n}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +495,8 @@ class EigenfunctionEvaluator:
     anchor states (the two ray solutions plus sweeps along every Stokes
     line of the limiting differential).  Hops self-monitor the divergence
     between the dominant local growth rate and their measured modulus
-    slope; points too deep for any anchor fall back to the recessive WKB
-    form calibrated at the ray seeds.
+    slope, and every state returned is a hop that stayed within the budget;
+    a point that no anchor reaches raises :class:`IntegrationError`.
     """
 
     def __init__(self, pair: Eigenpair):
@@ -504,7 +508,6 @@ class EigenfunctionEvaluator:
         self._anchors = None
         self._anchor_z = None
         self._ugrid = None
-        self._ray_seeds = []
         self._point_cache = {}
 
     # anchor spacing along skeleton sweeps, in rescaled units
@@ -545,7 +548,6 @@ class EigenfunctionEvaluator:
                 for st in states
             ]
             anchors.extend(normalized)
-            self._ray_seeds.append((theta, normalized[0]))
         self._publish(anchors)
 
         # sweeps along every Stokes line of the limiting differential,
@@ -602,9 +604,7 @@ class EigenfunctionEvaluator:
     # measured divergence beyond which a hop is rejected: anchors are only
     # accurate to several logs themselves, so a hop that descends much below
     # its anchor reads the anchor's error tail no matter how carefully it is
-    # monitored; deeper points belong to the recessive WKB form, whose
-    # neglected reflected component is ~e^{-2 depth} and negligible exactly
-    # where hops cannot reach
+    # monitored; such points are reached from another anchor instead
     _HOP_BUDGET = 8.0
 
     def _monitored_hop(self, st: TransportState, z: complex, budget: float):
@@ -681,60 +681,49 @@ class EigenfunctionEvaluator:
         order = np.lexsort((cost, ~admissible), axis=1)[:, :5]
         return np.take_along_axis(near, order, axis=1)
 
-    def _hop(self, z: complex, best) -> TransportState:
-        """Evaluate by transporting from the first admissible ranked anchor.
+    def _by_divergence(self, z: complex) -> np.ndarray:
+        """Every anchor, ordered by the estimated divergence of a hop to z.
 
-        Admission is decided by the hop's own measured divergence; if none
-        of the ranked anchors survives, the point is deep in a decay sector
-        and the calibrated WKB form takes over.
+        The estimate follows :meth:`_monitored_hop` on the envelope grid:
+        over the 8 pieces of each straight chord, the sum of what the
+        dominant growth h |Re(sqrt(Q) dw)| of the limit differential exceeds
+        the climb of the envelope h u.
         """
-        for i in best:
+        za = self._anchor_z
+        chord = (z - za)[:, None]
+        pts = za[:, None] + chord * (np.arange(9) / 8)
+        env = self.h * self._u_hat(pts)
+        wr, wi = _divide(0.5 * (pts[:, 1:] + pts[:, :-1]), self.f)
+        qr, qi = horner_parts(self._limit_complex().quaddiff.polynomial, wr, wi)
+        rate = self.h * np.abs((np.sqrt(qr + 1j * qi) * (chord / (8.0 * self.f))).real)
+        loss = np.maximum(0.0, rate - np.diff(env, axis=1)).sum(axis=1)
+        return np.argsort(loss, kind="stable")
+
+    def _hop(self, z: complex, best) -> TransportState:
+        """Evaluate by transporting from the first anchor whose hop is admitted.
+
+        Admission is decided by the hop's own measured divergence.  The
+        ranked anchors go first; if all of them refuse, every other anchor
+        follows in :meth:`_by_divergence` order.  A point that no hop
+        reaches within the budget raises :class:`IntegrationError`.
+        """
+
+        def candidates():
+            yield from best
+            yield from (i for i in self._by_divergence(z) if i not in best)
+
+        for i in candidates():
             got = self._monitored_hop(self._anchors[i], z, self._HOP_BUDGET)
             if got is not None:
                 return got
-        return self._wkb_state(z)
+        raise IntegrationError(
+            f"no anchor's hop reaches z={z:.17g} within the hop budget "
+            f"{self._HOP_BUDGET:g} (n={self.pair.n}, lambda={self.pair.lam:.17g})"
+        )
 
     def _hop_from(self, z: complex) -> TransportState:
         """Evaluate one point: a batch of one through :meth:`_rank`."""
         return self._hop(z, self._rank(np.array([z], dtype=complex))[0])
-
-    def _wkb_state(self, z: complex) -> TransportState:
-        """Recessive WKB form deep inside a decay sector.
-
-        The transported anchors cannot descend this far without drowning in
-        amplified roundoff; the WKB form is accurate there to O(h0/h) and is
-        calibrated against the normalized state at the matching ray's seed.
-        """
-        theta, seed = min(
-            self._ray_seeds,
-            key=lambda ts: abs(wrap_angle(cmath.phase(z) - ts[0])),
-        )
-        z0 = seed.z
-        pot = self.pot
-        # branch-continued sqrt(W) and W^{1/4} along the straight hop
-        n_pts = 48
-        w_prev = cmath.sqrt(pot(z0))
-        if (w_prev * cmath.exp(1j * theta)).real < 0:
-            w_prev = -w_prev
-        q4_0 = q4_prev = cmath.sqrt(w_prev)
-        action = 0j
-        prev = z0
-        for k in range(1, n_pts + 1):
-            cur = z0 + (z - z0) * k / n_pts
-            w_cur = nearest_sign(cmath.sqrt(pot(cur)), w_prev)
-            q4_cur = nearest_sign(cmath.sqrt(w_cur), q4_prev)
-            action += 0.5 * (w_prev + w_cur) * (cur - prev)
-            prev, w_prev, q4_prev = cur, w_cur, q4_cur
-        # y(z) = y(z0) (W0/W)^{1/4} exp(-action); log-form to stay in range
-        log_ratio = cmath.log(q4_0 / q4_prev) - action
-        base = cmath.log(seed.y) + seed.log_scale if seed.y != 0 else complex(-1e30)
-        val_log = base + log_ratio
-        y_m = cmath.exp(1j * val_log.imag)
-        dy_m = y_m * (-w_prev - pot.derivative()(z) / (4.0 * pot(z)))
-        mag = max(abs(y_m), abs(dy_m))
-        return TransportState(
-            complex(z), y_m / mag, dy_m / mag, val_log.real + math.log(mag)
-        )
 
     # points ranked per array pass; bounds the pass's (points x anchors) arrays
     _CHUNK = 32

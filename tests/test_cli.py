@@ -369,6 +369,13 @@ def test_run_config_rejects_repeated_coefficient():
         (["zeros", "--d", "2", "--ell", "1", "--n-max", "-1"], "--n-max"),
         (["zeros", "--d", "2", "--ell", "1", "--delta=-1"], "--delta"),
         (["zeros", "--d", "2", "--ell", "1", "--delta", "0"], "--delta"),
+        # non-finite values would reach the winding or the strict JSON dump
+        (["zeros", "--d", "2", "--ell", "1", "--window", "inf"], "--window"),
+        (["zeros", "--d", "2", "--ell", "1", "--window", "1e309"], "--window"),
+        (["zeros", "--d", "2", "--ell", "1", "--window=-1,inf,-1,1"], "--window"),
+        (["stokes", "--d", "2", "--ell", "1", "--window", "inf"], "--window"),
+        (["zeros", "--d", "2", "--ell", "1", "--resolution", "inf"], "--resolution"),
+        (["zeros", "--d", "2", "--ell", "1", "--delta", "inf"], "--delta"),
     ],
 )
 def test_range_arguments_checked_at_parse_time(tmp_path, capsys, args, flag):
@@ -390,6 +397,18 @@ def test_spectrum_flags_ordering_violation(tmp_path, capsys, monkeypatch):
     data = json.loads((tmp_path / "spectrum.json").read_text())
     assert data["ordering_violations"] == ["eigenvalue ordering violated between n=1 and n=2"]
     assert "FAILED eigenvalue ordering violated between n=1 and n=2" in capsys.readouterr().out
+
+
+def test_spectrum_flags_repeated_eigenvalue(tmp_path, capsys):
+    # the PT cubic iz^3 - 2iz: n = 2 and n = 3 both converge to 8.7166199633,
+    # their Re lambda 2 ulp apart, so only the repeat shows the missed index
+    args = ["spectrum", "--d", "3", "--ell", "1", "--coeff", "1=0,-2", "--n-min", "2", "--n-max", "3"]
+    assert run_cli(args + ["--out", str(tmp_path)]) == 1
+    data = json.loads((tmp_path / "spectrum.json").read_text())
+    lams = [r["re_lambda"] for r in data["eigenvalues"]]
+    assert lams[0] != lams[1] and abs(lams[1] - lams[0]) < 1e-12
+    assert data["ordering_violations"] == ["eigenvalue repeated: n=2 and n=3 agree to 1e-9 relative"]
+    assert "FAILED eigenvalue repeated: n=2 and n=3" in capsys.readouterr().out
 
 
 def test_growth_law_has_one_source(tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 
 from stokeszeros import spectral
 from stokeszeros.errors import DomainError, IntegrationError
+from stokeszeros.geometry import wrap_angle
 from stokeszeros.polynomials import ComplexPolynomial
 from stokeszeros.spectral import (
     EigenfunctionEvaluator,
@@ -484,7 +485,8 @@ class _TwoPathRule(EigenfunctionEvaluator):
     Skeleton builds ranked the anchors so far with Python's ``sorted``; later
     evaluations first dropped anchors whose envelope lay more than
     budget + 10 above the target's (all of them kept if none passed), then
-    ranked the rest by distance in numpy.
+    ranked the rest by distance in numpy.  Where none of its five hops is
+    admitted it returns None.
     """
 
     def _build_skeleton(self):
@@ -519,7 +521,7 @@ class _TwoPathRule(EigenfunctionEvaluator):
             got = self._monitored_hop(anchors[ranked[i]], z, self._HOP_BUDGET)
             if got is not None:
                 return got
-        return self._wkb_state(z)
+        return None
 
 
 def _accepted(ev, z):
@@ -553,14 +555,62 @@ def test_hop_rule_accepts_the_two_path_rules_anchor(spec, n):
     # ridge decides some hops, and the imaginary axis, where mirror anchors tie
     ws = [complex(x, y) for x, y in rng.uniform(-2.2, 2.2, size=(170, 2))]
     ws += [1j * y for y in np.linspace(-1.6, 1.6, 30)]
-    hopped = 0
+    refused = 0
     for w in ws:
         got, anchor = _accepted(ev, w * ev.f)
         want, want_anchor = _accepted(ref, w * ev.f)
+        assert anchor is not None, w  # every state is an admitted hop
+        if want is None:
+            refused += 1
+            continue
         assert repr(got) == repr(want), w
         assert repr(anchor) == repr(want_anchor), w
-        hopped += anchor is not None
-    assert hopped > len(ws) // 2  # most points hop from an anchor, not the WKB form
+    # the decay sectors hold points whose five ranked anchors all refuse
+    assert 0 < refused < len(ws) // 2
+
+
+def test_unreachable_point_raises_naming_the_budget():
+    pair = solve_eigenpair(ProblemSpec(4, 1), 1)
+    ev = EigenfunctionEvaluator(pair)
+    ev.eval(0j)  # builds the anchor skeleton
+    ev._HOP_BUDGET = -1.0  # no hop of nonzero length is admitted
+    z = complex(0.3, -0.7) * ev.f
+    assert z not in ev._anchor_z
+    with pytest.raises(IntegrationError, match=r"z=.*hop budget -1 \(n=1, lambda="):
+        ev.eval(z)
+
+
+def _arc_reference(pair, z, theta):
+    """log y(z) of the recessive solution of the boundary ray theta, seeded
+    by ``wkb_seed`` at 2R and transported along |z| = 2R to arg z, then
+    straight in to z; for z on the ray, straight down it."""
+    R2 = 2.0 * pair.seed_radius
+    y, dy = wkb_seed(pair.spec, pair.lam, theta, R2)
+    phi = theta + wrap_angle(cmath.phase(z) - theta)
+    arc = [R2 * cmath.exp(1j * (theta + (phi - theta) * k / 64)) for k in range(65)]
+    st = transport(pair.spec.shifted_field(pair.lam), arc + [z], y, dy)
+    return cmath.log(st.y) + st.log_scale
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_decay_sector_states_match_the_arc_construction(n):
+    # an independent route to the exact state in the lower decay sector of
+    # (4,1): the evaluator's log y relative to a point of the nearer ray
+    # must match the ray-recessive solution carried in along a far arc
+    pair = solve_eigenpair(ProblemSpec(4, 1), n)
+    ev = EigenfunctionEvaluator(pair)
+    f = ev.f
+    rays = pair.spec.boundary_rays
+    ws = [complex(s * x, -1.6) for x in (1.35, 1.45, 1.55) for s in (1, -1)]
+    ws += [complex(1.6, -0.4), complex(-1.6, -0.4)]
+    for w in ws:
+        z = f * w
+        theta = min(rays, key=lambda t: abs(wrap_angle(cmath.phase(z) - t)))
+        a = 1.5 * abs(f) * cmath.exp(1j * theta)
+        got_z, got_a = (cmath.log(st.y) + st.log_scale for st in ev.eval_many([z, a]))
+        diff = (got_z - got_a) - (_arc_reference(pair, z, theta) - _arc_reference(pair, a, theta))
+        diff = complex(diff.real, wrap_angle(diff.imag))
+        assert abs(diff) < 1e-9, (w, abs(diff))
 
 
 class _OnePointRank(EigenfunctionEvaluator):
