@@ -43,7 +43,8 @@ _NUDGE_STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1))
 
 @dataclass(frozen=True)
 class ZeroSet:
-    """Zeros with multiplicities inside a rectangular window."""
+    """Zeros with multiplicities inside a window, one entry per reporting
+    cell (see :func:`locate_zeros`); nothing is merged."""
 
     zeros: tuple  # ((position, multiplicity), ...), lexicographic order
     window: tuple  # (x0, x1, y0, y1); may differ from the request by nudges
@@ -197,7 +198,9 @@ def _count_with_nudges(f, rect, resolution):
     raise GeometryError(f"persistent boundary zero after nudges: {last}")
 
 
-def _newton_polish(f, z0, rect, resolution):
+def _newton_polish(f, z0, rect):
+    """Newton's limit from z0 if it lies in the closed cell (outside it
+    lies a neighbour's zero), else None."""
     x0, x1, y0, y1 = rect
     z = complex(z0)
     pad = 0.75 * max(x1 - x0, y1 - y0)
@@ -212,9 +215,7 @@ def _newton_polish(f, z0, rect, resolution):
         z -= step
         if abs(step) <= 1e-13 * (1.0 + abs(z)):
             break
-    if not (x0 - 0.05 * resolution <= z.real <= x1 + 0.05 * resolution):
-        return None
-    if not (y0 - 0.05 * resolution <= z.imag <= y1 + 0.05 * resolution):
+    if not (x0 <= z.real <= x1 and y0 <= z.imag <= y1):
         return None
     return z
 
@@ -222,15 +223,17 @@ def _newton_polish(f, z0, rect, resolution):
 def locate_zeros(f, window, resolution: float) -> ZeroSet:
     """All zeros of f in the window, quadtree-isolated and Newton-polished.
 
-    Cells that still hold several zeros at the resolution floor are
-    reported as one position with the summed multiplicity.  Counts are
-    conserved at every subdivision level by construction.  ``f`` is reached
-    only through two methods: ``f.states(zs)``, one :class:`TransportState`
-    (y, y', log scale) per point, which the winding reads as log|y| + log
-    scale and arg y and Newton as y / y'; and ``f.edge_budget(a, b)``, the
-    base sample count of the boundary edge from a to b.  Wrap a polynomial
-    as :class:`PolynomialStates`; a rescaled eigenfunction
-    (:func:`spectral.rescale`) is one already.
+    Each cell reports its own zeros, and nothing is merged.  A
+    multiplicity-1 entry is the Newton limit inside the cell that counted
+    it, or the centre of a resolution-floor cell where Newton failed; a
+    multiplicity above 1 is a floor cell's centre with its count.  Counts
+    are conserved at every subdivision level by construction.  ``f`` is
+    reached only through two methods: ``f.states(zs)``, one
+    :class:`TransportState` (y, y', log scale) per point, which the winding
+    reads as log|y| + log scale and arg y and Newton as y / y'; and
+    ``f.edge_budget(a, b)``, the base sample count of the boundary edge
+    from a to b.  Wrap a polynomial as :class:`PolynomialStates`; a
+    rescaled eigenfunction (:func:`spectral.rescale`) is one already.
     """
     if resolution <= 0:
         raise GeometryError("resolution must be positive")
@@ -243,7 +246,7 @@ def locate_zeros(f, window, resolution: float) -> ZeroSet:
         x0, x1, y0, y1 = rect
         size = max(x1 - x0, y1 - y0)
         if n == 1:
-            z = _newton_polish(f, complex(0.5 * (x0 + x1), 0.5 * (y0 + y1)), rect, resolution)
+            z = _newton_polish(f, complex(0.5 * (x0 + x1), 0.5 * (y0 + y1)), rect)
             if z is not None:
                 found.append((z, 1))
                 return
@@ -284,19 +287,8 @@ def locate_zeros(f, window, resolution: float) -> ZeroSet:
         )
 
     subdivide(eff_window, count, 0)
-
-    # merge positions closer than the resolution
     found.sort(key=lambda zm: (zm[0].real, zm[0].imag))
-    merged = []
-    for z, m in found:
-        if merged and abs(z - merged[-1][0]) < resolution:
-            zprev, mprev = merged[-1]
-            w = (zprev * mprev + z * m) / (mprev + m)
-            merged[-1] = (w, mprev + m)
-        else:
-            merged.append((z, m))
-    merged.sort(key=lambda zm: (zm[0].real, zm[0].imag))
-    return ZeroSet(zeros=tuple(merged), window=eff_window)
+    return ZeroSet(zeros=tuple(found), window=eff_window)
 
 
 def empirical_measure(zs: ZeroSet, n: int) -> EmpiricalMeasure:

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import stokeszeros
+from stokeszeros.render import render_stokes_svg
+from stokeszeros.stokescomplex import stokes_complex
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -41,3 +43,13 @@ def test_demo_imports_resolve():
                     assert hasattr(module, alias.name), f"{path.name}: {node.module}.{alias.name}"
                     checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize(
+    "d, ell", [(2, 1), (3, 1), (4, 1), (4, 2), (4, 3), (6, 1), (6, 2), (6, 3), (6, 4)]
+)
+def test_tracked_stokes_pictures_match_the_renderer(d, ell):
+    # demos/stokes_complexes.py writes these files; a change that moves the
+    # complex or its rendering must regenerate them
+    tracked = (DEMOS / "out" / f"stokes_{d}_{ell}.svg").read_bytes()
+    assert render_stokes_svg(stokes_complex(d, ell)).encode() == tracked

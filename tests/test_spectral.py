@@ -592,17 +592,11 @@ def _arc_reference(pair, z, theta):
     return cmath.log(st.y) + st.log_scale
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_decay_sector_states_match_the_arc_construction(n):
-    # an independent route to the exact state in the lower decay sector of
-    # (4,1): the evaluator's log y relative to a point of the nearer ray
-    # must match the ray-recessive solution carried in along a far arc
-    pair = solve_eigenpair(ProblemSpec(4, 1), n)
-    ev = EigenfunctionEvaluator(pair)
-    f = ev.f
+def _assert_states_match_the_arc_construction(ev, ws):
+    """The evaluator's log y at f*w relative to a point of the nearer ray
+    matches the ray-recessive solution carried in along a far arc."""
+    pair, f = ev.pair, ev.f
     rays = pair.spec.boundary_rays
-    ws = [complex(s * x, -1.6) for x in (1.35, 1.45, 1.55) for s in (1, -1)]
-    ws += [complex(1.6, -0.4), complex(-1.6, -0.4)]
     for w in ws:
         z = f * w
         theta = min(rays, key=lambda t: abs(wrap_angle(cmath.phase(z) - t)))
@@ -611,6 +605,29 @@ def test_decay_sector_states_match_the_arc_construction(n):
         diff = (got_z - got_a) - (_arc_reference(pair, z, theta) - _arc_reference(pair, a, theta))
         diff = complex(diff.real, wrap_angle(diff.imag))
         assert abs(diff) < 1e-9, (w, abs(diff))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_decay_sector_states_match_the_arc_construction(n):
+    # an independent route to the exact state in the lower decay sector of (4,1)
+    ev = EigenfunctionEvaluator(solve_eigenpair(ProblemSpec(4, 1), n))
+    ws = [complex(s * x, -1.6) for x in (1.35, 1.45, 1.55) for s in (1, -1)]
+    ws += [complex(1.6, -0.4), complex(-1.6, -0.4)]
+    _assert_states_match_the_arc_construction(ev, ws)
+
+
+def test_cubic_states_past_the_ranked_anchors_match_the_arc_construction(monkeypatch):
+    # on a 41x41 grid over criterion 7's window these six points are the only
+    # ones of (3,1) n = 2 where all five ranked anchors refuse, so their
+    # states come from the anchors in _by_divergence order
+    ev = EigenfunctionEvaluator(solve_eigenpair(ProblemSpec(3, 1), 2))
+    ev.eval(0j)  # builds the anchor skeleton
+    reached = []
+    by_divergence = ev._by_divergence
+    monkeypatch.setattr(ev, "_by_divergence", lambda z: reached.append(z) or by_divergence(z))
+    ws = [complex(s * 1.6, -y) for y in (1.04, 1.12, 1.20) for s in (1, -1)]
+    _assert_states_match_the_arc_construction(ev, ws)
+    assert len(reached) == len(ws)
 
 
 class _OnePointRank(EigenfunctionEvaluator):

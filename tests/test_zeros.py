@@ -41,6 +41,26 @@ def test_locate_double_zero_merges_multiplicity():
     assert abs(z) < 1e-3
 
 
+@pytest.mark.parametrize(
+    "roots_, window",
+    [
+        # two simple roots closer than the resolution: each is its own entry
+        ([0.3, 0.35], (-1, 1, -1, 1)),
+        # the upper cell's Newton limit -0.37+0.005i lies just below the
+        # first split line, so it is the lower cell's zero, not this cell's
+        ([-0.37 + 0.005j, 0.01 - 0.35j, -0.13 + 0.61j], (-1.05, 1.05, -1.05, 1.05)),
+    ],
+    ids=["two-roots-closer-than-resolution", "limit-past-the-split-line"],
+)
+def test_locate_reports_each_simple_zero_where_its_cell_found_it(roots_, window):
+    p = ComplexPolynomial(list(np.poly(roots_)[::-1]))
+    zs = locate_zeros(PolynomialStates(p), window, 0.1)
+    assert [m for _, m in zs.zeros] == [1] * len(roots_)
+    got = [z for z, _ in zs.zeros]
+    for r in roots_:
+        assert min(abs(r - g) for g in got) < 1e-12, (r, zs.zeros)
+
+
 def test_locate_hermite4_zeros():
     pair = solve_eigenpair(HARMONIC, 4)
     resc = rescale(EigenfunctionEvaluator(pair))
