@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import DomainError, RootFindingError
@@ -57,20 +58,7 @@ class ComplexPolynomial:
 
     def taylor_coefficients(self, z0: complex) -> list:
         """Coefficients of p(z0 + t) in t, by repeated synthetic division."""
-        work = list(self.coefficients)
-        out = []
-        while True:
-            if len(work) == 1:
-                out.append(work[0])
-                break
-            acc = work[-1]
-            quot = [0j] * (len(work) - 1)
-            for i in range(len(work) - 2, -1, -1):
-                quot[i] = acc
-                acc = work[i] + z0 * acc
-            out.append(acc)
-            work = quot
-        return out
+        return _taylor_shift(self.degree)(self.coefficients, z0)
 
     def scaled_magnitude(self, z: complex) -> float:
         """Sum of |c_i||z|^i, a roundoff scale for residual tests."""
@@ -79,6 +67,33 @@ class ComplexPolynomial:
         for c in reversed(self.coefficients):
             acc = acc * r + abs(c)
         return acc
+
+
+@lru_cache(maxsize=None)
+def _taylor_shift(m: int):
+    """Repeated synthetic division for degree m, as straight-line code.
+
+    ``shift(p, z0)`` divides p by (z - z0) again and again, each remainder
+    being the next coefficient of p(z0 + t); each pass forms
+    ``acc = p_i + z0 * acc`` from the top coefficient down, as the plain loop
+    does.  Built once per degree, on first use.
+    """
+    work = [f"p{i}" for i in range(m + 1)]
+    lines = ["def shift(p, z0):", "    " + "".join(f"{w}, " for w in work) + "= p"]
+    out = []
+    while len(work) > 1:
+        # one pass: acc runs down from the top, and the quotient keeps its values
+        acc = [work[-1]]
+        for i in range(len(work) - 2, -1, -1):
+            acc.append(f"a{len(out)}_{i}")
+            lines.append(f"    {acc[-1]} = {work[i]} + z0 * {acc[-2]}")
+        out.append(acc.pop())
+        work = acc[::-1]
+    out.append(work[0])
+    lines.append(f"    return [{', '.join(out)}]")
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return namespace["shift"]
 
 
 def _arg_key(z: complex) -> tuple:

@@ -119,19 +119,27 @@ def wkb_seed(spec: ProblemSpec, lam: complex, ray_angle: float, R: float) -> tup
 
 
 def _dominance_radius(spec: ProblemSpec, lam: complex) -> float:
-    """Smallest ray radius where the shifted field tracks its leading term."""
+    """Smallest ray radius where the shifted field tracks its leading term.
+
+    The radius grows by 18% at a time; a field still not dominated after 60
+    growths raises :class:`IntegrationError`.
+    """
     pot = spec.potential
     lead = abs(pot.coefficients[-1])
     R = max(1.0, (3.0 * max(abs(lam), 1.0) / lead) ** (1.0 / spec.d))
-    for _ in range(60):
+    for growths in range(61):
+        if growths:
+            R *= 1.18
         zmag = R**spec.d * lead
         rest = abs(lam) + sum(
             abs(c) * R**k for k, c in enumerate(pot.coefficients[:-1])
         )
         if rest <= 0.12 * zmag:
-            break
-        R *= 1.18
-    return R
+            return R
+    raise IntegrationError(
+        f"no seed radius for {spec} at lambda={lam:.6g}: after 60 growths, at "
+        f"R={R:.6g}, the lower-order terms are {rest / zmag:.3g} times the leading term"
+    )
 
 
 @dataclass(frozen=True)
@@ -146,11 +154,17 @@ class ShootingFrame:
     point is simply the origin.)  The transport runs down the boundary ray
     to the nearby turning point and then along the short line itself, so
     the modulus envelope never descends along the way.
+
+    ``states`` holds the ray states already transported in this frame, by
+    (spec, lambda), so a lambda is shot once per frame: the solve reads the
+    states at its eigenvalue from the search that returned it.  A frame
+    lives for one solve.
     """
 
     R: float
     right_path: tuple
     left_path: tuple
+    states: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def z_match(self) -> complex:
@@ -192,11 +206,14 @@ def _ray_state(spec: ProblemSpec, lam: complex, ray_angle: float, path) -> Trans
 
 
 def _miss_parts(spec: ProblemSpec, lam: complex, frame: ShootingFrame):
-    left, right = spec.boundary_rays
-    sl = _ray_state(spec, lam, left, frame.left_path)
-    sr = _ray_state(spec, lam, right, frame.right_path)
-    wr = sl.y * sr.dy - sl.dy * sr.y
-    return sl, sr, wr
+    key = (spec, lam)
+    parts = frame.states.get(key)
+    if parts is None:
+        left, right = spec.boundary_rays
+        sl = _ray_state(spec, lam, left, frame.left_path)
+        sr = _ray_state(spec, lam, right, frame.right_path)
+        parts = frame.states[key] = (sl, sr, sl.y * sr.dy - sl.dy * sr.y)
+    return parts
 
 
 def miss_function(spec: ProblemSpec, lam: complex, frame: ShootingFrame) -> complex:
@@ -433,6 +450,7 @@ def solve_eigenpair(spec: ProblemSpec, n: int) -> Eigenpair:
         if stable:
             break
 
+    # the ray states of the search's own evaluation at lam, not a second shot
     sl, sr, wr = _miss_parts(spec, lam, frame)
     # normalized initial data lives at the origin: climb there from the
     # matching point (the eigenfunction is dominant along that stretch)

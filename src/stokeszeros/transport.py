@@ -12,6 +12,12 @@ the solution anywhere inside a step, to count zeros along a path or to
 monitor a hop's modulus between its ends.  Solutions reach magnitudes far
 beyond floating-point range, so a state carries (mantissa y, mantissa y',
 accumulated log scale); the true solution is  y * exp(log_scale).
+
+A step runs generated straight-line code: the recurrence unrolled for the
+field's degree m, and the Horner sums of y and y' unrolled for the order.
+Each kernel is built once, on the first step that needs it, and performs
+the plain loops' floating-point operations in their order, so its results
+are bit-identical to theirs.
 """
 
 from __future__ import annotations
@@ -67,31 +73,54 @@ class TaylorStep:
         self.log_scale = log_scale
 
     def value_at(self, frac: float) -> complex:
-        t = self.dz * frac
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+        return _sum_kernel(len(self.coeffs) - 1)[0](self.coeffs, self.dz * frac)
+
+
+def _compile(lines: list, *names: str):
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return tuple(namespace[name] for name in names)
 
 
 @lru_cache(maxsize=None)
-def _series_plan(m: int, order: int) -> tuple:
-    """The recurrence's loop bounds for field degree m: (k, js, (k+1)(k+2))."""
-    return tuple(
-        (k, tuple(range(min(k, m) + 1)), (k + 1) * (k + 2)) for k in range(order - 1)
-    )
+def _series_kernel(m: int, order: int):
+    """``series(b, y, dy)``: the recurrence for field degree m, unrolled.
+
+    Each coefficient is one expression that starts its sum at ``0j`` and
+    divides by the integer (k+1)(k+2), as the plain loop does.
+    """
+    bs = "".join(f"b{j}, " for j in range(m + 1))
+    lines = ["def series(b, c0, c1):", f"    {bs}= b"]
+    for k in range(order - 1):
+        terms = "".join(f" + b{j} * c{k - j}" for j in range(min(k, m) + 1))
+        lines.append(f"    c{k + 2} = (0j{terms}) / {(k + 1) * (k + 2)}")
+    lines.append(f"    return [{', '.join(f'c{k}' for k in range(order + 1))}]")
+    return _compile(lines, "series")[0]
+
+
+@lru_cache(maxsize=None)
+def _sum_kernel(order: int) -> tuple:
+    """``(value, advance)``: Horner sums of a series of the given order, unrolled.
+
+    ``value(c, t)`` is the series at t; ``advance(c, t)`` is the series and
+    its derivative there.  Both sums start at ``0j`` and the derivative's
+    terms are ``k * c_k``, as in the plain loops.
+    """
+    cs = "".join(f"c{k}, " for k in range(order + 1))
+    y = dy = "0j"
+    for k in range(order, 0, -1):
+        y = f"({y}) * t + c{k}"
+        dy = f"({dy}) * t + {k} * c{k}"
+    y = f"({y}) * t + c0"
+    lines = [
+        "def value(c, t):", f"    {cs}= c", f"    return {y}",
+        "def advance(c, t):", f"    {cs}= c", f"    return {y}, {dy}",
+    ]
+    return _compile(lines, "value", "advance")
 
 
 def _series(bcoeffs: list, y: complex, dy: complex, order: int) -> list:
-    c = [0j] * (order + 1)
-    c[0] = y
-    c[1] = dy
-    for k, js, denom in _series_plan(len(bcoeffs) - 1, order):
-        acc = 0j
-        for j in js:
-            acc += bcoeffs[j] * c[k - j]
-        c[k + 2] = acc / denom
-    return c
+    return _series_kernel(len(bcoeffs) - 1, order)(bcoeffs, y, dy)
 
 
 def transport(
@@ -125,6 +154,8 @@ def transport(
     TransportState at the final waypoint.
     """
     state = TransportState(complex(path[0]), complex(y), complex(dy), float(log_scale))
+    series = _series_kernel(field.degree, _ORDER)
+    advance = _sum_kernel(_ORDER)[1]
     steps = 0
     for target in path[1:]:
         target = complex(target)
@@ -144,7 +175,7 @@ def transport(
                 if mag > 0:
                     kappa = max(kappa, mag ** (1.0 / (j + 2)))
             cap = _PHASE_CAP / kappa if kappa > 0 else remaining
-            coeffs = _series(bc, state.y, state.dy, _ORDER)
+            coeffs = series(bc, state.y, state.dy)
 
             h = min(remaining, cap)
             scale_ref = abs(coeffs[0]) + abs(coeffs[1]) * h + 1e-300
@@ -163,12 +194,7 @@ def transport(
             if watcher is not None:
                 watcher(TaylorStep(state.z, dz, coeffs, state.log_scale))
 
-            acc = 0j
-            dacc = 0j
-            for k in range(_ORDER, 0, -1):
-                acc = acc * dz + coeffs[k]
-                dacc = dacc * dz + k * coeffs[k]
-            acc = acc * dz + coeffs[0]
+            acc, dacc = advance(coeffs, dz)
 
             travelled += h
             state.z = state.z + dz if travelled < length else target

@@ -463,6 +463,36 @@ def test_self_adjoint_solve_miss_budget(monkeypatch):
     assert len(calls) <= 25
 
 
+@pytest.mark.parametrize("spec", [QUARTIC, PT_CUBIC], ids=["(4,2)", "(3,1)"])
+def test_solve_shoots_each_ray_once_per_lambda(monkeypatch, spec):
+    # the solve reads the ray states at its eigenvalue from the search that
+    # found it; a transport repeated with the same field and path is one
+    # the solve already made
+    real_transport = spectral.transport
+    shots = {}
+
+    def counted(field, path, *args, **kwargs):
+        key = (field.coefficients, tuple(complex(z) for z in path))
+        shots[key] = shots.get(key, 0) + 1
+        return real_transport(field, path, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "transport", counted)
+    solve_eigenpair.cache_clear()
+    try:
+        assert solve_eigenpair(spec, 3).n == 3
+    finally:
+        solve_eigenpair.cache_clear()
+    assert shots and max(shots.values()) == 1
+
+
+def test_dominance_radius_failure_raises():
+    # z^3 carries 1e6: after 60 growths the lower-order terms are still ~37
+    # times the leading term, so no seed radius is handed back
+    spec = ProblemSpec(4, 1, (0, 0, 1e6j))
+    with pytest.raises(IntegrationError, match=r"ProblemSpec\(d=4, ell=1.*lambda=1\b.*R=27052"):
+        spectral._dominance_radius(spec, 1.0)
+
+
 @pytest.mark.parametrize("y0", [1e-15, -1e-15, 0.0, 5e-13, -5e-13])
 def test_origin_zero_counted_once(y0):
     # the odd harmonic state at lambda = 3 has one zero, at the origin: a

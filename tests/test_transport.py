@@ -1,6 +1,8 @@
+import math
 import random
 
-from stokeszeros.transport import _series
+from stokeszeros.polynomials import ComplexPolynomial
+from stokeszeros.transport import _series, transport
 
 
 def _naive_series(bcoeffs, y, dy, order):
@@ -24,7 +26,7 @@ def test_series_bits_match_naive_recurrence():
         return complex(rng.gauss(0, 2), 0.0 if real else rng.gauss(0, 2))
 
     # order 3 with m = 4 is where min(k, m) binds on k rather than m
-    cases = [(m, 40) for m in range(7)] + [(4, 3)]
+    cases = [(m, 40) for m in range(11)] + [(4, 3)]
     for m, order in cases:
         for real in (False, True):
             for _ in range(5):
@@ -34,3 +36,93 @@ def test_series_bits_match_naive_recurrence():
                 got = _series(b, y, dy, order)
                 assert repr(got) == repr(_naive_series(b, y, dy, order)), (m, order, real)
                 assert len(got) == order + 1
+
+
+def _reference_transport(coeffs, path, y, dy):
+    """The step loop with the looped Taylor shift, recurrence and Horner sums.
+
+    Returns the final (z, y, dy, log_scale) and each step's (z0, dz, coeffs,
+    log_scale), with the series' values at a few fractions of the step.
+    """
+    order, tol, cap_phase = 40, 1e-14, 4.0
+
+    def shift(z0):
+        work, out = list(coeffs), []
+        while len(work) > 1:
+            acc = work[-1]
+            quot = [0j] * (len(work) - 1)
+            for i in range(len(work) - 2, -1, -1):
+                quot[i] = acc
+                acc = work[i] + z0 * acc
+            out.append(acc)
+            work = quot
+        return out + [work[0]]
+
+    def value_at(c, t):
+        acc = 0j
+        for ck in reversed(c):
+            acc = acc * t + ck
+        return acc
+
+    z, log_scale, steps = complex(path[0]), 0.0, []
+    for target in path[1:]:
+        seg = target - z
+        length = abs(seg)
+        direction = seg / length
+        travelled = 0.0
+        while travelled < length:
+            remaining = length - travelled
+            bc = shift(z)
+            kappa = 0.0
+            for j, b in enumerate(bc):
+                if abs(b) > 0:
+                    kappa = max(kappa, abs(b) ** (1.0 / (j + 2)))
+            cap = cap_phase / kappa if kappa > 0 else remaining
+            c = _naive_series(bc, y, dy, order)
+            h = min(remaining, cap)
+            scale_ref = abs(c[0]) + abs(c[1]) * h + 1e-300
+            for k in range(order, order - 3, -1):
+                if abs(c[k]) > 0:
+                    h = min(h, 0.9 * (tol * scale_ref / abs(c[k])) ** (1.0 / k))
+            h = min(h, remaining)
+            dz = direction * h
+            steps.append((z, dz, c, log_scale, [value_at(c, dz * f) for f in _FRACTIONS]))
+            acc = dacc = 0j
+            for k in range(order, 0, -1):
+                acc = acc * dz + c[k]
+                dacc = dacc * dz + k * c[k]
+            acc = acc * dz + c[0]
+            travelled += h
+            z = z + dz if travelled < length else target
+            y, dy = acc, dacc
+            mag = max(abs(y), abs(dy))
+            if mag > 0 and (mag > 1e8 or mag < 1e-8):
+                y, dy, log_scale = y / mag, dy / mag, log_scale + math.log(mag)
+    return (z, y, dy, log_scale), steps
+
+
+_FRACTIONS = (0.0, 0.3, 0.77, 1.0)
+
+
+def test_transport_bits_match_reference_step_loop():
+    rng = random.Random(11)
+
+    def draw(real, scale=1.0):
+        return complex(rng.gauss(0, scale), 0.0 if real else rng.gauss(0, scale))
+
+    for m in range(11):
+        for real in (False, True):
+            coeffs = [draw(real, 3.0) for _ in range(m + 1)]
+            # a real field on a real path keeps every imaginary part zero
+            path = [draw(real) for _ in range(3)]
+            y, dy = draw(real), draw(real)
+            want_end, want_steps = _reference_transport(coeffs, path, y, dy)
+            got_steps = []
+
+            def watcher(step):
+                vals = [step.value_at(f) for f in _FRACTIONS]
+                got_steps.append((step.z0, step.dz, step.coeffs, step.log_scale, vals))
+
+            end = transport(ComplexPolynomial(coeffs), path, y, dy, watcher=watcher)
+            assert repr((end.z, end.y, end.dy, end.log_scale)) == repr(want_end), (m, real)
+            assert repr(got_steps) == repr(want_steps), (m, real)
