@@ -316,8 +316,8 @@ def cmd_zeros(args) -> int:
     all_zeros = []
     per_n = []
     for n in range(args.n_min, args.n_max + 1):
-        resc = rescale(EigenfunctionEvaluator(solve_eigenpair(spec, n)))
-        zs = locate_zeros(resc, tuple(args.window), args.resolution)
+        ev = EigenfunctionEvaluator(solve_eigenpair(spec, n))
+        zs = locate_zeros(rescale(ev), tuple(args.window), args.resolution)
         rep = compare_to_limit(empirical_measure(zs, max(n, 1)), sc, delta=args.delta)
         per_n.append(
             {
@@ -335,6 +335,7 @@ def cmd_zeros(args) -> int:
                     }
                     for a in rep.arcs
                 ],
+                "evaluations": dict(ev.counts),
             }
         )
         all_zeros.extend(zs.zeros)

@@ -515,6 +515,13 @@ class EigenfunctionEvaluator:
     between the dominant local growth rate and their measured modulus
     slope, and every state returned is a hop that stayed within the budget;
     a point that no anchor reaches raises :class:`IntegrationError`.
+    Along a boundary edge (:meth:`eval_edge`) each sample continues the
+    transport from the one before, and the links of such a chain share one
+    hop's budget, so a chained state is as accurate as an anchored one.
+
+    ``counts`` holds the deterministic work done so far: points evaluated,
+    anchored hops admitted and refused, chained links admitted, and
+    re-anchors (one per refused link).
     """
 
     def __init__(self, pair: Eigenpair):
@@ -527,6 +534,8 @@ class EigenfunctionEvaluator:
         self._anchor_z = None
         self._ugrid = None
         self._point_cache = {}
+        self._loss = 0.0  # divergence measured by the last admitted hop
+        self.counts = dict.fromkeys(("points", "hops", "hops_refused", "links", "reanchors"), 0)
 
     # anchor spacing along skeleton sweeps, in rescaled units
     _SPACING = 0.07
@@ -634,11 +643,13 @@ class EigenfunctionEvaluator:
         relative accuracy the hop has lost.  The hop is one transport; the
         modulus at the ends of its equal pieces is read from the Taylor
         steps' dense output, and the transport is aborted (None returned)
-        once the loss exceeds the budget.
+        once the loss exceeds the budget.  An admitted hop leaves its
+        measured loss in ``_loss``.
         """
         pot = self.pot
         total = abs(z - st.z)
         if total == 0:
+            self._loss = 0.0
             return st
         direction = (z - st.z) / total
         pieces = max(6, int(total * self.h / (2.0 * abs(self.f))))
@@ -669,11 +680,11 @@ class EigenfunctionEvaluator:
             start += length
 
         try:
-            return transport(
-                self.pot, [st.z, z], st.y, st.dy, st.log_scale, watcher=watch
-            )
+            got = transport(self.pot, [st.z, z], st.y, st.dy, st.log_scale, watcher=watch)
         except _HopDiverged:
             return None
+        self._loss = divergence
+        return got
 
     def _rank(self, zs: np.ndarray) -> np.ndarray:
         """The anchors to hop from, best first: one row of indices per point.
@@ -733,7 +744,9 @@ class EigenfunctionEvaluator:
         for i in candidates():
             got = self._monitored_hop(self._anchors[i], z, self._HOP_BUDGET)
             if got is not None:
+                self.counts["hops"] += 1
                 return got
+            self.counts["hops_refused"] += 1
         raise IntegrationError(
             f"no anchor's hop reaches z={z:.17g} within the hop budget "
             f"{self._HOP_BUDGET:g} (n={self.pair.n}, lambda={self.pair.lam:.17g})"
@@ -761,7 +774,45 @@ class EigenfunctionEvaluator:
             chunk = todo[s : s + self._CHUNK]
             for z, best in zip(chunk, self._rank(np.array(chunk, dtype=complex))):
                 self._point_cache[(z.real, z.imag)] = self._hop(z, best)
+        self.counts["points"] += len(todo)
         return [self._point_cache[k] for k in keys]
+
+    def eval_edge(self, zs) -> list:
+        """Transport states at the ordered samples of one boundary edge.
+
+        The first uncached sample, and the first after a cached one, is an
+        anchored hop; each later sample is a link from the previous
+        sample's state through :meth:`_monitored_hop`, with the budget the
+        chain has left: ``_HOP_BUDGET`` less the loss its anchored hop and
+        links have measured.  Consecutive samples are a fraction of a
+        wavelength apart, so a link takes one or two Taylor steps.  A
+        refused link re-anchors: its sample is an anchored hop that starts
+        a new chain.
+        """
+        if self._anchors is None:
+            self._build_skeleton()
+        zs = [complex(z) for z in zs]
+        prev = None  # the chain's last state; a cached sample ends the chain
+        left = 0.0
+        for z in zs:
+            key = (z.real, z.imag)
+            if key in self._point_cache:
+                prev = None
+                continue
+            st = None
+            if prev is not None:
+                st = self._monitored_hop(prev, z, left)
+                if st is None:
+                    self.counts["reanchors"] += 1
+                else:
+                    self.counts["links"] += 1
+                    left -= self._loss
+            if st is None:
+                st = self._hop_from(z)
+                left = self._HOP_BUDGET - self._loss
+            self._point_cache[key] = prev = st
+            self.counts["points"] += 1
+        return [self._point_cache[(z.real, z.imag)] for z in zs]
 
     def eval(self, z: complex) -> TransportState:
         """Transport state (y, y', log scale) of the eigenfunction at z."""
@@ -824,10 +875,18 @@ class RescaledEigenfunction:
         self.h = ev.h
 
     def states(self, ws) -> list:
-        """Rescaled states (Y, dY/dw, log scale) at every point of ws,
-        ranked in array passes."""
+        """Rescaled states (Y, dY/dw, log scale) at every point of ws, each
+        an anchored hop (:meth:`EigenfunctionEvaluator.eval_many`)."""
+        return self._rescaled(self.ev.eval_many, ws)
+
+    def edge_states(self, ws) -> list:
+        """Rescaled states at the ordered samples of one boundary edge, each
+        hopped from the one before (:meth:`EigenfunctionEvaluator.eval_edge`)."""
+        return self._rescaled(self.ev.eval_edge, ws)
+
+    def _rescaled(self, evaluate, ws) -> list:
         ws = [complex(w) for w in ws]
-        sts = self.ev.eval_many([self.f * w for w in ws])
+        sts = evaluate([self.f * w for w in ws])
         return [TransportState(w, st.y, st.dy * self.f, st.log_scale) for w, st in zip(ws, sts)]
 
     def edge_budget(self, a: complex, b: complex) -> float:

@@ -4,13 +4,15 @@ Winding numbers over rectangle boundaries drive a quadtree subdivision
 until every cell isolates one zero (then Newton-polished) or bottoms out at
 the resolution (then reported with its multiplicity).  The function is
 reached through one contract: ``states(zs)`` gives a transport state
-(y, y', log scale) per point and ``edge_budget(a, b)`` the base sample
-count of an edge.  Polynomials serve it through :class:`PolynomialStates`
-(24 samples per edge), rescaled eigenfunctions directly (a budget from the
-local wavenumber).  Each sample must be independently accurate
-(eigenfunction evaluations are anchored), so the wrapped phase increments
-telescope and per-sample errors cancel, and refinement fires on large
-phase or modulus jumps, which rules out silently aliased turns.
+(y, y', log scale) per point, ``edge_states(zs)`` the same for the ordered
+base samples of one edge, and ``edge_budget(a, b)`` the base sample count
+of an edge.  Polynomials serve it through :class:`PolynomialStates` (24
+samples per edge), rescaled eigenfunctions directly (a budget from the
+local wavenumber; each edge sample hopped from the one before).  Each
+sample must be accurate on its own (an eigenfunction state loses no more
+than one anchored hop's budget, chained or not), so the wrapped phase
+increments telescope and per-sample errors cancel, and refinement fires
+on large phase or modulus jumps, which rules out silently aliased turns.
 """
 
 from __future__ import annotations
@@ -68,8 +70,8 @@ class EmpiricalMeasure:
 class PolynomialStates:
     """A polynomial p under the evaluation contract of :func:`locate_zeros`.
 
-    States are (p(z), p'(z), log scale 0) by Horner, and every edge gets
-    24 base samples.
+    States are (p(z), p'(z), log scale 0) by Horner, at edge samples as
+    anywhere else, and every edge gets 24 base samples.
     """
 
     def __init__(self, p):
@@ -78,6 +80,8 @@ class PolynomialStates:
 
     def states(self, zs) -> list:
         return [TransportState(z, self.p(z), self.dp(z), 0.0) for z in zs]
+
+    edge_states = states
 
     def edge_budget(self, a: complex, b: complex) -> int:
         return 24
@@ -98,13 +102,11 @@ def _rect_loop(rect) -> list:
     ]
 
 
-def _samples(f, zs) -> list:
-    """``[(log|f(z)|, arg f(z)) for z in zs]`` from one ``f.states`` call.
-
-    The log-scale of each state keeps the modulus in range.
-    """
+def _samples(states) -> list:
+    """``[(log|y|, arg y) for each state]``; the log-scale of each state
+    keeps the modulus in range."""
     out = []
-    for st in f.states(zs):
+    for st in states:
         if st.y == 0:
             raise GeometryError(f"zero exactly on the counting boundary at z={st.z:.6g}")
         out.append((math.log(abs(st.y)) + st.log_scale, cmath.phase(st.y)))
@@ -114,7 +116,9 @@ def _samples(f, zs) -> list:
 def _winding(f, rect, boost: int = 1) -> float:
     """Total arg change / 2pi along the rectangle boundary.
 
-    Every sample is an independently accurate point evaluation, so the
+    Each edge's base samples come in order from one ``f.edge_states``
+    call, refinement midpoints and the closing corner from ``f.states``.
+    Every sample is accurate on its own, however it was reached, so the
     wrapped phase increments telescope and individual sample errors cancel.
     The base density, ``boost`` times the edge budget, keeps the true arg
     change per interval well under pi away from zeros; refinement of large
@@ -126,7 +130,7 @@ def _winding(f, rect, boost: int = 1) -> float:
     for a, b in zip(loop[:-1], loop[1:]):
         n = max(8, int(f.edge_budget(a, b) * boost))
         params = [k / n for k in range(n + 1)]
-        values = _samples(f, [a + (b - a) * t for t in params])
+        values = _samples(f.edge_states([a + (b - a) * t for t in params]))
         k = 0
         depth = 0
         while k < len(params) - 1:
@@ -144,7 +148,7 @@ def _winding(f, rect, boost: int = 1) -> float:
                     )
                 tm = 0.5 * (params[k] + params[k + 1])
                 params.insert(k + 1, tm)
-                values.insert(k + 1, _samples(f, [a + (b - a) * tm])[0])
+                values.insert(k + 1, _samples(f.states([a + (b - a) * tm]))[0])
                 depth += 1
                 continue
             k += 1
@@ -156,7 +160,7 @@ def _winding(f, rect, boost: int = 1) -> float:
                     f"boundary passes too close to a zero near z={a + (b - a) * params[j]:.6g}"
                 )
         args += [av for _, av in values[:-1]]
-    args.append(_samples(f, [loop[0]])[0][1])
+    args.append(_samples(f.states([loop[0]]))[0][1])
     return sum(wrap_angle(y - x) for x, y in zip(args, args[1:])) / (2 * math.pi)
 
 
@@ -228,9 +232,11 @@ def locate_zeros(f, window, resolution: float) -> ZeroSet:
     it, or the centre of a resolution-floor cell where Newton failed; a
     multiplicity above 1 is a floor cell's centre with its count.  Counts
     are conserved at every subdivision level by construction.  ``f`` is
-    reached only through two methods: ``f.states(zs)``, one
+    reached only through three methods: ``f.states(zs)``, one
     :class:`TransportState` (y, y', log scale) per point, which the winding
-    reads as log|y| + log scale and arg y and Newton as y / y'; and
+    reads as log|y| + log scale and arg y and Newton as y / y';
+    ``f.edge_states(zs)``, the same for the ordered base samples of one
+    boundary edge, which may reach each sample from the one before; and
     ``f.edge_budget(a, b)``, the base sample count of the boundary edge
     from a to b.  Wrap a polynomial as :class:`PolynomialStates`; a
     rescaled eigenfunction (:func:`spectral.rescale`) is one already.

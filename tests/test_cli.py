@@ -85,6 +85,13 @@ def test_zeros_command_small(tmp_path):
     assert (tmp_path / "zeros.svg").read_text().startswith("<svg")
 
 
+def test_zeros_json_records_the_evaluators_work_counts(tmp_path):
+    assert run_cli(ZEROS_SMALL + ["--out", str(tmp_path)]) == 0
+    counts = json.loads((tmp_path / "zeros.json").read_text())["results"][0]["evaluations"]
+    assert set(counts) == {"points", "hops", "hops_refused", "links", "reanchors"}
+    assert counts["points"] > 0 and counts["links"] > 0
+
+
 def test_verify_single_criterion(tmp_path):
     code = run_cli(["verify", "--criteria", "1", "--out", str(tmp_path)])
     assert code == 0

@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 import stokeszeros
-from stokeszeros.render import render_stokes_svg
+from stokeszeros.render import render_stokes_svg, render_zeros_svg
+from stokeszeros.spectral import EigenfunctionEvaluator, ProblemSpec, rescale, solve_eigenpair
 from stokeszeros.stokescomplex import stokes_complex
+from stokeszeros.zeros import locate_zeros
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -53,3 +55,16 @@ def test_tracked_stokes_pictures_match_the_renderer(d, ell):
     # complex or its rendering must regenerate them
     tracked = (DEMOS / "out" / f"stokes_{d}_{ell}.svg").read_bytes()
     assert render_stokes_svg(stokes_complex(d, ell)).encode() == tracked
+
+
+def test_tracked_pt_zero_cloud_matches_its_demo():
+    # demos/pt_zero_cloud.py writes this file; its zero cloud is rebuilt here
+    # in memory, so a change that moves a zero must regenerate the picture
+    out = DEMOS / "out"
+    before = {p.name: p.stat().st_mtime_ns for p in out.iterdir()}
+    pair = solve_eigenpair(ProblemSpec(4, 1), 24)
+    window = (-1.6, 1.6, -1.6, 1.6)
+    zs = locate_zeros(rescale(EigenfunctionEvaluator(pair)), window, resolution=0.02)
+    svg = render_zeros_svg(stokes_complex(4, 1), list(zs.zeros), window)
+    assert svg.encode() == (out / "pt_quartic_zeros_n24.svg").read_bytes()
+    assert {p.name: p.stat().st_mtime_ns for p in out.iterdir()} == before

@@ -25,6 +25,7 @@ from stokeszeros.spectral import (
 from stokeszeros.stokescomplex import stokes_complex
 from stokeszeros.transport import transport, transport_states
 from stokeszeros.wkb import PhaseIntegral
+from stokeszeros.zeros import locate_zeros
 
 HARMONIC = ProblemSpec(2, 1)
 QUARTIC = ProblemSpec(4, 2)
@@ -741,3 +742,92 @@ def test_eval_many_memory_is_bounded():
         tracemalloc.stop()
     # measured 1.14 MB ranked in chunks of 32 points, 14.4 MB in one pass
     assert peak < 2.5e6
+
+
+def _record_hops(ev):
+    """Record every hop of ``ev`` from now on, in order, as (the state it
+    starts from, whether that is a skeleton anchor, target, budget, state
+    reached or None, measured loss)."""
+    ev._build_skeleton()
+    anchor_ids = {id(a) for a in ev._anchors}
+    hop = ev._monitored_hop
+    log = []
+
+    def recording(st, z, budget):
+        got = hop(st, z, budget)
+        loss = None if got is None else ev._loss
+        log.append((st, id(st) in anchor_ids, z, budget, got, loss))
+        return got
+
+    ev._monitored_hop = recording
+    return log
+
+
+def _assert_chains_share_one_hop_budget(ev, log):
+    """Each hop from a skeleton anchor gets the whole hop budget and each
+    link what its chain has left, so no chain's summed measured divergence
+    exceeds one hop's budget.  Returns the admitted links as (z, state)."""
+    spent = {}  # id of each state reached -> summed loss of its chain
+    links = []
+    for st, from_anchor, z, budget, got, loss in log:
+        before = 0.0 if from_anchor else spent[id(st)]
+        assert budget == pytest.approx(ev._HOP_BUDGET - before, abs=1e-12)
+        if got is not None:
+            spent[id(got)] = before + loss
+            assert spent[id(got)] <= ev._HOP_BUDGET
+            if not from_anchor:
+                links.append((z, got))
+    return links
+
+
+def _assert_links_match_anchored_evaluation(pair, links):
+    fresh = EigenfunctionEvaluator(pair)
+    for z, got in links:
+        want = fresh.eval(z)
+        assert got.z == want.z
+        assert abs(got.log_abs_y() - want.log_abs_y()) <= 1e-9, z
+        assert abs(wrap_angle(cmath.phase(got.y) - cmath.phase(want.y))) <= 1e-9, z
+
+
+@pytest.mark.parametrize("spec, n, zeros", [(ProblemSpec(4, 1), 10, 40), (QUARTIC, 10, 10)])
+def test_chained_edge_states_match_anchored_evaluation(spec, n, zeros):
+    # every chained boundary state of one zero set: the PT quartic in
+    # criterion 7's window, and a real strip of (4,2) as criterion 10 takes it
+    pair = solve_eigenpair(spec, n)
+    ev = EigenfunctionEvaluator(pair)
+    log = _record_hops(ev)
+    resc = rescale(ev)
+    if spec.ell == 1:
+        window, resolution = (-1.6, 1.6, -1.6, 1.6), 0.015
+    else:
+        lo, hi = resc.real_bracket()
+        window, resolution = (lo - 0.1, hi + 0.1, -0.08, 0.08), 0.01
+    assert locate_zeros(resc, window, resolution).total_count == zeros
+    links = _assert_chains_share_one_hop_budget(ev, log)
+    assert ev.counts["links"] == len(links)
+    links = links[:: max(1, len(links) // 1200)]
+    assert len(links) >= 1000
+    _assert_links_match_anchored_evaluation(pair, links)
+
+
+def test_edge_chain_reanchors_when_a_link_is_refused():
+    # an edge from near the origin into the lower decay sector of the PT
+    # quartic: the eigenfunction decays along it at the dominant rate, so
+    # links spend the chain's budget and are refused
+    pair = solve_eigenpair(ProblemSpec(4, 1), 10)
+    ev = EigenfunctionEvaluator(pair)
+    log = _record_hops(ev)
+    a, b = (0.1 - 0.05j) * ev.f, (1.6 - 1.6j) * ev.f
+    zs = [a + (b - a) * k / 200 for k in range(201)]
+    sts = ev.eval_edge(zs)
+    assert [st.z for st in sts] == zs
+    assert ev.counts["reanchors"] > 0
+    refused = [e for e in log if not e[1] and e[4] is None]
+    assert len(refused) == ev.counts["reanchors"]
+    links = _assert_chains_share_one_hop_budget(ev, log)
+    assert len(links) == ev.counts["links"] > 100
+    _assert_links_match_anchored_evaluation(pair, links)
+    # a second pass finds every sample cached
+    before = dict(ev.counts)
+    assert ev.eval_edge(zs) == sts
+    assert ev.counts == before

@@ -183,17 +183,40 @@ def test_hille_disc_harmonic():
     assert all(abs(z.imag) <= 1e-8 for z, _ in zs.zeros if abs(z) <= 0.9)
 
 
+def test_zero_location_takes_few_taylor_steps_per_point(monkeypatch):
+    # one taylor_coefficients call per Taylor step; edge samples hopped from
+    # the previous sample take one or two, where anchored hops took 5.2 here
+    ev = EigenfunctionEvaluator(solve_eigenpair(ProblemSpec(4, 1), 10))
+    steps = []
+    coefficients = ComplexPolynomial.taylor_coefficients
+    monkeypatch.setattr(
+        ComplexPolynomial,
+        "taylor_coefficients",
+        lambda self, z: steps.append(z) or coefficients(self, z),
+    )
+    zs = locate_zeros(rescale(ev), (-1.6, 1.6, -1.6, 1.6), resolution=0.015)
+    assert zs.total_count == 40
+    assert len(steps) <= 2 * ev.counts["points"]
+
+
 class _Recorder:
-    """PolynomialStates that records the points of every ``states`` call."""
+    """PolynomialStates that records the points of every ``states`` and
+    ``edge_states`` call."""
 
     def __init__(self, p):
         self.inner = PolynomialStates(p)
         self.calls = []
+        self.edge_calls = []
 
     def states(self, zs):
         zs = list(zs)
         self.calls.append(zs)
         return self.inner.states(zs)
+
+    def edge_states(self, zs):
+        zs = list(zs)
+        self.edge_calls.append(zs)
+        return self.inner.edge_states(zs)
 
     def edge_budget(self, a, b):
         return self.inner.edge_budget(a, b)
@@ -207,13 +230,16 @@ def test_evaluation_contract_batches_edges_and_polishes_single_points():
     assert repr(zs) == repr(locate_zeros(PolynomialStates(p), window, resolution=1e-3))
     assert [m for _, m in zs.zeros] == [1, 1, 1]
 
-    # one count: each edge's 25 base samples arrive as one batch
+    # one count: each edge's 25 base samples arrive in edge order as one
+    # edge_states call, and nothing else is a batch
     rec.calls.clear()
+    rec.edge_calls.clear()
     assert count_zeros_rect(rec, window) == 3
     x0, x1, y0, y1 = window
     loop = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1), complex(x0, y0)]
     edges = [[a + (b - a) * (k / 24) for k in range(25)] for a, b in zip(loop[:-1], loop[1:])]
-    assert [c for c in rec.calls if len(c) > 1] == edges
+    assert rec.edge_calls == edges
+    assert [c for c in rec.calls if len(c) > 1] == []
 
     # Newton polish asks for single points, ending next to each zero
     rec.calls.clear()
