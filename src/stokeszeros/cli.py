@@ -336,6 +336,7 @@ def cmd_zeros(args) -> int:
                     for a in rep.arcs
                 ],
                 "evaluations": dict(ev.counts),
+                "quadtree": dict(zs.counts),
             }
         )
         all_zeros.extend(zs.zeros)

@@ -5,21 +5,26 @@ until every cell isolates one zero (then Newton-polished) or bottoms out at
 the resolution (then reported with its multiplicity).  The function is
 reached through one contract: ``states(zs)`` gives a transport state
 (y, y', log scale) per point, ``edge_states(zs)`` the same for the ordered
-base samples of one edge, and ``edge_budget(a, b)`` the base sample count
-of an edge.  Polynomials serve it through :class:`PolynomialStates` (24
-samples per edge), rescaled eigenfunctions directly (a budget from the
-local wavenumber; each edge sample hopped from the one before).  Each
-sample must be accurate on its own (an eigenfunction state loses no more
-than one anchored hop's budget, chained or not), so the wrapped phase
-increments telescope and per-sample errors cancel, and refinement fires
-on large phase or modulus jumps, which rules out silently aliased turns.
+base samples of one boundary segment, and ``edge_budget(a, b)`` the base
+sample count of a segment.  Polynomials serve it through
+:class:`PolynomialStates` (24 samples per segment), rescaled
+eigenfunctions directly (a budget from the local wavenumber; each edge
+sample hopped from the one before).  All the cells of one run share one
+store of samples, kept per grid line, so each segment is sampled once and
+a split samples only its cross.  Each sample must be accurate on its own
+(an eigenfunction state loses no more than one anchored hop's budget,
+chained or not), so the wrapped phase increments telescope and per-sample
+errors cancel, and refinement fires on large phase or modulus jumps, which
+rules out silently aliased turns; an aliased turn that a later sample
+reveals breaks the agreement of a side with its halves, which raises.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -50,6 +55,9 @@ class ZeroSet:
 
     zeros: tuple  # ((position, multiplicity), ...), lexicographic order
     window: tuple  # (x0, x1, y0, y1); may differ from the request by nudges
+    # work done: cells counted, edge samples, samples reused, refinement
+    # midpoints, window and cross nudges
+    counts: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def total_count(self) -> int:
@@ -88,18 +96,7 @@ class PolynomialStates:
 
 
 # ---------------------------------------------------------------------------
-# winding-number drivers
-
-
-def _rect_loop(rect) -> list:
-    x0, x1, y0, y1 = rect
-    return [
-        complex(x0, y0),
-        complex(x1, y0),
-        complex(x1, y1),
-        complex(x0, y1),
-        complex(x0, y0),
-    ]
+# winding numbers from one store of boundary samples
 
 
 def _samples(states) -> list:
@@ -113,93 +110,214 @@ def _samples(states) -> list:
     return out
 
 
-def _winding(f, rect, boost: int = 1) -> float:
-    """Total arg change / 2pi along the rectangle boundary.
+class _Line:
+    """The samples of f on one grid line, in increasing coordinate order,
+    and the spans of the line sampled at base density so far."""
 
-    Each edge's base samples come in order from one ``f.edge_states``
-    call, refinement midpoints and the closing corner from ``f.states``.
-    Every sample is accurate on its own, however it was reached, so the
-    wrapped phase increments telescope and individual sample errors cancel.
-    The base density, ``boost`` times the edge budget, keeps the true arg
-    change per interval well under pi away from zeros; refinement of large
-    phase or modulus jumps and the modulus-dip guard handle the
-    neighbourhoods of zeros.
+    __slots__ = ("vertical", "c", "ts", "vals", "spans")
+
+    def __init__(self, vertical: bool, c: float):
+        self.vertical = vertical  # the line x = c, else y = c
+        self.c = c
+        self.ts = []
+        self.vals = []  # (log|y|, arg y) at each coordinate of ts
+        self.spans = []  # sorted, disjoint (lo, hi)
+
+    def point(self, t: float) -> complex:
+        return complex(self.c, t) if self.vertical else complex(t, self.c)
+
+    def find(self, t: float):
+        """The stored sample at t, or None."""
+        i = bisect_left(self.ts, t)
+        return self.vals[i] if i < len(self.ts) and self.ts[i] == t else None
+
+    def gaps(self, a: float, b: float) -> list:
+        """The parts of [a, b] that no sampled span covers."""
+        out = []
+        for lo, hi in self.spans:
+            if hi <= a:
+                continue
+            if lo >= b:
+                break
+            if lo > a:
+                out.append((a, lo))
+            a = hi
+        if a < b:
+            out.append((a, b))
+        return out
+
+    def add(self, ts, vals):
+        for t, v in zip(ts, vals):
+            i = bisect_left(self.ts, t)
+            if i == len(self.ts) or self.ts[i] != t:
+                self.ts.insert(i, t)
+                self.vals.insert(i, v)
+
+    def cover(self, a: float, b: float):
+        merged = []
+        for lo, hi in sorted(self.spans + [(a, b)]):
+            if merged and lo <= merged[-1][1]:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+            else:
+                merged.append((lo, hi))
+        self.spans = merged
+
+
+class _Boundary:
+    """One store of boundary samples for all the cells of one run.
+
+    Samples are kept per grid line, ``(False, y)`` horizontal and ``(True,
+    x)`` vertical, so every side on a line reads what any earlier side
+    sampled there.  A side on an unsampled span is sampled once, in
+    increasing coordinate order, by one ``f.edge_states`` call at the
+    density ``f.edge_budget`` asks for; a side on a sampled span adds only
+    its missing endpoints, from the crossing line where that stored them,
+    else through ``f.states``.  Refinement midpoints go into the store too.
+    ``counts`` holds the deterministic work done.
     """
-    loop = _rect_loop(rect)
-    args = []
-    for a, b in zip(loop[:-1], loop[1:]):
-        n = max(8, int(f.edge_budget(a, b) * boost))
-        params = [k / n for k in range(n + 1)]
-        values = _samples(f.edge_states([a + (b - a) * t for t in params]))
-        k = 0
+
+    def __init__(self, f):
+        self.f = f
+        self.lines = {}
+        self._evaluated = 0  # points asked of f, to tell reused samples
+        self.counts = dict.fromkeys(
+            ("cells", "edge_samples", "reused", "midpoints", "window_nudges", "cross_nudges"), 0
+        )
+
+    def _line(self, vertical: bool, c: float) -> _Line:
+        line = self.lines.get((vertical, c))
+        if line is None:
+            line = self.lines[(vertical, c)] = _Line(vertical, c)
+        return line
+
+    def _known(self, line: _Line, t: float):
+        """The sample at t on the line, stored there or by the crossing
+        line through that point, or None."""
+        value = line.find(t)
+        if value is None:
+            crossing = self.lines.get((not line.vertical, t))
+            if crossing is not None:
+                value = crossing.find(line.c)
+        return value
+
+    def _sample(self, line: _Line, a: float, b: float):
+        """Base samples of [a, b] on the line, one chain from a to b; an end
+        already stored is not asked for again."""
+        n = max(8, int(self.f.edge_budget(line.point(a), line.point(b))))
+        ts = [a + (b - a) * (k / n) for k in range(n)] + [b]
+        vals = [self._known(line, a)] + [None] * (n - 1) + [self._known(line, b)]
+        ask = [k for k, v in enumerate(vals) if v is None]
+        for k, v in zip(ask, _samples(self.f.edge_states([line.point(ts[k]) for k in ask]))):
+            vals[k] = v
+        line.add(ts, vals)
+        line.cover(a, b)
+        self.counts["edge_samples"] += len(ask)
+        self._evaluated += len(ask)
+
+    def _increment(self, line: _Line, a: float, b: float) -> float:
+        """Arg change of f along the line from a to b.
+
+        Large phase or modulus jumps between neighbouring samples are
+        bisected, and a sharp modulus dip against both neighbours marks a
+        zero hugging the side.
+        """
+        f, ts, vals = self.f, line.ts, line.vals
+        for t in (a, b):
+            if line.find(t) is None:
+                value = self._known(line, t)
+                if value is None:
+                    value = _samples(f.states([line.point(t)]))[0]
+                    self._evaluated += 1
+                line.add([t], [value])
+        k = start = bisect_left(ts, a)
+        end = bisect_left(ts, b)
         depth = 0
-        while k < len(params) - 1:
-            (la, aa), (lb, ab) = values[k], values[k + 1]
-            d = wrap_angle(ab - aa)
-            if abs(d) > 0.55 * math.pi or abs(lb - la) > 3.0:
-                if params[k + 1] - params[k] < 1e-12:
+        while k < end:
+            (la, aa), (lb, ab) = vals[k], vals[k + 1]
+            if abs(wrap_angle(ab - aa)) > 0.55 * math.pi or abs(lb - la) > 3.0:
+                if ts[k + 1] - ts[k] < 1e-12 * (b - a):
                     raise GeometryError(
-                        f"zero on or vanishingly near the boundary at "
-                        f"{a + (b - a) * params[k]:.6f}"
+                        f"zero on or vanishingly near the boundary at {line.point(ts[k]):.6f}"
                     )
                 if depth > 20000:
                     raise GeometryError(
-                        f"boundary refinement exploded near {a + (b - a) * params[k]:.6f}"
+                        f"boundary refinement exploded near {line.point(ts[k]):.6f}"
                     )
-                tm = 0.5 * (params[k] + params[k + 1])
-                params.insert(k + 1, tm)
-                values.insert(k + 1, _samples(f.states([a + (b - a) * tm]))[0])
+                tm = 0.5 * (ts[k] + ts[k + 1])
+                value = _samples(f.states([line.point(tm)]))[0]
+                ts.insert(k + 1, tm)
+                vals.insert(k + 1, value)
+                end += 1
                 depth += 1
+                self.counts["midpoints"] += 1
+                self._evaluated += 1
                 continue
             k += 1
-        # a sharp dip against its neighbours marks a zero hugging the edge
-        for j in range(1, len(values) - 1):
-            nb = max(values[j - 1][0], values[j + 1][0])
-            if values[j][0] - nb < -23.0:
+        for j in range(start + 1, end):
+            if vals[j][0] - max(vals[j - 1][0], vals[j + 1][0]) < -23.0:
                 raise GeometryError(
-                    f"boundary passes too close to a zero near z={a + (b - a) * params[j]:.6g}"
+                    f"boundary passes too close to a zero near z={line.point(ts[j]):.6g}"
                 )
-        args += [av for _, av in values[:-1]]
-    args.append(_samples(f.states([loop[0]]))[0][1])
-    return sum(wrap_angle(y - x) for x, y in zip(args, args[1:])) / (2 * math.pi)
+        return sum(wrap_angle(vals[j + 1][1] - vals[j][1]) for j in range(start, end))
+
+    def count(self, rect) -> tuple:
+        """Zeros of f inside the rectangle (x0, x1, y0, y1), and the arg
+        change along each of its sides (bottom, right, top, left), taken in
+        increasing coordinate.
+
+        The new sides are sampled first, so the corners they end on are
+        already stored when the reused sides ask for them.
+        """
+        x0, x1, y0, y1 = rect
+        sides = [
+            (self._line(False, y0), x0, x1),
+            (self._line(True, x1), y0, y1),
+            (self._line(False, y1), x0, x1),
+            (self._line(True, x0), y0, y1),
+        ]
+        self.counts["cells"] += 1
+        evaluated = self._evaluated
+        for line, a, b in sides:
+            for lo, hi in line.gaps(a, b):
+                self._sample(line, lo, hi)
+        incs = tuple(self._increment(line, a, b) for line, a, b in sides)
+        read = sum(bisect_right(line.ts, b) - bisect_left(line.ts, a) for line, a, b in sides)
+        self.counts["reused"] += read - (self._evaluated - evaluated)
+        raw = (incs[0] + incs[1] - incs[2] - incs[3]) / (2 * math.pi)
+        if abs(raw - round(raw)) > 1e-9:
+            raise GeometryError(f"winding {raw!r} over rectangle {rect} is not an integer")
+        n = int(round(raw))
+        if n < 0:
+            raise GeometryError(f"negative winding {n} over rectangle {rect}; boundary data inconsistent")
+        return n, incs
+
+    def count_with_nudges(self, rect, resolution) -> tuple:
+        """``count`` of the rectangle, shifted when a zero sits on its
+        boundary; returns (count, side increments, rectangle counted)."""
+        x0, x1, y0, y1 = rect
+        last = None
+        for sx, sy in ((0, 0),) + _NUDGE_STEPS:
+            dx = 0.37 * resolution * sx
+            dy = 0.37 * resolution * sy
+            cand = (x0 + dx, x1 + dx, y0 + dy, y1 + dy)
+            try:
+                return self.count(cand) + (cand,)
+            except GeometryError as exc:
+                last = exc
+                self.counts["window_nudges"] += 1
+        raise GeometryError(f"persistent boundary zero after nudges: {last}")
 
 
 def count_zeros_rect(f, rect) -> int:
-    """Number of zeros of f inside the rectangle (x0, x1, y0, y1).
+    """Number of zeros of f inside the rectangle (x0, x1, y0, y1), counted
+    with a fresh store of boundary samples.
 
-    The raw boundary quadrature must land within 0.25 of an integer; if it
-    does not, the base sampling is doubled, up to three times, before
-    giving up.
+    The side increments close over corner samples that are bit-equal on
+    both sides, so the raw winding must be an integer to 1e-9 turns; it
+    raises :class:`GeometryError` otherwise, or when a zero sits on the
+    boundary.
     """
-    raw = _winding(f, rect)
-    for attempt in range(1, 4):
-        if abs(raw - round(raw)) <= 0.25:
-            break
-        raw = _winding(f, rect, boost=2**attempt)
-    if abs(raw - round(raw)) > 0.25:
-        raise GeometryError(
-            f"winding {raw:.3f} over rectangle {rect} is not close to an integer "
-            f"after 3 doublings of the base sampling"
-        )
-    n = int(round(raw))
-    if n < 0:
-        raise GeometryError(f"negative winding {n} over rectangle {rect}; boundary data inconsistent")
-    return n
-
-
-def _count_with_nudges(f, rect, resolution):
-    """Count zeros, shifting the rectangle when a zero sits on the boundary."""
-    x0, x1, y0, y1 = rect
-    last = None
-    for sx, sy in ((0, 0),) + _NUDGE_STEPS:
-        dx = 0.37 * resolution * sx
-        dy = 0.37 * resolution * sy
-        cand = (x0 + dx, x1 + dx, y0 + dy, y1 + dy)
-        try:
-            return count_zeros_rect(f, cand), cand
-        except GeometryError as exc:
-            last = exc
-    raise GeometryError(f"persistent boundary zero after nudges: {last}")
+    return _Boundary(f).count(tuple(rect))[0]
 
 
 def _newton_polish(f, z0, rect):
@@ -224,29 +342,52 @@ def _newton_polish(f, z0, rect):
     return z
 
 
+_SIDES = ("bottom", "right", "top", "left")
+_HALVES = ((0, 1), (1, 3), (2, 3), (0, 2))  # the children on each side of a cell
+
+
+def _check_halves(rect, incs, child_incs):
+    """Each side's arg change, recorded when the cell was counted, must
+    equal the sum over its two halves as the children counted them."""
+    for s, (c0, c1) in enumerate(_HALVES):
+        halves = child_incs[c0][s] + child_incs[c1][s]
+        if abs(incs[s] - halves) > 1e-9:
+            raise GeometryError(
+                f"{_SIDES[s]} side of cell {rect}: arg change {incs[s]!r} when the cell "
+                f"was counted, {halves!r} over its halves"
+            )
+
+
 def locate_zeros(f, window, resolution: float) -> ZeroSet:
     """All zeros of f in the window, quadtree-isolated and Newton-polished.
 
     Each cell reports its own zeros, and nothing is merged.  A
     multiplicity-1 entry is the Newton limit inside the cell that counted
     it, or the centre of a resolution-floor cell where Newton failed; a
-    multiplicity above 1 is a floor cell's centre with its count.  Counts
-    are conserved at every subdivision level by construction.  ``f`` is
-    reached only through three methods: ``f.states(zs)``, one
-    :class:`TransportState` (y, y', log scale) per point, which the winding
-    reads as log|y| + log scale and arg y and Newton as y / y';
-    ``f.edge_states(zs)``, the same for the ordered base samples of one
-    boundary edge, which may reach each sample from the one before; and
-    ``f.edge_budget(a, b)``, the base sample count of the boundary edge
-    from a to b.  Wrap a polynomial as :class:`PolynomialStates`; a
-    rescaled eigenfunction (:func:`spectral.rescale`) is one already.
+    multiplicity above 1 is a floor cell's centre with its count.  All
+    cells share one store of boundary samples, kept per grid line, so a
+    split samples only its cross: the halves of the parent's sides reuse
+    the parent's samples.  The four children share their cross increments
+    exactly, so their counts sum to the parent's by telescoping; what that
+    no longer checks, each side's increment against the sum over its two
+    halves as the children counted them, must agree to 1e-9 rad, or the
+    run raises :class:`GeometryError`.  ``f`` is reached only through
+    three methods: ``f.states(zs)``, one :class:`TransportState` (y, y',
+    log scale) per point, which the winding reads as log|y| + log scale
+    and arg y and Newton as y / y'; ``f.edge_states(zs)``, the same for
+    the samples of one unsampled span of a grid line, in increasing
+    coordinate order, which may reach each sample from the one before; and
+    ``f.edge_budget(a, b)``, the base sample count of the segment from a
+    to b.  Wrap a polynomial as :class:`PolynomialStates`; a rescaled
+    eigenfunction (:func:`spectral.rescale`) is one already.
     """
     if resolution <= 0:
         raise GeometryError("resolution must be positive")
-    count, eff_window = _count_with_nudges(f, tuple(window), resolution)
+    store = _Boundary(f)
+    count, incs, eff_window = store.count_with_nudges(tuple(window), resolution)
     found = []
 
-    def subdivide(rect, n, depth):
+    def subdivide(rect, n, incs, depth):
         if n == 0:
             return
         x0, x1, y0, y1 = rect
@@ -281,20 +422,21 @@ def locate_zeros(f, window, resolution: float) -> ZeroSet:
                 (mx, x1, my, y1),
             ]
             try:
-                counts = [count_zeros_rect(f, qd) for qd in quads]
+                counted = [store.count(qd) for qd in quads]
             except GeometryError:
+                store.counts["cross_nudges"] += 1
                 continue
-            if sum(counts) == n:
-                for qd, c in zip(quads, counts):
-                    subdivide(qd, c, depth + 1)
-                return
-        raise GeometryError(
-            f"child counts inconsistent after nudges in cell {rect} (n={n})"
-        )
+            _check_halves(rect, incs, [c[1] for c in counted])
+            if sum(c[0] for c in counted) != n:
+                raise GeometryError(f"child counts {[c[0] for c in counted]} of cell {rect} do not sum to n={n}")
+            for qd, (c, child_incs) in zip(quads, counted):
+                subdivide(qd, c, child_incs, depth + 1)
+            return
+        raise GeometryError(f"no cross of cell {rect} (n={n}) avoids the zeros after nudges")
 
-    subdivide(eff_window, count, 0)
+    subdivide(eff_window, count, incs, 0)
     found.sort(key=lambda zm: (zm[0].real, zm[0].imag))
-    return ZeroSet(zeros=tuple(found), window=eff_window)
+    return ZeroSet(zeros=tuple(found), window=eff_window, counts=dict(store.counts))
 
 
 def empirical_measure(zs: ZeroSet, n: int) -> EmpiricalMeasure:

@@ -92,6 +92,21 @@ def test_zeros_json_records_the_evaluators_work_counts(tmp_path):
     assert counts["points"] > 0 and counts["links"] > 0
 
 
+def test_zeros_json_records_the_quadtree_work_counts(tmp_path):
+    assert run_cli(ZEROS_SMALL + ["--out", str(tmp_path)]) == 0
+    result = json.loads((tmp_path / "zeros.json").read_text())["results"][0]
+    counts = result["quadtree"]
+    assert set(counts) == {
+        "cells", "edge_samples", "reused", "midpoints", "window_nudges", "cross_nudges"
+    }
+    # no nudge here, so the window and four children per split were counted
+    assert counts["window_nudges"] == counts["cross_nudges"] == 0
+    assert counts["cells"] > 1 and counts["cells"] % 4 == 1
+    # the children's outer sides read their parent's samples
+    assert counts["reused"] > counts["cells"]
+    assert 0 < counts["edge_samples"] <= result["evaluations"]["points"]
+
+
 def test_verify_single_criterion(tmp_path):
     code = run_cli(["verify", "--criteria", "1", "--out", str(tmp_path)])
     assert code == 0

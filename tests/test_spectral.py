@@ -791,18 +791,21 @@ def _assert_links_match_anchored_evaluation(pair, links):
 
 @pytest.mark.parametrize("spec, n, zeros", [(ProblemSpec(4, 1), 10, 40), (QUARTIC, 10, 10)])
 def test_chained_edge_states_match_anchored_evaluation(spec, n, zeros):
-    # every chained boundary state of one zero set: the PT quartic in
-    # criterion 7's window, and a real strip of (4,2) as criterion 10 takes it
+    # every chained boundary state of the zero sets: the PT quartic in
+    # criterion 7's window, and real strips of (4,2) as criterion 10 takes
+    # them; with each boundary segment sampled once, one strip makes fewer
+    # than 1,000 links, so a second, taller strip is added
     pair = solve_eigenpair(spec, n)
     ev = EigenfunctionEvaluator(pair)
     log = _record_hops(ev)
     resc = rescale(ev)
     if spec.ell == 1:
-        window, resolution = (-1.6, 1.6, -1.6, 1.6), 0.015
+        windows, resolution = [(-1.6, 1.6, -1.6, 1.6)], 0.015
     else:
         lo, hi = resc.real_bracket()
-        window, resolution = (lo - 0.1, hi + 0.1, -0.08, 0.08), 0.01
-    assert locate_zeros(resc, window, resolution).total_count == zeros
+        windows, resolution = [(lo - 0.1, hi + 0.1, -h, h) for h in (0.08, 0.16)], 0.01
+    for window in windows:
+        assert locate_zeros(resc, window, resolution).total_count == zeros
     links = _assert_chains_share_one_hop_budget(ev, log)
     assert ev.counts["links"] == len(links)
     links = links[:: max(1, len(links) // 1200)]

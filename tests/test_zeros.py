@@ -229,16 +229,26 @@ def test_evaluation_contract_batches_edges_and_polishes_single_points():
     zs = locate_zeros(rec, window, resolution=1e-3)
     assert repr(zs) == repr(locate_zeros(PolynomialStates(p), window, resolution=1e-3))
     assert [m for _, m in zs.zeros] == [1, 1, 1]
+    # the cells share one store of boundary samples: no point is sampled
+    # by two edge_states calls of one run
+    edge_points = [z for call in rec.edge_calls for z in call]
+    assert len(edge_points) == len(set(edge_points)) == zs.counts["edge_samples"]
 
-    # one count: each edge's 25 base samples arrive in edge order as one
-    # edge_states call, and nothing else is a batch
+    # one count: each side's 25 base samples arrive in increasing coordinate
+    # order as one edge_states call, less the corners an earlier side
+    # sampled, and nothing else is a batch
     rec.calls.clear()
     rec.edge_calls.clear()
     assert count_zeros_rect(rec, window) == 3
     x0, x1, y0, y1 = window
-    loop = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1), complex(x0, y0)]
-    edges = [[a + (b - a) * (k / 24) for k in range(25)] for a, b in zip(loop[:-1], loop[1:])]
-    assert rec.edge_calls == edges
+    ts = [k / 24 for k in range(25)]
+    sides = [
+        [complex(x0 + (x1 - x0) * t, y0) for t in ts],
+        [complex(x1, y0 + (y1 - y0) * t) for t in ts[1:]],
+        [complex(x0 + (x1 - x0) * t, y1) for t in ts[:-1]],
+        [complex(x0, y0 + (y1 - y0) * t) for t in ts[1:-1]],
+    ]
+    assert rec.edge_calls == sides
     assert [c for c in rec.calls if len(c) > 1] == []
 
     # Newton polish asks for single points, ending next to each zero
@@ -247,3 +257,71 @@ def test_evaluation_contract_batches_edges_and_polishes_single_points():
     singles = [c[0] for c in rec.calls if len(c) == 1]
     for z, _ in zs.zeros:
         assert min(abs(w - z) for w in singles) < 1e-9
+
+
+def _found_every_root(zs, roots_):
+    assert [m for _, m in zs.zeros] == [1] * len(roots_)
+    for r in roots_:
+        assert min(abs(r - z) for z, _ in zs.zeros) < 1e-12, (r, zs.zeros)
+
+
+def test_window_nudge_moves_the_window_off_a_root_on_its_edge():
+    # the right edge x = 1 passes through a root, so the window count raises
+    # and the window shifts right by 0.37 resolution; its shifted bottom and
+    # top sides reuse the first attempt's samples and sample only the rest
+    roots_ = [1.0 + 0.25j, 0.3 + 0.4j, -0.45 - 0.2j]
+    p = PolynomialStates(ComplexPolynomial(list(np.poly(roots_)[::-1])))
+    window, resolution = (-1.0, 1.0, -1.0, 1.0), 1e-3
+    with pytest.raises(GeometryError, match="near the boundary"):
+        count_zeros_rect(p, window)
+    zs = locate_zeros(p, window, resolution)
+    assert zs.window == (-1.0 + 0.37 * resolution, 1.0 + 0.37 * resolution, -1.0, 1.0)
+    assert zs.counts["window_nudges"] == 1
+    _found_every_root(zs, roots_)
+
+
+def test_cross_nudge_moves_the_first_split_off_a_root_on_it():
+    # a root on the first vertical cross line: a child count raises, and the
+    # cross moves; the horizontal cross line, partly sampled and refined by
+    # the failed counts, is reused by the next cross
+    window, resolution = (-1.0, 1.0, -1.0, 1.0), 1e-3
+    roots_ = [complex(-1.0 + 0.503791 * 2.0, 0.35), 0.3 + 0.4j, -0.45 - 0.2j, 0.6 - 0.7j]
+    p = PolynomialStates(ComplexPolynomial(list(np.poly(roots_)[::-1])))
+    zs = locate_zeros(p, window, resolution)
+    assert zs.window == window
+    assert zs.counts["window_nudges"] == 0
+    assert zs.counts["cross_nudges"] >= 1
+    _found_every_root(zs, roots_)
+
+
+class _EightPerSide(PolynomialStates):
+    """A polynomial sampled far too sparsely: 8 base samples per segment."""
+
+    def edge_budget(self, a, b):
+        return 8
+
+
+def test_side_check_catches_a_turn_the_parent_side_aliased():
+    # z**40 at 8 samples per side aliases whole turns between samples, and
+    # the count of the window still closes to an integer (23, not 40); the
+    # split point inserted on its bottom side reveals an aliased turn, so
+    # that side and its two halves disagree by 2 pi
+    p = _EightPerSide(ComplexPolynomial([0] * 40 + [1]))
+    window = (-1.1, 0.9, -1.05, 0.95)
+    assert count_zeros_rect(p, window) == 23
+    with pytest.raises(
+        GeometryError,
+        match=r"bottom side of cell \(-1\.1, 0\.9, -1\.05, 0\.95\): arg change 35\.55\d+ when "
+        r"the cell was counted, 41\.84\d+ over its halves",
+    ):
+        locate_zeros(p, window, 1e-3)
+
+
+def test_split_samples_only_its_cross():
+    # a regression guard on the shared store of boundary samples: the PT
+    # quartic at n = 10 in criterion 7's window evaluated 20,143 points when
+    # every cell sampled its four edges afresh
+    ev = EigenfunctionEvaluator(solve_eigenpair(ProblemSpec(4, 1), 10))
+    zs = locate_zeros(rescale(ev), (-1.6, 1.6, -1.6, 1.6), resolution=0.015)
+    assert zs.total_count == 40
+    assert ev.counts["points"] <= 10_000
