@@ -46,20 +46,6 @@ def _spec(args) -> ProblemSpec:
     return ProblemSpec(args.d, args.ell, tuple(a))
 
 
-def _parse_coeff(text: str):
-    try:
-        key, val = text.split("=")
-        re_s, im_s = val.split(",")
-        k = int(key)
-        if k < 1:
-            raise ValueError
-        return [k, float(re_s), float(im_s)]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"coefficient must look like k=re,im with k >= 1, got {text!r}"
-        ) from exc
-
-
 def _checked(convert, ok, rule: str):
     """An argparse type: ``convert`` the text, then require ``ok(value)``."""
 
@@ -83,10 +69,21 @@ def _window(text: str) -> list:
     return parts
 
 
+def _coeff(text: str) -> list:
+    key, val = text.split("=")
+    re_s, im_s = val.split(",")
+    return [int(key), float(re_s), float(im_s)]
+
+
 _parse_window = _checked(
     _window,
     lambda w: len(w) == 4 and all(map(math.isfinite, w)) and w[0] < w[1] and w[2] < w[3],
     "window is a finite 'halfwidth' or 'x0,x1,y0,y1' with x0 < x1 and y0 < y1",
+)
+_parse_coeff = _checked(
+    _coeff,
+    lambda c: c[0] >= 1 and all(map(math.isfinite, c[1:])),
+    "coefficient is k=re,im with k >= 1 and re, im finite",
 )
 _parse_index = _checked(int, lambda n: n >= 0, "an eigenvalue index is at least 0")
 _parse_positive = _checked(float, lambda x: 0 < x < math.inf, "the value must be positive and finite")

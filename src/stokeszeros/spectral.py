@@ -236,10 +236,11 @@ def miss_function(spec: ProblemSpec, lam: complex, frame: ShootingFrame) -> comp
 
 
 def miss_surrogate(spec: ProblemSpec, lam: float, frame: ShootingFrame) -> float:
-    """Real, modulus-normalized miss for bracketing real spectra.
+    """Real, modulus-normalized miss on the real axis.
 
     Sign changes happen exactly at eigenvalues (the denominator is
-    positive), which makes this the right function for bisection.
+    positive).  The eigenvalue search does not call it; it solves
+    :func:`miss_function` for every spec.
     """
     sl, sr, wr = _miss_parts(spec, complex(lam), frame)
     denom = (abs(sl.y) + abs(sl.dy)) * (abs(sr.y) + abs(sr.dy))
@@ -270,98 +271,17 @@ class Eigenpair:
         return cmath.exp(cmath.log(self.lam) / self.spec.d)
 
 
-_BRENT_ITERATIONS = 200
-
-
-def _real_brent(f, a, b, fa, fb, xtol):
-    """Root of f in [a, b], where f(a) and f(b) differ in sign, by Brent's method.
-
-    Each step is an inverse quadratic interpolation through the last three
-    iterates, or a secant step through two, if it lands well inside the
-    bracket and at least halves the step before last; otherwise the step
-    bisects.  No step is shorter than xtol/2 (Brent 1973, in the form of
-    scipy's ``brentq``).  Returns the bracket end with the smaller |f| once
-    the bracket is narrower than xtol; a bracket still wider after
-    ``_BRENT_ITERATIONS`` evaluations raises :class:`IntegrationError`.
-    """
-    if fa == 0:
-        return a
-    if fb == 0:
-        return b
-    # xcur: best iterate; xblk: the bracket's other end; xpre: previous iterate
-    xpre, fpre, xcur, fcur = a, fa, b, fb
-    xblk = fblk = spre = scur = 0.0
-    delta = 0.5 * xtol
-    for _ in range(_BRENT_ITERATIONS):
-        if (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        sbis = 0.5 * (xblk - xcur)
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        stry = None
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-        if stry is not None and 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-            spre, scur = scur, stry
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise IntegrationError(
-        f"Brent search did not converge in {_BRENT_ITERATIONS} evaluations: "
-        f"bracket [{min(xcur, xblk):.17g}, {max(xcur, xblk):.17g}], xtol {xtol:.3g}"
-    )
-
-
 def _search(spec: ProblemSpec, n: int, frame: ShootingFrame, lam=None) -> complex:
     """Eigenvalue n in one fixed frame, from its growth-law seed or from lam.
 
-    Self-adjoint spectra are real: a bracket about the start widens until
-    the modulus-normalized miss changes sign and is then closed to 1e-12
-    relative by Brent's method (:func:`_real_brent`), which raises, naming
-    n, if it runs out of iterations.  Otherwise a damped secant iteration
-    runs on the holomorphic miss function.  Without ``lam`` the search
-    starts wide from the seed; with it, it polishes ``lam`` in a new frame.
+    One damped secant iteration on the holomorphic miss function serves
+    every spec.  Self-adjoint spectra are real: each iterate is projected
+    onto the real axis, so every miss evaluation and the returned lambda
+    are exactly real.  Without ``lam`` the search starts wide from the
+    seed; with it, it polishes ``lam`` in a new frame.  A search that does
+    not converge raises :class:`IntegrationError`, naming n.
     """
     seed = eigenvalue_estimate(spec.d, spec.ell, n, offset=0.5)
-    if spec.is_self_adjoint:
-        f = lambda x: miss_surrogate(spec, x, frame)
-        if lam is None:
-            gap = seed * (2.0 * spec.d / (spec.d + 2.0)) / (n + 0.5)
-            x, half, grow, tries = seed, 0.42 * gap, 1.6, 9
-        else:
-            x = lam.real
-            half, grow, tries = 1e-6 * (1.0 + abs(x)), 2.2, 40
-        a, b = x - half, x + half
-        fa, fb = f(a), f(b)
-        tried = 0
-        while (fa > 0) == (fb > 0):
-            tried += 1
-            if tried > tries:
-                raise IntegrationError(
-                    f"no sign change within {half:.3g} of {x:.6g} (n={n})"
-                )
-            half *= grow
-            a, b = x - half, x + half
-            fa, fb = f(a), f(b)
-        try:
-            return complex(_real_brent(f, a, b, fa, fb, xtol=1e-12 * (1.0 + abs(x))))
-        except IntegrationError as exc:
-            raise IntegrationError(f"{exc} (n={n})") from None
-
     f = lambda z: miss_function(spec, z, frame)
     if lam is None:
         l0, l1 = complex(seed), complex(seed) * (1.0 + 1e-3) + 1e-6
@@ -380,6 +300,8 @@ def _search(spec: ProblemSpec, n: int, frame: ShootingFrame, lam=None) -> comple
         l2 = l1 - f1 * (l1 - l0) / (f1 - f0)
         if abs(l2 - l1) > max_step:
             l2 = l1 + max_step * (l2 - l1) / abs(l2 - l1)
+        if spec.is_self_adjoint:
+            l2 = complex(l2.real, 0.0)
         l0, f0 = l1, f1
         l1, f1 = l2, f(l2)
         if abs(l1 - l0) <= tol * (1.0 + abs(l1)):
@@ -430,12 +352,13 @@ def _real_bracket(spec: ProblemSpec, lam: complex) -> tuple:
 def solve_eigenpair(spec: ProblemSpec, n: int) -> Eigenpair:
     """Locate eigenvalue n and package normalized initial data.
 
-    One search (:func:`_search`: a widening bracket for self-adjoint
-    problems, a damped secant iteration otherwise) starts from the
-    asymptotic growth law; the same search then polishes the eigenvalue
-    while the seed radius doubles, until it is stable to 1e-9 relative,
-    which makes the WKB truncation error measurable.  A search that does
-    not converge raises :class:`IntegrationError`.
+    One search (:func:`_search`, a damped secant iteration, kept on the
+    real axis for self-adjoint problems) starts from the asymptotic growth
+    law; the same search then polishes the eigenvalue while the seed
+    radius doubles, until it is stable to 1e-9 relative, which makes the
+    WKB truncation error measurable.  A search that does not converge
+    raises :class:`IntegrationError`; for self-adjoint problems the
+    eigenfunction's real zeros are counted and must number n.
     """
     if n < 0:
         raise DomainError("eigenvalue index must be nonnegative")

@@ -398,6 +398,11 @@ def test_run_config_rejects_repeated_coefficient():
         (["stokes", "--d", "2", "--ell", "1", "--window", "inf"], "--window"),
         (["zeros", "--d", "2", "--ell", "1", "--resolution", "inf"], "--resolution"),
         (["zeros", "--d", "2", "--ell", "1", "--delta", "inf"], "--delta"),
+    ]
+    + [
+        ([command, "--d", "4", "--ell", "2", "--coeff", coeff], "--coeff")
+        for command in ("spectrum", "zeros")
+        for coeff in ("2=nan,0", "1=0,inf", "2=1e309,0")
     ],
 )
 def test_range_arguments_checked_at_parse_time(tmp_path, capsys, args, flag):

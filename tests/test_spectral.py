@@ -109,10 +109,11 @@ def test_miss_function_analytic_in_lambda():
 
 
 def test_harmonic_spectrum_exact():
-    pairs = [solve_eigenpair(HARMONIC, n) for n in range(5)]
+    pairs = [solve_eigenpair(HARMONIC, n) for n in range(12)]
     assert ordering_violations(pairs) == []
     for n, p in enumerate(pairs):
-        assert abs(p.lam - (2 * n + 1)) < 1e-8 * (2 * n + 1)
+        assert p.lam.imag == 0.0
+        assert abs(p.lam - (2 * n + 1)) < 1e-13 * (2 * n + 1)
         assert abs(abs(p.y0) + abs(p.dy0) - 1.0) < 1e-12
 
 
@@ -374,7 +375,8 @@ def test_pt_quartic_lambda_40_is_real():
 
 def test_failed_polish_raises(monkeypatch):
     # a doubled frame that carries no root information must not hand back
-    # the seed frame's eigenvalue as if the polish had converged
+    # the seed frame's eigenvalue as if the polish had converged, on the
+    # complex search and on the real axis alike
     real_miss = spectral.miss_function
     frames = []
 
@@ -386,75 +388,27 @@ def test_failed_polish_raises(monkeypatch):
         return 1 + 0j
 
     monkeypatch.setattr(spectral, "miss_function", flat_after_first_frame)
-    solve_eigenpair.cache_clear()
-    try:
-        with pytest.raises(IntegrationError, match="n=2"):
-            solve_eigenpair(ProblemSpec(3, 1), 2)
-    finally:
+    for spec in (PT_CUBIC, QUARTIC):
+        frames.clear()
         solve_eigenpair.cache_clear()
-
-
-def _counted(f):
-    calls = []
-
-    def g(x):
-        calls.append(x)
-        return f(x)
-
-    return g, calls
-
-
-@pytest.mark.parametrize(
-    "f, a, b, root",
-    [
-        (lambda x: x**3 - 2.0, 0.0, 2.0, 2.0 ** (1.0 / 3.0)),
-        (lambda x: math.cos(x) - x, 0.0, 1.0, 0.7390851332151607),
-        (lambda x: math.exp(x) - 10.0, 0.0, 10.0, math.log(10.0)),
-    ],
-    ids=["cube-root", "cos-fixed-point", "log"],
-)
-def test_real_brent_closed_form_roots(f, a, b, root):
-    # bisection needs log2((b - a) / xtol) >= 40 evaluations here
-    g, calls = _counted(f)
-    xtol = 1e-12
-    got = spectral._real_brent(g, a, b, f(a), f(b), xtol)
-    assert abs(got - root) <= xtol
-    assert len(calls) <= 12
-
-
-def test_real_brent_bisects_a_step():
-    # interpolation has nothing to work with, so every step bisects
-    g, calls = _counted(lambda x: 1.0 if x > 0.3 else -1.0)
-    got = spectral._real_brent(g, 0.0, 1.0, -1.0, 1.0, 1e-12)
-    assert abs(got - 0.3) <= 1e-12
-    assert len(calls) <= 41
-
-
-def test_real_brent_exhausted_cap_raises(monkeypatch):
-    monkeypatch.setattr(spectral, "_BRENT_ITERATIONS", 3)
-    f = lambda x: math.cos(x) - x
-    with pytest.raises(IntegrationError, match=r"bracket \[.*\], xtol 1e-12"):
-        spectral._real_brent(f, 0.0, 1.0, f(0.0), f(1.0), 1e-12)
-    # through the eigen-solve the message also names the index
-    solve_eigenpair.cache_clear()
-    try:
-        with pytest.raises(IntegrationError, match=r"xtol .*\(n=3\)"):
-            solve_eigenpair(QUARTIC, 3)
-    finally:
-        solve_eigenpair.cache_clear()
+        try:
+            with pytest.raises(IntegrationError, match="n=2"):
+                solve_eigenpair(spec, 2)
+        finally:
+            solve_eigenpair.cache_clear()
 
 
 def test_self_adjoint_solve_miss_budget(monkeypatch):
-    # Brent closes the seed bracket and each polish in about 13 calls in
-    # all; the bisecting search made about 64
-    real_surrogate = spectral.miss_surrogate
+    # the secant on the real axis closes the seed solve and every polish
+    # in about 9 miss evaluations in all
+    real_miss = spectral.miss_function
     calls = []
 
     def counted(spec, lam, frame=None):
         calls.append(lam)
-        return real_surrogate(spec, lam, frame)
+        return real_miss(spec, lam, frame)
 
-    monkeypatch.setattr(spectral, "miss_surrogate", counted)
+    monkeypatch.setattr(spectral, "miss_function", counted)
     solve_eigenpair.cache_clear()
     try:
         pair = solve_eigenpair(QUARTIC, 10)
