@@ -438,9 +438,11 @@ class EigenfunctionEvaluator:
     between the dominant local growth rate and their measured modulus
     slope, and every state returned is a hop that stayed within the budget;
     a point that no anchor reaches raises :class:`IntegrationError`.
-    Along a boundary edge (:meth:`eval_edge`) each sample continues the
-    transport from the one before, and the links of such a chain share one
-    hop's budget, so a chained state is as accurate as an anchored one.
+    Evaluation takes one point or one edge.  A point (:meth:`eval`) is one
+    anchored hop.  Along a boundary edge (:meth:`eval_edge`) each sample
+    continues the transport from the one before, and the links of such a
+    chain share one hop's budget, so a chained state is as accurate as an
+    anchored one.  Both keep each point's state once, in one cache.
 
     ``counts`` holds the deterministic work done so far: points evaluated,
     anchored hops admitted and refused, chained links admitted, and
@@ -609,29 +611,24 @@ class EigenfunctionEvaluator:
         self._loss = divergence
         return got
 
-    def _rank(self, zs: np.ndarray) -> np.ndarray:
-        """The anchors to hop from, best first: one row of indices per point.
+    def _rank(self, z: complex) -> np.ndarray:
+        """The indices of the anchors to hop to z from, best first.
 
         The 24 nearest anchors are ranked by an envelope-grid estimate:
-        chord ridge against the target envelope, then phase distance.  Every
-        step is elementwise or runs along a row, so each row equals the
-        ranking of its point alone.
+        chord ridge against the target envelope, then phase distance.
         """
-        env = self.h * self._u_hat(zs)
-        zt = zs[:, None]
-        near = np.argsort(np.abs(self._anchor_z - zt), axis=1)[:, :24]
+        near = np.argsort(np.abs(self._anchor_z - z))[:24]
         za = self._anchor_z[near]
         # chord ridge: highest envelope among 9 samples of each straight hop
-        chords = za[..., None] + (zt - za)[..., None] * (np.arange(9) / 8)
-        ridge = self.h * self._u_hat(chords).max(axis=2)
+        chords = za[:, None] + (z - za)[:, None] * (np.arange(9) / 8)
+        ridge = self.h * self._u_hat(chords).max(axis=1)
         # phase distance: limit speed sqrt|Q| at the chord midpoint
-        wr, wi = _divide(0.5 * (za + zt), self.f)
+        wr, wi = _divide(0.5 * (za + z), self.f)
         qr, qi = horner_parts(self._limit_complex().quaddiff.polynomial, wr, wi)
         speed = np.sqrt(np.hypot(qr, qi))
-        cost = speed * np.hypot(zt.real - za.real, zt.imag - za.imag) / abs(self.f)
-        admissible = ridge <= env[:, None] + self._HOP_BUDGET + 4.0
-        order = np.lexsort((cost, ~admissible), axis=1)[:, :5]
-        return np.take_along_axis(near, order, axis=1)
+        cost = speed * np.hypot(z.real - za.real, z.imag - za.imag) / abs(self.f)
+        admissible = ridge <= self.log_envelope(z) + self._HOP_BUDGET + 4.0
+        return near[np.lexsort((cost, ~admissible))[:5]]
 
     def _by_divergence(self, z: complex) -> np.ndarray:
         """Every anchor, ordered by the estimated divergence of a hop to z.
@@ -651,7 +648,7 @@ class EigenfunctionEvaluator:
         loss = np.maximum(0.0, rate - np.diff(env, axis=1)).sum(axis=1)
         return np.argsort(loss, kind="stable")
 
-    def _hop(self, z: complex, best) -> TransportState:
+    def _hop_from(self, z: complex) -> TransportState:
         """Evaluate by transporting from the first anchor whose hop is admitted.
 
         Admission is decided by the hop's own measured divergence.  The
@@ -659,6 +656,7 @@ class EigenfunctionEvaluator:
         follows in :meth:`_by_divergence` order.  A point that no hop
         reaches within the budget raises :class:`IntegrationError`.
         """
+        best = self._rank(z)
 
         def candidates():
             yield from best
@@ -674,31 +672,6 @@ class EigenfunctionEvaluator:
             f"no anchor's hop reaches z={z:.17g} within the hop budget "
             f"{self._HOP_BUDGET:g} (n={self.pair.n}, lambda={self.pair.lam:.17g})"
         )
-
-    def _hop_from(self, z: complex) -> TransportState:
-        """Evaluate one point: a batch of one through :meth:`_rank`."""
-        return self._hop(z, self._rank(np.array([z], dtype=complex))[0])
-
-    # points ranked per array pass; bounds the pass's (points x anchors) arrays
-    _CHUNK = 32
-
-    def eval_many(self, zs) -> list:
-        """Transport states at every point of zs, ranked in array passes.
-
-        Points already cached or repeated in the batch are evaluated once;
-        the rest are ranked in chunks of ``_CHUNK`` and hop one by one, in
-        order, so each state equals what :meth:`eval` gives alone.
-        """
-        if self._anchors is None:
-            self._build_skeleton()
-        keys = [(z.real, z.imag) for z in map(complex, zs)]
-        todo = [complex(*k) for k in dict.fromkeys(keys) if k not in self._point_cache]
-        for s in range(0, len(todo), self._CHUNK):
-            chunk = todo[s : s + self._CHUNK]
-            for z, best in zip(chunk, self._rank(np.array(chunk, dtype=complex))):
-                self._point_cache[(z.real, z.imag)] = self._hop(z, best)
-        self.counts["points"] += len(todo)
-        return [self._point_cache[k] for k in keys]
 
     def eval_edge(self, zs) -> list:
         """Transport states at the ordered samples of one boundary edge.
@@ -738,12 +711,17 @@ class EigenfunctionEvaluator:
         return [self._point_cache[(z.real, z.imag)] for z in zs]
 
     def eval(self, z: complex) -> TransportState:
-        """Transport state (y, y', log scale) of the eigenfunction at z."""
+        """Transport state (y, y', log scale) of the eigenfunction at z: an
+        anchored hop (:meth:`_hop_from`), evaluated once per point."""
+        if self._anchors is None:
+            self._build_skeleton()
         z = complex(z)
         key = (z.real, z.imag)
-        if key not in self._point_cache:
-            self.eval_many([z])
-        return self._point_cache[key]
+        st = self._point_cache.get(key)
+        if st is None:
+            st = self._point_cache[key] = self._hop_from(z)
+            self.counts["points"] += 1
+        return st
 
 
 def _divide(z: np.ndarray, f: complex) -> tuple:
@@ -797,19 +775,18 @@ class RescaledEigenfunction:
         self.f = ev.f
         self.h = ev.h
 
-    def states(self, ws) -> list:
-        """Rescaled states (Y, dY/dw, log scale) at every point of ws, each
-        an anchored hop (:meth:`EigenfunctionEvaluator.eval_many`)."""
-        return self._rescaled(self.ev.eval_many, ws)
+    def state(self, w: complex) -> TransportState:
+        """Rescaled state (Y, dY/dw, log scale) at w, an anchored hop
+        (:meth:`EigenfunctionEvaluator.eval`)."""
+        w = complex(w)
+        st = self.ev.eval(self.f * w)
+        return TransportState(w, st.y, st.dy * self.f, st.log_scale)
 
     def edge_states(self, ws) -> list:
         """Rescaled states at the ordered samples of one boundary edge, each
         hopped from the one before (:meth:`EigenfunctionEvaluator.eval_edge`)."""
-        return self._rescaled(self.ev.eval_edge, ws)
-
-    def _rescaled(self, evaluate, ws) -> list:
         ws = [complex(w) for w in ws]
-        sts = evaluate([self.f * w for w in ws])
+        sts = self.ev.eval_edge([self.f * w for w in ws])
         return [TransportState(w, st.y, st.dy * self.f, st.log_scale) for w, st in zip(ws, sts)]
 
     def edge_budget(self, a: complex, b: complex) -> float:
@@ -824,8 +801,7 @@ class RescaledEigenfunction:
 
     def log_modulus(self, w: complex) -> float:
         """(1/h) log |Y(w)|, the quantity converging to the envelope u."""
-        st = self.states([w])[0]
-        return st.log_abs_y() / self.h
+        return self.state(w).log_abs_y() / self.h
 
     def real_bracket(self) -> tuple:
         lo, hi = _real_bracket(self.pair.spec, self.pair.lam)

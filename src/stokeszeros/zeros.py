@@ -3,15 +3,15 @@
 Winding numbers over rectangle boundaries drive a quadtree subdivision
 until every cell isolates one zero (then Newton-polished) or bottoms out at
 the resolution (then reported with its multiplicity).  The function is
-reached through one contract: ``states(zs)`` gives a transport state
-(y, y', log scale) per point, ``edge_states(zs)`` the same for the ordered
-base samples of one boundary segment, and ``edge_budget(a, b)`` the base
-sample count of a segment.  Polynomials serve it through
-:class:`PolynomialStates` (24 samples per segment), rescaled
-eigenfunctions directly (a budget from the local wavenumber; each edge
-sample hopped from the one before).  All the cells of one run share one
-store of samples, kept per grid line, so each segment is sampled once and
-a split samples only its cross.  Each sample must be accurate on its own
+reached through one contract, one point or one edge: ``state(z)`` gives
+the transport state (y, y', log scale) at a point, ``edge_states(zs)`` the
+same for the ordered base samples of one boundary segment, and
+``edge_budget(a, b)`` the base sample count of a segment.  Polynomials
+serve it through :class:`PolynomialStates` (24 samples per segment),
+rescaled eigenfunctions directly (a budget from the local wavenumber; each
+edge sample hopped from the one before).  All the cells of one run share
+one store of samples, kept per grid line, so each segment is sampled once
+and a split samples only its cross.  Each sample must be accurate on its own
 (an eigenfunction state loses no more than one anchored hop's budget,
 chained or not), so the wrapped phase increments telescope and per-sample
 errors cancel, and refinement fires on large phase or modulus jumps, which
@@ -86,10 +86,11 @@ class PolynomialStates:
         self.p = p
         self.dp = p.derivative()
 
-    def states(self, zs) -> list:
-        return [TransportState(z, self.p(z), self.dp(z), 0.0) for z in zs]
+    def state(self, z) -> TransportState:
+        return TransportState(z, self.p(z), self.dp(z), 0.0)
 
-    edge_states = states
+    def edge_states(self, zs) -> list:
+        return [self.state(z) for z in zs]
 
     def edge_budget(self, a: complex, b: complex) -> int:
         return 24
@@ -99,15 +100,11 @@ class PolynomialStates:
 # winding numbers from one store of boundary samples
 
 
-def _samples(states) -> list:
-    """``[(log|y|, arg y) for each state]``; the log-scale of each state
-    keeps the modulus in range."""
-    out = []
-    for st in states:
-        if st.y == 0:
-            raise GeometryError(f"zero exactly on the counting boundary at z={st.z:.6g}")
-        out.append((math.log(abs(st.y)) + st.log_scale, cmath.phase(st.y)))
-    return out
+def _value(st) -> tuple:
+    """(log|y|, arg y) of one state; its log-scale keeps the modulus in range."""
+    if st.y == 0:
+        raise GeometryError(f"zero exactly on the counting boundary at z={st.z:.6g}")
+    return math.log(abs(st.y)) + st.log_scale, cmath.phase(st.y)
 
 
 class _Line:
@@ -172,7 +169,7 @@ class _Boundary:
     increasing coordinate order, by one ``f.edge_states`` call at the
     density ``f.edge_budget`` asks for; a side on a sampled span adds only
     its missing endpoints, from the crossing line where that stored them,
-    else through ``f.states``.  Refinement midpoints go into the store too.
+    else through ``f.state``.  Refinement midpoints go into the store too.
     ``counts`` holds the deterministic work done.
     """
 
@@ -207,8 +204,8 @@ class _Boundary:
         ts = [a + (b - a) * (k / n) for k in range(n)] + [b]
         vals = [self._known(line, a)] + [None] * (n - 1) + [self._known(line, b)]
         ask = [k for k, v in enumerate(vals) if v is None]
-        for k, v in zip(ask, _samples(self.f.edge_states([line.point(ts[k]) for k in ask]))):
-            vals[k] = v
+        for k, st in zip(ask, self.f.edge_states([line.point(ts[k]) for k in ask])):
+            vals[k] = _value(st)
         line.add(ts, vals)
         line.cover(a, b)
         self.counts["edge_samples"] += len(ask)
@@ -226,7 +223,7 @@ class _Boundary:
             if line.find(t) is None:
                 value = self._known(line, t)
                 if value is None:
-                    value = _samples(f.states([line.point(t)]))[0]
+                    value = _value(f.state(line.point(t)))
                     self._evaluated += 1
                 line.add([t], [value])
         k = start = bisect_left(ts, a)
@@ -244,7 +241,7 @@ class _Boundary:
                         f"boundary refinement exploded near {line.point(ts[k]):.6f}"
                     )
                 tm = 0.5 * (ts[k] + ts[k + 1])
-                value = _samples(f.states([line.point(tm)]))[0]
+                value = _value(f.state(line.point(tm)))
                 ts.insert(k + 1, tm)
                 vals.insert(k + 1, value)
                 end += 1
@@ -328,7 +325,7 @@ def _newton_polish(f, z0, rect):
     pad = 0.75 * max(x1 - x0, y1 - y0)
     for _ in range(40):
         try:
-            st = f.states([z])[0]
+            st = f.state(z)
             step = st.y / st.dy
         except (ZeroDivisionError, IntegrationError):
             return None
@@ -372,19 +369,26 @@ def locate_zeros(f, window, resolution: float) -> ZeroSet:
     no longer checks, each side's increment against the sum over its two
     halves as the children counted them, must agree to 1e-9 rad, or the
     run raises :class:`GeometryError`.  ``f`` is reached only through
-    three methods: ``f.states(zs)``, one :class:`TransportState` (y, y',
-    log scale) per point, which the winding reads as log|y| + log scale
-    and arg y and Newton as y / y'; ``f.edge_states(zs)``, the same for
-    the samples of one unsampled span of a grid line, in increasing
-    coordinate order, which may reach each sample from the one before; and
-    ``f.edge_budget(a, b)``, the base sample count of the segment from a
-    to b.  Wrap a polynomial as :class:`PolynomialStates`; a rescaled
-    eigenfunction (:func:`spectral.rescale`) is one already.
+    three methods, one point or one edge: ``f.state(z)``, the
+    :class:`TransportState` (y, y', log scale) at one point, which the
+    winding reads as log|y| + log scale and arg y and Newton as y / y';
+    ``f.edge_states(zs)``, the same for the samples of one unsampled span
+    of a grid line, in increasing coordinate order, which may reach each
+    sample from the one before; and ``f.edge_budget(a, b)``, the base
+    sample count of the segment from a to b.  Wrap a polynomial as
+    :class:`PolynomialStates`; a rescaled eigenfunction
+    (:func:`spectral.rescale`) is one already.  A resolution that is not
+    positive and finite, or a window that is not finite with x0 < x1 and
+    y0 < y1, raises :class:`GeometryError`.
     """
-    if resolution <= 0:
-        raise GeometryError("resolution must be positive")
+    if not 0 < resolution < math.inf:
+        raise GeometryError(f"resolution must be positive and finite, got {resolution!r}")
+    window = tuple(window)
+    x0, x1, y0, y1 = window
+    if not (all(map(math.isfinite, window)) and x0 < x1 and y0 < y1):
+        raise GeometryError(f"window must be finite with x0 < x1 and y0 < y1, got {window!r}")
     store = _Boundary(f)
-    count, incs, eff_window = store.count_with_nudges(tuple(window), resolution)
+    count, incs, eff_window = store.count_with_nudges(window, resolution)
     found = []
 
     def subdivide(rect, n, incs, depth):

@@ -1,7 +1,6 @@
 import cmath
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -320,7 +319,7 @@ def test_rescale_hermite_zero_positions():
     pair = solve_eigenpair(HARMONIC, 2)
     resc = rescale(EigenfunctionEvaluator(pair))
     target = 1 / math.sqrt(10)
-    st, origin = resc.states([target, 0.0])
+    st, origin = resc.state(target), resc.state(0.0)
     assert abs(st.y) * math.exp(st.log_scale) < 1e-7
     assert abs(origin.value() - pair.y0) < 1e-12
 
@@ -336,7 +335,7 @@ def test_pt_symmetry_of_rescaled_modulus():
     pair = solve_eigenpair(PT_CUBIC, 4)
     resc = rescale(EigenfunctionEvaluator(pair))
     for w in (0.4 + 0.3j, 1.1 - 0.2j, 0.8j):
-        a, b = (st.log_abs_y() for st in resc.states([w, -complex(w).conjugate()]))
+        a, b = (resc.state(v).log_abs_y() for v in (w, -complex(w).conjugate()))
         assert abs(a - b) < 1e-6 * max(1, abs(a))
 
 
@@ -586,7 +585,7 @@ def _assert_states_match_the_arc_construction(ev, ws):
         z = f * w
         theta = min(rays, key=lambda t: abs(wrap_angle(cmath.phase(z) - t)))
         a = 1.5 * abs(f) * cmath.exp(1j * theta)
-        got_z, got_a = (cmath.log(st.y) + st.log_scale for st in ev.eval_many([z, a]))
+        got_z, got_a = (cmath.log(st.y) + st.log_scale for st in (ev.eval(z), ev.eval(a)))
         diff = (got_z - got_a) - (_arc_reference(pair, z, theta) - _arc_reference(pair, a, theta))
         diff = complex(diff.real, wrap_angle(diff.imag))
         assert abs(diff) < 1e-9, (w, abs(diff))
@@ -616,14 +615,10 @@ def test_cubic_states_past_the_ranked_anchors_match_the_arc_construction(monkeyp
 
 
 class _OnePointRank(EigenfunctionEvaluator):
-    """The hop ranking before it was batched, as the reference for ``_rank``.
-
-    Each point was ranked on its own: the 24 nearest anchors by a 1-D
-    argsort, the chord ridge and phase-distance cost of each, one lexsort.
+    """The hop ranking written out on its own, as the reference for ``_rank``:
+    the 24 nearest anchors by a 1-D argsort, the chord ridge and
+    phase-distance cost of each, one lexsort.
     """
-
-    def _rank(self, zs):
-        return np.array([self._rank_one(complex(z)) for z in zs])
 
     def _rank_one(self, z):
         env_z = self.h * self._u_hat(np.array([z]))[0]
@@ -661,41 +656,24 @@ def test_batched_rank_matches_one_point_rule(spec, n):
         dist = np.sort(np.abs(ev._anchor_z - z))[:25]
         ties += bool(np.any(dist[1:] == dist[:-1]))
     assert ties > 0  # the tie-breaking of the distance sort is exercised
-    got = ev._rank(np.array(zs))
-    assert got.shape == (len(zs), 5)
-    for z, row in zip(zs, got):
-        assert row.tolist() == ref._rank_one(z).tolist(), z
+    for z in zs:
+        assert ev._rank(z).tolist() == ref._rank_one(z).tolist(), z
 
 
 @pytest.mark.parametrize("spec, n", [(ProblemSpec(4, 1), 1), (QUARTIC, 3)])
-def test_eval_many_matches_one_at_a_time(spec, n):
+def test_point_states_do_not_depend_on_order(spec, n):
     pair = solve_eigenpair(spec, n)
-    batch, single = EigenfunctionEvaluator(pair), EigenfunctionEvaluator(pair)
-    zs = _rank_points(batch, n)[::3]  # 67 points: more than two chunks
-    batch.eval(zs[3]), batch.eval(zs[40])  # already cached before the batch
-    asked = zs + zs[::5] + [zs[0], zs[3]]  # repeated within the batch
-    got = batch.eval_many(asked)
-    assert repr(got) == repr([single.eval(z) for z in asked])
-    assert len(batch._point_cache) == len(zs)
-    resc = rescale(EigenfunctionEvaluator(pair))
-    ws = [z / resc.f for z in asked[:40]]
-    one = rescale(single)
-    assert repr(resc.states(ws)) == repr([one.states([w])[0] for w in ws])
-
-
-def test_eval_many_memory_is_bounded():
-    ev = EigenfunctionEvaluator(solve_eigenpair(ProblemSpec(4, 1), 1))
-    ev.eval(0j)  # builds the anchor skeleton
-    rng = np.random.default_rng(5)
-    zs = [complex(x, y) * ev.f for x, y in rng.uniform(-1.6, 1.6, size=(512, 2))]
-    tracemalloc.start()
-    try:
-        ev.eval_many(zs)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # measured 1.14 MB ranked in chunks of 32 points, 14.4 MB in one pass
-    assert peak < 2.5e6
+    ahead, behind = EigenfunctionEvaluator(pair), EigenfunctionEvaluator(pair)
+    zs = _rank_points(ahead, n)[::3]  # 67 points
+    asked = zs + zs[::5] + [zs[0], zs[3]]  # with repeats
+    got = [ahead.eval(z) for z in asked]
+    assert repr(got) == repr([behind.eval(z) for z in reversed(asked)][::-1])
+    assert ahead.counts["points"] == behind.counts["points"] == len(zs)
+    # a chain's first sample is an anchored hop
+    resc, edge = rescale(ahead), rescale(EigenfunctionEvaluator(pair))
+    for z in zs[:12]:
+        w = z / resc.f
+        assert repr(edge.edge_states([w])[0]) == repr(resc.state(w)), w
 
 
 def _record_hops(ev):

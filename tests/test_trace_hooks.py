@@ -26,3 +26,19 @@ def test_tracer_counts_and_restores_every_patched_name():
     assert tracer.count["transport.calls"] > 0
     assert tracer.count["zeros.cells"] > 0
     assert patched and all(getattr(owner, name) is original for owner, name, original in patched)
+
+
+def test_tracer_counts_single_point_evaluations():
+    # Newton polish and refinement midpoints reach EigenfunctionEvaluator.eval,
+    # the name the tracer wraps; edge chains go through eval_edge, unwrapped
+    pair = spectral.solve_eigenpair(spectral.ProblemSpec(2, 1), 2)
+    ev = spectral.EigenfunctionEvaluator(pair)
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        zs = zeros.locate_zeros(spectral.rescale(ev), (-1.1, 1.1, -0.08, 0.08), 0.01)
+    finally:
+        tracer.uninstall()
+    assert zs.total_count == 2
+    assert tracer.count["eval.calls"] > 0
+    assert tracer.count["eval.distinct"] <= ev.counts["points"]

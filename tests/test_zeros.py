@@ -112,6 +112,22 @@ def test_boundary_zero_error_names_the_point():
         count_zeros_rect(p, (-0.5, 1, -1, 1))
 
 
+@pytest.mark.parametrize(
+    "window, resolution, named",
+    [
+        ((-1, 1, -1, 1), float("nan"), r"resolution .*got nan"),
+        ((-1, 1, -1, 1), float("inf"), r"resolution .*got inf"),
+        ((-1, 1, float("nan"), 1), 0.01, r"window .*got \(-1, 1, nan, 1\)"),
+        ((1, -1, -1, 1), 0.01, r"window .*got \(1, -1, -1, 1\)"),
+    ],
+    ids=["nan-resolution", "inf-resolution", "nan-corner", "reversed"],
+)
+def test_locate_rejects_a_non_finite_resolution_or_bad_window(window, resolution, named):
+    p =PolynomialStates(ComplexPolynomial([-0.25, 0, 1]))
+    with pytest.raises(GeometryError, match=named):
+        locate_zeros(p, window, resolution)
+
+
 def test_empirical_measure_single_zero_ground_pair():
     pair = solve_eigenpair(HARMONIC, 1)
     resc = rescale(EigenfunctionEvaluator(pair))
@@ -200,18 +216,17 @@ def test_zero_location_takes_few_taylor_steps_per_point(monkeypatch):
 
 
 class _Recorder:
-    """PolynomialStates that records the points of every ``states`` and
-    ``edge_states`` call."""
+    """PolynomialStates that records the point of every ``state`` call and
+    the points of every ``edge_states`` call."""
 
     def __init__(self, p):
         self.inner = PolynomialStates(p)
         self.calls = []
         self.edge_calls = []
 
-    def states(self, zs):
-        zs = list(zs)
-        self.calls.append(zs)
-        return self.inner.states(zs)
+    def state(self, z):
+        self.calls.append(z)
+        return self.inner.state(z)
 
     def edge_states(self, zs):
         zs = list(zs)
@@ -236,7 +251,7 @@ def test_evaluation_contract_batches_edges_and_polishes_single_points():
 
     # one count: each side's 25 base samples arrive in increasing coordinate
     # order as one edge_states call, less the corners an earlier side
-    # sampled, and nothing else is a batch
+    # sampled
     rec.calls.clear()
     rec.edge_calls.clear()
     assert count_zeros_rect(rec, window) == 3
@@ -249,14 +264,12 @@ def test_evaluation_contract_batches_edges_and_polishes_single_points():
         [complex(x0, y0 + (y1 - y0) * t) for t in ts[1:-1]],
     ]
     assert rec.edge_calls == sides
-    assert [c for c in rec.calls if len(c) > 1] == []
 
     # Newton polish asks for single points, ending next to each zero
     rec.calls.clear()
     locate_zeros(rec, window, resolution=1e-3)
-    singles = [c[0] for c in rec.calls if len(c) == 1]
     for z, _ in zs.zeros:
-        assert min(abs(w - z) for w in singles) < 1e-9
+        assert min(abs(w - z) for w in rec.calls) < 1e-9
 
 
 def _found_every_root(zs, roots_):
