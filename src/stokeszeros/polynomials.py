@@ -23,6 +23,13 @@ __all__ = [
 ]
 
 
+def _compile(lines: list, *names: str):
+    """The functions ``names`` defined by the generated source ``lines``."""
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return tuple(namespace[name] for name in names)
+
+
 @dataclass(frozen=True)
 class ComplexPolynomial:
     """Polynomial with complex coefficients in ascending-degree order.
@@ -91,9 +98,7 @@ def _taylor_shift(m: int):
         work = acc[::-1]
     out.append(work[0])
     lines.append(f"    return [{', '.join(out)}]")
-    namespace = {}
-    exec("\n".join(lines), namespace)
-    return namespace["shift"]
+    return _compile(lines, "shift")[0]
 
 
 def _arg_key(z: complex) -> tuple:

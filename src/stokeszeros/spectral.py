@@ -442,11 +442,12 @@ class EigenfunctionEvaluator:
     anchored hop.  Along a boundary edge (:meth:`eval_edge`) each sample
     continues the transport from the one before, and the links of such a
     chain share one hop's budget, so a chained state is as accurate as an
-    anchored one.  Both keep each point's state once, in one cache.
+    anchored one.  The evaluator keeps its anchor skeleton and nothing per
+    point: a point asked for twice is evaluated twice.
 
-    ``counts`` holds the deterministic work done so far: points evaluated,
-    anchored hops admitted and refused, chained links admitted, and
-    re-anchors (one per refused link).
+    ``counts`` holds the deterministic work done so far: evaluations made
+    (a repeated point counts each time), anchored hops admitted and
+    refused, chained links admitted, and re-anchors (one per refused link).
     """
 
     def __init__(self, pair: Eigenpair):
@@ -458,8 +459,6 @@ class EigenfunctionEvaluator:
         self._anchors = None
         self._anchor_z = None
         self._ugrid = None
-        self._point_cache = {}
-        self._loss = 0.0  # divergence measured by the last admitted hop
         self.counts = dict.fromkeys(("points", "hops", "hops_refused", "links", "reanchors"), 0)
 
     # anchor spacing along skeleton sweeps, in rescaled units
@@ -514,7 +513,7 @@ class EigenfunctionEvaluator:
             samples = [z for z in samples if abs(z) <= 2.6 * abs(f)]
             if len(samples) < 2:
                 continue
-            cur = self._hop_from(samples[0])
+            cur, _ = self._hop_from(samples[0])
             seg_anchors = [cur]
             acc = 0.0
             prev = samples[0]
@@ -568,14 +567,13 @@ class EigenfunctionEvaluator:
         relative accuracy the hop has lost.  The hop is one transport; the
         modulus at the ends of its equal pieces is read from the Taylor
         steps' dense output, and the transport is aborted (None returned)
-        once the loss exceeds the budget.  An admitted hop leaves its
-        measured loss in ``_loss``.
+        once the loss exceeds the budget.  An admitted hop returns its state
+        and its measured loss.
         """
         pot = self.pot
         total = abs(z - st.z)
         if total == 0:
-            self._loss = 0.0
-            return st
+            return st, 0.0
         direction = (z - st.z) / total
         pieces = max(6, int(total * self.h / (2.0 * abs(self.f))))
         pieces = min(pieces, 200)
@@ -608,8 +606,7 @@ class EigenfunctionEvaluator:
             got = transport(self.pot, [st.z, z], st.y, st.dy, st.log_scale, watcher=watch)
         except _HopDiverged:
             return None
-        self._loss = divergence
-        return got
+        return got, divergence
 
     def _rank(self, z: complex) -> np.ndarray:
         """The indices of the anchors to hop to z from, best first.
@@ -648,8 +645,8 @@ class EigenfunctionEvaluator:
         loss = np.maximum(0.0, rate - np.diff(env, axis=1)).sum(axis=1)
         return np.argsort(loss, kind="stable")
 
-    def _hop_from(self, z: complex) -> TransportState:
-        """Evaluate by transporting from the first anchor whose hop is admitted.
+    def _hop_from(self, z: complex) -> tuple:
+        """(state, measured loss) of the first admitted hop from an anchor to z.
 
         Admission is decided by the hop's own measured divergence.  The
         ranked anchors go first; if all of them refuse, every other anchor
@@ -663,10 +660,10 @@ class EigenfunctionEvaluator:
             yield from (i for i in self._by_divergence(z) if i not in best)
 
         for i in candidates():
-            got = self._monitored_hop(self._anchors[i], z, self._HOP_BUDGET)
-            if got is not None:
+            hop = self._monitored_hop(self._anchors[i], z, self._HOP_BUDGET)
+            if hop is not None:
                 self.counts["hops"] += 1
-                return got
+                return hop
             self.counts["hops_refused"] += 1
         raise IntegrationError(
             f"no anchor's hop reaches z={z:.17g} within the hop budget "
@@ -676,51 +673,41 @@ class EigenfunctionEvaluator:
     def eval_edge(self, zs) -> list:
         """Transport states at the ordered samples of one boundary edge.
 
-        The first uncached sample, and the first after a cached one, is an
-        anchored hop; each later sample is a link from the previous
-        sample's state through :meth:`_monitored_hop`, with the budget the
-        chain has left: ``_HOP_BUDGET`` less the loss its anchored hop and
-        links have measured.  Consecutive samples are a fraction of a
-        wavelength apart, so a link takes one or two Taylor steps.  A
-        refused link re-anchors: its sample is an anchored hop that starts
-        a new chain.
+        The first sample is an anchored hop; each later sample is a link
+        from the previous sample's state through :meth:`_monitored_hop`,
+        with the budget the chain has left: ``_HOP_BUDGET`` less the loss
+        its anchored hop and links have measured.  Consecutive samples are a
+        fraction of a wavelength apart, so a link takes one or two Taylor
+        steps.  A refused link re-anchors: its sample is an anchored hop
+        that starts a new chain.
         """
         if self._anchors is None:
             self._build_skeleton()
-        zs = [complex(z) for z in zs]
-        prev = None  # the chain's last state; a cached sample ends the chain
+        sts = []
         left = 0.0
         for z in zs:
-            key = (z.real, z.imag)
-            if key in self._point_cache:
-                prev = None
-                continue
-            st = None
-            if prev is not None:
-                st = self._monitored_hop(prev, z, left)
-                if st is None:
+            z = complex(z)
+            hop = self._monitored_hop(sts[-1], z, left) if sts else None
+            if hop is not None:
+                self.counts["links"] += 1
+                st, loss = hop
+                left -= loss
+            else:
+                if sts:
                     self.counts["reanchors"] += 1
-                else:
-                    self.counts["links"] += 1
-                    left -= self._loss
-            if st is None:
-                st = self._hop_from(z)
-                left = self._HOP_BUDGET - self._loss
-            self._point_cache[key] = prev = st
+                st, loss = self._hop_from(z)
+                left = self._HOP_BUDGET - loss
+            sts.append(st)
             self.counts["points"] += 1
-        return [self._point_cache[(z.real, z.imag)] for z in zs]
+        return sts
 
     def eval(self, z: complex) -> TransportState:
-        """Transport state (y, y', log scale) of the eigenfunction at z: an
-        anchored hop (:meth:`_hop_from`), evaluated once per point."""
+        """Transport state (y, y', log scale) of the eigenfunction at z: one
+        anchored hop (:meth:`_hop_from`)."""
         if self._anchors is None:
             self._build_skeleton()
-        z = complex(z)
-        key = (z.real, z.imag)
-        st = self._point_cache.get(key)
-        if st is None:
-            st = self._point_cache[key] = self._hop_from(z)
-            self.counts["points"] += 1
+        st, _ = self._hop_from(complex(z))
+        self.counts["points"] += 1
         return st
 
 

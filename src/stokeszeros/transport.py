@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import IntegrationError
-from .polynomials import ComplexPolynomial
+from .polynomials import ComplexPolynomial, _compile
 
 __all__ = ["TransportState", "TaylorStep", "transport", "transport_states"]
 
@@ -74,12 +74,6 @@ class TaylorStep:
 
     def value_at(self, frac: float) -> complex:
         return _sum_kernel(len(self.coeffs) - 1)[0](self.coeffs, self.dz * frac)
-
-
-def _compile(lines: list, *names: str):
-    namespace = {}
-    exec("\n".join(lines), namespace)
-    return tuple(namespace[name] for name in names)
 
 
 @lru_cache(maxsize=None)

@@ -305,16 +305,26 @@ class _Boundary:
         raise GeometryError(f"persistent boundary zero after nudges: {last}")
 
 
+def _checked(rect, name: str) -> tuple:
+    """The rectangle (x0, x1, y0, y1) as a tuple; one that is not finite with
+    x0 < x1 and y0 < y1 raises :class:`GeometryError` naming it."""
+    rect = tuple(rect)
+    x0, x1, y0, y1 = rect
+    if not (all(map(math.isfinite, rect)) and x0 < x1 and y0 < y1):
+        raise GeometryError(f"{name} must be finite with x0 < x1 and y0 < y1, got {rect!r}")
+    return rect
+
+
 def count_zeros_rect(f, rect) -> int:
     """Number of zeros of f inside the rectangle (x0, x1, y0, y1), counted
     with a fresh store of boundary samples.
 
     The side increments close over corner samples that are bit-equal on
     both sides, so the raw winding must be an integer to 1e-9 turns; it
-    raises :class:`GeometryError` otherwise, or when a zero sits on the
-    boundary.
+    raises :class:`GeometryError` otherwise, when a zero sits on the
+    boundary, or when the rectangle is not finite with x0 < x1 and y0 < y1.
     """
-    return _Boundary(f).count(tuple(rect))[0]
+    return _Boundary(f).count(_checked(rect, "rectangle"))[0]
 
 
 def _newton_polish(f, z0, rect):
@@ -383,10 +393,7 @@ def locate_zeros(f, window, resolution: float) -> ZeroSet:
     """
     if not 0 < resolution < math.inf:
         raise GeometryError(f"resolution must be positive and finite, got {resolution!r}")
-    window = tuple(window)
-    x0, x1, y0, y1 = window
-    if not (all(map(math.isfinite, window)) and x0 < x1 and y0 < y1):
-        raise GeometryError(f"window must be finite with x0 < x1 and y0 < y1, got {window!r}")
+    window = _checked(window, "window")
     store = _Boundary(f)
     count, incs, eff_window = store.count_with_nudges(window, resolution)
     found = []

@@ -1,4 +1,5 @@
 import cmath
+import gc
 import itertools
 import math
 
@@ -22,7 +23,7 @@ from stokeszeros.spectral import (
     wkb_seed,
 )
 from stokeszeros.stokescomplex import stokes_complex
-from stokeszeros.transport import transport, transport_states
+from stokeszeros.transport import TransportState, transport, transport_states
 from stokeszeros.wkb import PhaseIntegral
 from stokeszeros.zeros import locate_zeros
 
@@ -285,12 +286,13 @@ def test_one_transport_hop_matches_piecewise_rule():
     # tighter budgets put some decisions near the threshold, where a
     # misread piece end would flip them
     for (st, z), budget in itertools.product(pairs, (0.02, 0.1, 0.5, ev._HOP_BUDGET)):
-        got = ev._monitored_hop(st, z, budget)
+        hop = ev._monitored_hop(st, z, budget)
         ref = _piecewise_hop(ev, st, z, budget)
-        assert (got is None) == (ref is None), (st.z, z, budget)
+        assert (hop is None) == (ref is None), (st.z, z, budget)
         if budget == ev._HOP_BUDGET:
-            outcomes.add(got is None)
-        if got is not None:
+            outcomes.add(hop is None)
+        if hop is not None:
+            got = hop[0]
             assert got.z == ref.z
             assert abs(got.log_abs_y() - ref.log_abs_y()) <= 1e-12
             assert abs(cmath.phase(got.y / ref.y)) <= 1e-12
@@ -509,7 +511,7 @@ class _TwoPathRule(EigenfunctionEvaluator):
 
 
 def _accepted(ev, z):
-    """The state ``ev._hop_from(z)`` returns and the anchor it hopped from."""
+    """The (state, loss) ``ev._hop_from(z)`` returns and the anchor it hopped from."""
     accepted = []
     hop = ev._monitored_hop
 
@@ -668,7 +670,8 @@ def test_point_states_do_not_depend_on_order(spec, n):
     asked = zs + zs[::5] + [zs[0], zs[3]]  # with repeats
     got = [ahead.eval(z) for z in asked]
     assert repr(got) == repr([behind.eval(z) for z in reversed(asked)][::-1])
-    assert ahead.counts["points"] == behind.counts["points"] == len(zs)
+    # nothing is kept per point: every point asked for is evaluated, repeats too
+    assert ahead.counts["points"] == behind.counts["points"] == len(asked)
     # a chain's first sample is an anchored hop
     resc, edge = rescale(ahead), rescale(EigenfunctionEvaluator(pair))
     for z in zs[:12]:
@@ -687,8 +690,8 @@ def _record_hops(ev):
 
     def recording(st, z, budget):
         got = hop(st, z, budget)
-        loss = None if got is None else ev._loss
-        log.append((st, id(st) in anchor_ids, z, budget, got, loss))
+        state, loss = (None, None) if got is None else got
+        log.append((st, id(st) in anchor_ids, z, budget, state, loss))
         return got
 
     ev._monitored_hop = recording
@@ -752,6 +755,7 @@ def test_edge_chain_reanchors_when_a_link_is_refused():
     pair = solve_eigenpair(ProblemSpec(4, 1), 10)
     ev = EigenfunctionEvaluator(pair)
     log = _record_hops(ev)
+    built = dict(ev.counts)  # the skeleton's own seed hops
     a, b = (0.1 - 0.05j) * ev.f, (1.6 - 1.6j) * ev.f
     zs = [a + (b - a) * k / 200 for k in range(201)]
     sts = ev.eval_edge(zs)
@@ -762,7 +766,21 @@ def test_edge_chain_reanchors_when_a_link_is_refused():
     links = _assert_chains_share_one_hop_budget(ev, log)
     assert len(links) == ev.counts["links"] > 100
     _assert_links_match_anchored_evaluation(pair, links)
-    # a second pass finds every sample cached
+    # nothing is kept per point: a second pass evaluates the edge again,
+    # doubling the edge's work, and reproduces every state exactly
     before = dict(ev.counts)
-    assert ev.eval_edge(zs) == sts
-    assert ev.counts == before
+    assert repr(ev.eval_edge(zs)) == repr(sts)
+    assert ev.counts == {k: 2 * v - built[k] for k, v in before.items()}
+
+
+def test_evaluator_keeps_no_state_per_point():
+    # after a zero set in criterion 7's window the only live transport
+    # states are the evaluator's anchors (324 of them), not the ~8,000
+    # points the winding and the Newton polish asked for
+    ev = EigenfunctionEvaluator(solve_eigenpair(ProblemSpec(4, 1), 10))
+    zs = locate_zeros(rescale(ev), (-1.6, 1.6, -1.6, 1.6), resolution=0.015)
+    assert zs.total_count == 40 and ev.counts["points"] > 5000
+    del zs
+    gc.collect()
+    live = sum(isinstance(o, TransportState) for o in gc.get_objects())
+    assert live <= len(ev._anchors) + 10

@@ -128,6 +128,20 @@ def test_locate_rejects_a_non_finite_resolution_or_bad_window(window, resolution
         locate_zeros(p, window, resolution)
 
 
+@pytest.mark.parametrize(
+    "rect, named",
+    [
+        ((-1, 1, float("nan"), 1), r"rectangle .*got \(-1, 1, nan, 1\)"),
+        ((1, -1, -1, 1), r"rectangle .*got \(1, -1, -1, 1\)"),
+    ],
+    ids=["nan-corner", "reversed"],
+)
+def test_count_rejects_a_bad_rectangle(rect, named):
+    p = PolynomialStates(ComplexPolynomial([-0.25, 0, 1]))
+    with pytest.raises(GeometryError, match=named):
+        count_zeros_rect(p, rect)
+
+
 def test_empirical_measure_single_zero_ground_pair():
     pair = solve_eigenpair(HARMONIC, 1)
     resc = rescale(EigenfunctionEvaluator(pair))
