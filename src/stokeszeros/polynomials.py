@@ -23,9 +23,10 @@ __all__ = [
 ]
 
 
-def _compile(lines: list, *names: str):
-    """The functions ``names`` defined by the generated source ``lines``."""
-    namespace = {}
+def _compile(lines: list, *names: str, **env):
+    """The functions ``names`` defined by the generated source ``lines``,
+    whose globals are ``env``."""
+    namespace = dict(env)
     exec("\n".join(lines), namespace)
     return tuple(namespace[name] for name in names)
 
@@ -76,17 +77,17 @@ class ComplexPolynomial:
         return acc
 
 
-@lru_cache(maxsize=None)
-def _taylor_shift(m: int):
-    """Repeated synthetic division for degree m, as straight-line code.
+def _shift_lines(m: int) -> tuple:
+    """Repeated synthetic division for degree m, as function-body source.
 
-    ``shift(p, z0)`` divides p by (z - z0) again and again, each remainder
-    being the next coefficient of p(z0 + t); each pass forms
-    ``acc = p_i + z0 * acc`` from the top coefficient down, as the plain loop
-    does.  Built once per degree, on first use.
+    The lines unpack the tuple ``p`` into p0..pm and divide by (z - z0)
+    again and again, each remainder being the next coefficient of
+    p(z0 + t); each pass forms ``acc = p_i + z0 * acc`` from the top
+    coefficient down, as the plain loop does.  Returns the lines and the
+    names of the coefficients of p(z0 + t), constant term first.
     """
     work = [f"p{i}" for i in range(m + 1)]
-    lines = ["def shift(p, z0):", "    " + "".join(f"{w}, " for w in work) + "= p"]
+    lines = ["    " + "".join(f"{w}, " for w in work) + "= p"]
     out = []
     while len(work) > 1:
         # one pass: acc runs down from the top, and the quotient keeps its values
@@ -97,7 +98,16 @@ def _taylor_shift(m: int):
         out.append(acc.pop())
         work = acc[::-1]
     out.append(work[0])
-    lines.append(f"    return [{', '.join(out)}]")
+    return lines, out
+
+
+@lru_cache(maxsize=None)
+def _taylor_shift(m: int):
+    """``shift(p, z0)``: the coefficients of p(z0 + t) for degree m, as
+    straight-line code (:func:`_shift_lines`).  Built once per degree, on
+    first use."""
+    body, out = _shift_lines(m)
+    lines = ["def shift(p, z0):", *body, f"    return [{', '.join(out)}]"]
     return _compile(lines, "shift")[0]
 
 

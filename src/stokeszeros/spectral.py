@@ -156,9 +156,9 @@ class ShootingFrame:
     the modulus envelope never descends along the way.
 
     ``states`` holds the ray states already transported in this frame, by
-    (spec, lambda), so a lambda is shot once per frame: the solve reads the
-    states at its eigenvalue from the search that returned it.  A frame
-    lives for one solve.
+    (spec, lambda), so a lambda is shot once per frame: a polish whose
+    first step rounds to nothing returns the lambda it shot, and the
+    solve's final shot at it is a lookup.  A frame lives for one solve.
     """
 
     R: float
@@ -271,44 +271,56 @@ class Eigenpair:
         return cmath.exp(cmath.log(self.lam) / self.spec.d)
 
 
-def _search(spec: ProblemSpec, n: int, frame: ShootingFrame, lam=None) -> complex:
-    """Eigenvalue n in one fixed frame, from its growth-law seed or from lam.
+def _search(spec: ProblemSpec, n: int, frame: ShootingFrame, chord=None) -> tuple:
+    """Eigenvalue n in one fixed frame, and the chord of its last secant step.
 
     One damped secant iteration on the holomorphic miss function serves
     every spec.  Self-adjoint spectra are real: each iterate is projected
     onto the real axis, so every miss evaluation and the returned lambda
-    are exactly real.  Without ``lam`` the search starts wide from the
-    seed; with it, it polishes ``lam`` in a new frame.  A search that does
-    not converge raises :class:`IntegrationError`, naming n.
+    are exactly real.  A chord is (lambda, d lambda, d miss): the newest
+    iterate and the differences that gave the secant slope.  Without
+    ``chord`` the search starts wide from the growth-law seed, shooting two
+    lambdas.  With the previous frame's chord it polishes that chord's
+    lambda in a new frame: it shoots the lambda once and takes its first
+    step with the chord's slope, which the frames share to within the
+    seed's truncation error, then continues on chords of its own frame.
+    Convergence is tested on each new iterate before it is shot, so the
+    returned lambda is never shot here.  Returns ``(lambda, chord)``; a
+    search that does not converge raises :class:`IntegrationError`,
+    naming n.
     """
     seed = eigenvalue_estimate(spec.d, spec.ell, n, offset=0.5)
     f = lambda z: miss_function(spec, z, frame)
-    if lam is None:
-        l0, l1 = complex(seed), complex(seed) * (1.0 + 1e-3) + 1e-6
+    if chord is None:
+        l0 = complex(seed)
+        l1 = complex(seed) * (1.0 + 1e-3) + 1e-6
+        f0, f1 = f(l0), f(l1)
+        dl, df = l1 - l0, f1 - f0
         tol, iters = 1e-11, 60
     else:
-        l0, l1 = lam * (1.0 + 1e-7), lam
+        l1, dl, df = chord
+        f1 = f(l1)
         tol, iters = 1e-12, 40
-    f0, f1 = f(l0), f(l1)
     # keep secant steps from tunnelling to a neighbouring eigenvalue
     max_step = 0.2 * abs(seed) + 1.0
     for _ in range(iters):
-        if f1 == f0:
-            l1 += 1e-8 * (1.0 + abs(l1))
-            f1 = f(l1)
+        if df == 0:
+            l2 = l1 + 1e-8 * (1.0 + abs(l1))
+            f2 = f(l2)
+            l1, f1, dl, df = l2, f2, l2 - l1, f2 - f1
             continue
-        l2 = l1 - f1 * (l1 - l0) / (f1 - f0)
+        l2 = l1 - f1 * dl / df
         if abs(l2 - l1) > max_step:
             l2 = l1 + max_step * (l2 - l1) / abs(l2 - l1)
         if spec.is_self_adjoint:
             l2 = complex(l2.real, 0.0)
-        l0, f0 = l1, f1
-        l1, f1 = l2, f(l2)
-        if abs(l1 - l0) <= tol * (1.0 + abs(l1)):
-            return l1
+        if abs(l2 - l1) <= tol * (1.0 + abs(l2)):
+            return l2, (l2, dl, df)
+        f2 = f(l2)
+        l1, f1, dl, df = l2, f2, l2 - l1, f2 - f1
     raise IntegrationError(
         f"secant search did not converge for n={n}: lambda={l1:.12g}, "
-        f"last step {abs(l1 - l0):.3g}"
+        f"last step {abs(dl):.3g}"
     )
 
 
@@ -356,24 +368,34 @@ def solve_eigenpair(spec: ProblemSpec, n: int) -> Eigenpair:
     real axis for self-adjoint problems) starts from the asymptotic growth
     law; the same search then polishes the eigenvalue while the seed
     radius doubles, until it is stable to 1e-9 relative, which makes the
-    WKB truncation error measurable.  A search that does not converge
-    raises :class:`IntegrationError`; for self-adjoint problems the
+    WKB truncation error measurable.  Each polish starts from the previous
+    frame's last secant chord, so it shoots the handed-over lambda once and
+    steps with that chord's slope.  No search shoots the lambda it returns:
+    the residual and the initial data come from the one shot at the final
+    lambda in the final frame.  A search that does not converge, or three
+    doublings after which lambda still moves, raises
+    :class:`IntegrationError`; for self-adjoint problems the
     eigenfunction's real zeros are counted and must number n.
     """
     if n < 0:
         raise DomainError("eigenvalue index must be nonnegative")
     seed = eigenvalue_estimate(spec.d, spec.ell, n, offset=0.5)
     frame = ShootingFrame.for_scale(spec, seed)
-    lam = _search(spec, n, frame)
+    lam, chord = _search(spec, n, frame)
     for _ in range(3):
         frame2 = ShootingFrame.for_scale(spec, seed, 2.0 * frame.R)
-        lam2 = _search(spec, n, frame2, lam)
-        stable = abs(lam2 - lam) <= 1e-9 * (1.0 + abs(lam2))
+        lam2, chord = _search(spec, n, frame2, chord)
+        shift = abs(lam2 - lam)
         lam, frame = lam2, frame2
-        if stable:
+        if shift <= 1e-9 * (1.0 + abs(lam)):
             break
+    else:
+        raise IntegrationError(
+            f"eigenvalue n={n} not stable under frame doubling: lambda={lam:.12g}, "
+            f"last shift {shift:.3g} at R={frame.R:.6g}"
+        )
 
-    # the ray states of the search's own evaluation at lam, not a second shot
+    # the one shot at the returned lambda in the final frame
     sl, sr, wr = _miss_parts(spec, lam, frame)
     # normalized initial data lives at the origin: climb there from the
     # matching point (the eigenfunction is dominant along that stretch)

@@ -13,11 +13,13 @@ monitor a hop's modulus between its ends.  Solutions reach magnitudes far
 beyond floating-point range, so a state carries (mantissa y, mantissa y',
 accumulated log scale); the true solution is  y * exp(log_scale).
 
-A step runs generated straight-line code: the recurrence unrolled for the
-field's degree m, and the Horner sums of y and y' unrolled for the order.
-Each kernel is built once, on the first step that needs it, and performs
-the plain loops' floating-point operations in their order, so its results
-are bit-identical to theirs.
+Each step is one generated kernel per field degree m (``_step_kernel``):
+straight-line code, every coefficient a local, that shifts the field to the
+step's start, bounds the step, runs the recurrence unrolled for m and the
+order, hands a watcher the step, and advances y and y' by unrolled Horner
+sums.  A kernel is built once, on the first step that needs it, and
+performs the plain loops' floating-point operations in their order, so its
+results are bit-identical to theirs.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import IntegrationError
-from .polynomials import ComplexPolynomial, _compile
+from .polynomials import ComplexPolynomial, _compile, _shift_lines
 
 __all__ = ["TransportState", "TaylorStep", "transport", "transport_states"]
 
@@ -73,48 +75,92 @@ class TaylorStep:
         self.log_scale = log_scale
 
     def value_at(self, frac: float) -> complex:
-        return _sum_kernel(len(self.coeffs) - 1)[0](self.coeffs, self.dz * frac)
+        return _value_kernel(len(self.coeffs) - 1)(self.coeffs, self.dz * frac)
 
 
-@lru_cache(maxsize=None)
-def _series_kernel(m: int, order: int):
-    """``series(b, y, dy)``: the recurrence for field degree m, unrolled.
-
-    Each coefficient is one expression that starts its sum at ``0j`` and
-    divides by the integer (k+1)(k+2), as the plain loop does.
-    """
-    bs = "".join(f"b{j}, " for j in range(m + 1))
-    lines = ["def series(b, c0, c1):", f"    {bs}= b"]
-    for k in range(order - 1):
-        terms = "".join(f" + b{j} * c{k - j}" for j in range(min(k, m) + 1))
-        lines.append(f"    c{k + 2} = (0j{terms}) / {(k + 1) * (k + 2)}")
-    lines.append(f"    return [{', '.join(f'c{k}' for k in range(order + 1))}]")
-    return _compile(lines, "series")[0]
-
-
-@lru_cache(maxsize=None)
-def _sum_kernel(order: int) -> tuple:
-    """``(value, advance)``: Horner sums of a series of the given order, unrolled.
-
-    ``value(c, t)`` is the series at t; ``advance(c, t)`` is the series and
-    its derivative there.  Both sums start at ``0j`` and the derivative's
-    terms are ``k * c_k``, as in the plain loops.
-    """
-    cs = "".join(f"c{k}, " for k in range(order + 1))
+def _horner(order: int, t: str) -> tuple:
+    """Horner sums of the series c0..c_order at t, as two expressions: the
+    series and its derivative.  Both start at ``0j`` and the derivative's
+    terms are ``k * c_k``, as in the plain loops."""
     y = dy = "0j"
     for k in range(order, 0, -1):
-        y = f"({y}) * t + c{k}"
-        dy = f"({dy}) * t + {k} * c{k}"
-    y = f"({y}) * t + c0"
-    lines = [
-        "def value(c, t):", f"    {cs}= c", f"    return {y}",
-        "def advance(c, t):", f"    {cs}= c", f"    return {y}, {dy}",
+        y = f"({y}) * {t} + c{k}"
+        dy = f"({dy}) * {t} + {k} * c{k}"
+    return f"({y}) * {t} + c0", dy
+
+
+@lru_cache(maxsize=None)
+def _value_kernel(order: int):
+    """``value(c, t)``: a series of the given order at t, Horner's sum unrolled."""
+    cs = "".join(f"c{k}, " for k in range(order + 1))
+    lines = ["def value(c, t):", f"    {cs}= c", f"    return {_horner(order, 't')[0]}"]
+    return _compile(lines, "value")[0]
+
+
+@lru_cache(maxsize=None)
+def _step_kernel(m: int, order: int):
+    """``step(p, z0, c0, c1, log_scale, direction, remaining, watcher)``: one
+    Taylor step under a field of degree m with coefficients ``p``.
+
+    Straight-line code with every coefficient a local: the Taylor shift of
+    the field to z0 (:func:`polynomials._shift_lines`), the phase scale
+    kappa, the recurrence of the given order (each sum starts at ``0j`` and
+    is divided by the integer (k+1)(k+2)), the step length along
+    ``direction`` (at most ``remaining``), the watcher's
+    :class:`TaylorStep`, and the Horner advance to the step's end, where a
+    mantissa outside [1e-8, 1e8] is folded into the log scale.  Returns
+    ``(h, dz, y, dy, log_scale)``.  Each ``min``/``max`` of the plain loop
+    is a comparison that, like the builtin, keeps its first operand unless
+    the second is strictly beyond it, so every result is bit-identical.
+    """
+    shift, bs = _shift_lines(m)
+    lines = ["def step(p, z0, c0, c1, log_scale, direction, remaining, watcher):", *shift]
+    lines.append("    kappa = 0.0")
+    # |b_j| = 0 (or NaN) gives a power that never exceeds kappa, so the
+    # plain loop's skip of those terms needs no test of its own
+    for j, b in enumerate(bs):
+        lines += [f"    r = abs({b}) ** {1.0 / (j + 2)!r}", "    if r > kappa:", "        kappa = r"]
+    lines.append(f"    cap = {_PHASE_CAP!r} / kappa if kappa > 0 else remaining")
+    for k in range(order - 1):
+        terms = "".join(f" + {bs[j]} * c{k - j}" for j in range(min(k, m) + 1))
+        lines.append(f"    c{k + 2} = (0j{terms}) / {(k + 1) * (k + 2)}")
+    lines += [
+        "    h = cap if cap < remaining else remaining",
+        "    scale_ref = abs(c0) + abs(c1) * h + 1e-300",
     ]
-    return _compile(lines, "value", "advance")
-
-
-def _series(bcoeffs: list, y: complex, dy: complex, order: int) -> list:
-    return _series_kernel(len(bcoeffs) - 1, order)(bcoeffs, y, dy)
+    for k in range(order, order - 3, -1):
+        lines += [
+            f"    mk = abs(c{k})",
+            "    if mk > 0:",
+            f"        r = 0.9 * ({_TOL!r} * scale_ref / mk) ** {1.0 / k!r}",
+            "        if r < h:",
+            "            h = r",
+        ]
+    y, dy = _horner(order, "dz")
+    cs = ", ".join(f"c{k}" for k in range(order + 1))
+    lines += [
+        "    if h <= 1e-14 * (1.0 + abs(z0)):",
+        '        raise IntegrationError(f"step underflow at z={z0:.6g} (h={h:.3g})")',
+        "    if remaining < h:",
+        "        h = remaining",
+        "    dz = direction * h",
+        "    if watcher is not None:",
+        f"        watcher(TaylorStep(z0, dz, [{cs}], log_scale))",
+        f"    y = {y}",
+        f"    dy = {dy}",
+        "    mag = abs(y)",
+        "    mdy = abs(dy)",
+        "    if mdy > mag:",
+        "        mag = mdy",
+        "    if mag > 0 and (mag > 1e8 or mag < 1e-8):",
+        "        y /= mag",
+        "        dy /= mag",
+        "        log_scale += log(mag)",
+        "    return h, dz, y, dy, log_scale",
+    ]
+    return _compile(
+        lines, "step", IntegrationError=IntegrationError, TaylorStep=TaylorStep, log=math.log
+    )[0]
 
 
 def transport(
@@ -147,65 +193,31 @@ def transport(
     -------
     TransportState at the final waypoint.
     """
-    state = TransportState(complex(path[0]), complex(y), complex(dy), float(log_scale))
-    series = _series_kernel(field.degree, _ORDER)
-    advance = _sum_kernel(_ORDER)[1]
+    step = _step_kernel(field.degree, _ORDER)
+    p = field.coefficients
+    z, y, dy, log_scale = complex(path[0]), complex(y), complex(dy), float(log_scale)
     steps = 0
     for target in path[1:]:
         target = complex(target)
-        seg = target - state.z
+        seg = target - z
         length = abs(seg)
-        if length <= 2e-14 * (1.0 + abs(state.z)):
-            state.z = target
+        if length <= 2e-14 * (1.0 + abs(z)):
+            z = target
             continue
         direction = seg / length
         travelled = 0.0
         while travelled < length:
-            remaining = length - travelled
-            bc = field.taylor_coefficients(state.z)
-            kappa = 0.0
-            for j, b in enumerate(bc):
-                mag = abs(b)
-                if mag > 0:
-                    kappa = max(kappa, mag ** (1.0 / (j + 2)))
-            cap = _PHASE_CAP / kappa if kappa > 0 else remaining
-            coeffs = series(bc, state.y, state.dy)
-
-            h = min(remaining, cap)
-            scale_ref = abs(coeffs[0]) + abs(coeffs[1]) * h + 1e-300
-            for k in range(_ORDER, _ORDER - 3, -1):
-                mk = abs(coeffs[k])
-                if mk > 0:
-                    r = (_TOL * scale_ref / mk) ** (1.0 / k)
-                    h = min(h, 0.9 * r)
-            if h <= 1e-14 * (1.0 + abs(state.z)):
-                raise IntegrationError(
-                    f"step underflow at z={state.z:.6g} (h={h:.3g})"
-                )
-            h = min(h, remaining)
-
-            dz = direction * h
-            if watcher is not None:
-                watcher(TaylorStep(state.z, dz, coeffs, state.log_scale))
-
-            acc, dacc = advance(coeffs, dz)
-
+            h, dz, y, dy, log_scale = step(
+                p, z, y, dy, log_scale, direction, length - travelled, watcher
+            )
             travelled += h
-            state.z = state.z + dz if travelled < length else target
-            state.y = acc
-            state.dy = dacc
-            mag = max(abs(acc), abs(dacc))
-            if mag > 0 and (mag > 1e8 or mag < 1e-8):
-                state.y /= mag
-                state.dy /= mag
-                state.log_scale += math.log(mag)
-
+            z = z + dz if travelled < length else target
             steps += 1
             if steps > _MAX_STEPS:
                 raise IntegrationError(
-                    f"transport exceeded its budget of {_MAX_STEPS} steps at z={state.z:.6g}"
+                    f"transport exceeded its budget of {_MAX_STEPS} steps at z={z:.6g}"
                 )
-    return state
+    return TransportState(z, y, dy, log_scale)
 
 
 def transport_states(field: ComplexPolynomial, path, y, dy) -> list:

@@ -441,6 +441,54 @@ def test_solve_shoots_each_ray_once_per_lambda(monkeypatch, spec):
     assert shots and max(shots.values()) == 1
 
 
+@pytest.mark.parametrize("spec", [QUARTIC, PT_CUBIC], ids=["(4,2)", "(3,1)"])
+def test_unstable_frame_doubling_raises(monkeypatch, spec):
+    # a miss function whose root moves with the seed radius never settles
+    # under frame doubling: the solve must raise, not return the last lambda
+    real_miss = spectral.miss_function
+    monkeypatch.setattr(
+        spectral, "miss_function", lambda s, lam, frame: real_miss(s, lam - 1e-6 * frame.R, frame)
+    )
+    solve_eigenpair.cache_clear()
+    try:
+        with pytest.raises(IntegrationError, match=r"n=3 not stable.*lambda=.*last shift"):
+            solve_eigenpair(spec, 3)
+    finally:
+        solve_eigenpair.cache_clear()
+
+
+@pytest.mark.parametrize("spec", [QUARTIC, PT_CUBIC], ids=["(4,2)", "(3,1)"])
+def test_stable_polish_shoots_twice(monkeypatch, spec):
+    # the polish steps with the seed frame's last chord instead of shooting
+    # a slope probe, and no search shoots an iterate that passes its
+    # convergence test: the final frame sees the handed-over lambda and the
+    # returned one, each shot along both rays, and the seed frame's last two
+    # shots are a secant step apart that did not converge
+    real_transport, real_miss = spectral.transport, spectral.miss_function
+    shots, misses = [], []
+
+    def counted(field, path, *args, **kwargs):
+        shots.append(abs(complex(path[0])))
+        return real_transport(field, path, *args, **kwargs)
+
+    def recorded(s, lam, frame):
+        misses.append((frame.R, lam))
+        return real_miss(s, lam, frame)
+
+    monkeypatch.setattr(spectral, "transport", counted)
+    monkeypatch.setattr(spectral, "miss_function", recorded)
+    solve_eigenpair.cache_clear()
+    try:
+        pair = solve_eigenpair(spec, 10)
+    finally:
+        solve_eigenpair.cache_clear()
+    assert pair.n == 10
+    assert shots.count(pair.seed_radius) == 4
+    seed_lams = [lam for R, lam in misses if R == misses[0][0]]
+    a, b = seed_lams[-2:]
+    assert abs(b - a) > 1e-11 * (1.0 + abs(b))
+
+
 def test_dominance_radius_failure_raises():
     # z^3 carries 1e6: after 60 growths the lower-order terms are still ~37
     # times the leading term, so no seed radius is handed back

@@ -2,7 +2,7 @@ import math
 import random
 
 from stokeszeros.polynomials import ComplexPolynomial
-from stokeszeros.transport import _series, transport
+from stokeszeros.transport import _step_kernel, transport
 
 
 def _naive_series(bcoeffs, y, dy, order):
@@ -33,7 +33,10 @@ def test_series_bits_match_naive_recurrence():
                 # real data keeps zero imaginary parts, so signed zeros are compared too
                 b = [draw(real) for _ in range(m + 1)]
                 y, dy = draw(real), draw(real)
-                got = _series(b, y, dy, order)
+                # the field shifted to 0 is b itself; the step hands its series to the watcher
+                steps = []
+                _step_kernel(m, order)(tuple(b), 0j, y, dy, 0.0, 1.0, 1.0, steps.append)
+                got = steps[0].coeffs
                 assert repr(got) == repr(_naive_series(b, y, dy, order)), (m, order, real)
                 assert len(got) == order + 1
 
@@ -126,3 +129,25 @@ def test_transport_bits_match_reference_step_loop():
             end = transport(ComplexPolynomial(coeffs), path, y, dy, watcher=watcher)
             assert repr((end.z, end.y, end.dy, end.log_scale)) == repr(want_end), (m, real)
             assert repr(got_steps) == repr(want_steps), (m, real)
+
+
+def test_transport_bits_match_reference_across_rescales():
+    # long climbs and descents fold the mantissa into the log scale many
+    # times, a branch the short random paths above never reach
+    cases = [
+        ([9 + 0j], [0j, 40 + 0j], 1 + 0j, 0j),
+        ([9 + 0j], [0j, 40 + 0j], 1 + 0j, -3 + 0j),
+        ([9 + 2j, 0.5 + 0j, 0.25j], [0j, 12 + 2j, -8 + 4j], 1 + 0j, 1j),
+    ]
+    for coeffs, path, y, dy in cases:
+        want_end, want_steps = _reference_transport(coeffs, path, y, dy)
+        got_steps = []
+
+        def watcher(step):
+            vals = [step.value_at(f) for f in _FRACTIONS]
+            got_steps.append((step.z0, step.dz, step.coeffs, step.log_scale, vals))
+
+        end = transport(ComplexPolynomial(coeffs), path, y, dy, watcher=watcher)
+        assert abs(end.log_scale) > 60, (coeffs, y, dy)
+        assert repr((end.z, end.y, end.dy, end.log_scale)) == repr(want_end), (coeffs, y, dy)
+        assert repr(got_steps) == repr(want_steps), (coeffs, y, dy)

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from stokeszeros.zeros import (
 )
 
 HARMONIC = ProblemSpec(2, 1)
+# the package exports the function ``transport`` under the module's name
+transport_module = importlib.import_module("stokeszeros.transport")
 
 
 def test_count_double_zero():
@@ -214,16 +218,18 @@ def test_hille_disc_harmonic():
 
 
 def test_zero_location_takes_few_taylor_steps_per_point(monkeypatch):
-    # one taylor_coefficients call per Taylor step; edge samples hopped from
-    # the previous sample take one or two, where anchored hops took 5.2 here
+    # every Taylor step of every transport runs the step kernel once; edge
+    # samples hopped from the previous sample take one or two, where
+    # anchored hops took 5.2 here
     ev = EigenfunctionEvaluator(solve_eigenpair(ProblemSpec(4, 1), 10))
     steps = []
-    coefficients = ComplexPolynomial.taylor_coefficients
-    monkeypatch.setattr(
-        ComplexPolynomial,
-        "taylor_coefficients",
-        lambda self, z: steps.append(z) or coefficients(self, z),
-    )
+    step_kernel = transport_module._step_kernel
+
+    def counted_kernel(m, order):
+        step = step_kernel(m, order)
+        return lambda p, z0, *rest: steps.append(z0) or step(p, z0, *rest)
+
+    monkeypatch.setattr(transport_module, "_step_kernel", counted_kernel)
     zs = locate_zeros(rescale(ev), (-1.6, 1.6, -1.6, 1.6), resolution=0.015)
     assert zs.total_count == 40
     assert len(steps) <= 2 * ev.counts["points"]
