@@ -23,7 +23,7 @@ from .geometry import mid_arclength_index
 from .polynomials import ComplexPolynomial, roots
 from .quaddiff import _leading_coefficient, check_family, stokes_directions
 from .stokescomplex import stokes_complex
-from .transport import TransportState, transport, transport_states
+from .transport import TransportState, _waypoint, transport, transport_states
 from .wkb import PhaseIntegral, eigenvalue_estimate, horner_parts
 
 __all__ = [
@@ -459,7 +459,9 @@ class EigenfunctionEvaluator:
     line of the limiting differential).  Hops self-monitor the divergence
     between the dominant local growth rate and their measured modulus
     slope, and every state returned is a hop that stayed within the budget;
-    a point that no anchor reaches raises :class:`IntegrationError`.
+    the same divergence, estimated on the envelope grid, orders the anchors
+    a hop is tried from, and a point that no anchor reaches raises
+    :class:`IntegrationError`.  A non-finite point raises :class:`DomainError`.
     Evaluation takes one point or one edge.  A point (:meth:`eval`) is one
     anchored hop.  Along a boundary edge (:meth:`eval_edge`) each sample
     continues the transport from the one before, and the links of such a
@@ -490,7 +492,7 @@ class EigenfunctionEvaluator:
         return _limit_complex_cached(self.spec.d, self.spec.ell)
 
     def _publish(self, anchors: list):
-        """Make the anchors so far the ones hops are ranked against."""
+        """Make the anchors so far the ones hops start from."""
         self._anchors = anchors
         self._anchor_z = np.array([st.z for st in anchors], dtype=complex)
 
@@ -630,58 +632,45 @@ class EigenfunctionEvaluator:
             return None
         return got, divergence
 
-    def _rank(self, z: complex) -> np.ndarray:
-        """The indices of the anchors to hop to z from, best first.
-
-        The 24 nearest anchors are ranked by an envelope-grid estimate:
-        chord ridge against the target envelope, then phase distance.
-        """
-        near = np.argsort(np.abs(self._anchor_z - z))[:24]
-        za = self._anchor_z[near]
-        # chord ridge: highest envelope among 9 samples of each straight hop
-        chords = za[:, None] + (z - za)[:, None] * (np.arange(9) / 8)
-        ridge = self.h * self._u_hat(chords).max(axis=1)
-        # phase distance: limit speed sqrt|Q| at the chord midpoint
-        wr, wi = _divide(0.5 * (za + z), self.f)
-        qr, qi = horner_parts(self._limit_complex().quaddiff.polynomial, wr, wi)
-        speed = np.sqrt(np.hypot(qr, qi))
-        cost = speed * np.hypot(z.real - za.real, z.imag - za.imag) / abs(self.f)
-        admissible = ridge <= self.log_envelope(z) + self._HOP_BUDGET + 4.0
-        return near[np.lexsort((cost, ~admissible))[:5]]
-
-    def _by_divergence(self, z: complex) -> np.ndarray:
-        """Every anchor, ordered by the estimated divergence of a hop to z.
-
-        The estimate follows :meth:`_monitored_hop` on the envelope grid:
-        over the 8 pieces of each straight chord, the sum of what the
+    def _estimate(self, z: complex, idx: np.ndarray) -> tuple:
+        """Estimated loss and phase length of a straight hop to z from each
+        anchor in ``idx``: over the 8 pieces of its chord, the sum of what the
         dominant growth h |Re(sqrt(Q) dw)| of the limit differential exceeds
-        the climb of the envelope h u.
-        """
-        za = self._anchor_z
+        the climb of the envelope h u (the divergence :meth:`_monitored_hop`
+        measures), and the sum of |sqrt(Q) dw|."""
+        za = self._anchor_z[idx]
         chord = (z - za)[:, None]
         pts = za[:, None] + chord * (np.arange(9) / 8)
         env = self.h * self._u_hat(pts)
         wr, wi = _divide(0.5 * (pts[:, 1:] + pts[:, :-1]), self.f)
         qr, qi = horner_parts(self._limit_complex().quaddiff.polynomial, wr, wi)
-        rate = self.h * np.abs((np.sqrt(qr + 1j * qi) * (chord / (8.0 * self.f))).real)
-        loss = np.maximum(0.0, rate - np.diff(env, axis=1)).sum(axis=1)
-        return np.argsort(loss, kind="stable")
+        phase = np.sqrt(qr + 1j * qi) * (chord / (8.0 * self.f))
+        loss = np.maximum(0.0, self.h * np.abs(phase.real) - np.diff(env, axis=1)).sum(axis=1)
+        return loss, np.abs(phase).sum(axis=1)
+
+    def _hop_order(self, z: complex):
+        """Anchor indices in the order hops to z are tried: those of the 24
+        nearest estimated (:meth:`_estimate`) within the budget, by phase
+        length; then, estimated only if needed, every anchor not yet tried,
+        within the budget first, each by phase length.  The sorts are
+        stable, so equal keys keep the order of distance, then index."""
+        budget = self._HOP_BUDGET
+        near = np.argsort(np.abs(self._anchor_z - z), kind="stable")[:24]
+        loss, length = self._estimate(z, near)
+        first = near[loss <= budget][np.argsort(length[loss <= budget], kind="stable")]
+        yield from first
+        rest = np.delete(np.arange(len(self._anchor_z)), first)
+        loss, length = self._estimate(z, rest)
+        yield from rest[np.lexsort((length, loss > budget))]
 
     def _hop_from(self, z: complex) -> tuple:
         """(state, measured loss) of the first admitted hop from an anchor to z.
 
-        Admission is decided by the hop's own measured divergence.  The
-        ranked anchors go first; if all of them refuse, every other anchor
-        follows in :meth:`_by_divergence` order.  A point that no hop
+        The estimated divergence orders the anchors (:meth:`_hop_order`) and
+        the hop's own measured divergence admits it.  A point that no hop
         reaches within the budget raises :class:`IntegrationError`.
         """
-        best = self._rank(z)
-
-        def candidates():
-            yield from best
-            yield from (i for i in self._by_divergence(z) if i not in best)
-
-        for i in candidates():
+        for i in self._hop_order(z):
             hop = self._monitored_hop(self._anchors[i], z, self._HOP_BUDGET)
             if hop is not None:
                 self.counts["hops"] += 1
@@ -708,7 +697,7 @@ class EigenfunctionEvaluator:
         sts = []
         left = 0.0
         for z in zs:
-            z = complex(z)
+            z = _waypoint(z)
             hop = self._monitored_hop(sts[-1], z, left) if sts else None
             if hop is not None:
                 self.counts["links"] += 1
@@ -728,7 +717,7 @@ class EigenfunctionEvaluator:
         anchored hop (:meth:`_hop_from`)."""
         if self._anchors is None:
             self._build_skeleton()
-        st, _ = self._hop_from(complex(z))
+        st, _ = self._hop_from(_waypoint(z))
         self.counts["points"] += 1
         return st
 
@@ -738,7 +727,7 @@ def _divide(z: np.ndarray, f: complex) -> tuple:
 
     numpy divides complex arrays through a reciprocal, which rounds
     differently; spelling Smith's quotient out keeps every envelope value,
-    and so every hop ranking, bit-identical to scalar ``complex(z) / f``.
+    and so every hop estimate, bit-identical to scalar ``complex(z) / f``.
     """
     zr, zi = z.real, z.imag
     if abs(f.real) >= abs(f.imag):

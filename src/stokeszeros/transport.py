@@ -24,11 +24,12 @@ results are bit-identical to theirs.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import IntegrationError
+from .errors import DomainError, IntegrationError
 from .polynomials import ComplexPolynomial, _compile, _shift_lines
 
 __all__ = ["TransportState", "TaylorStep", "transport", "transport_states"]
@@ -163,6 +164,13 @@ def _step_kernel(m: int, order: int):
     )[0]
 
 
+def _waypoint(z) -> complex:
+    """z as a complex waypoint; a non-finite one raises :class:`DomainError`."""
+    if not cmath.isfinite(z):
+        raise DomainError(f"waypoint z={complex(z)!r} is not finite")
+    return complex(z)
+
+
 def transport(
     field: ComplexPolynomial,
     path,
@@ -179,6 +187,7 @@ def transport(
         The coefficient field W.
     path : sequence of complex
         Waypoints; integration follows the straight segments between them.
+        A non-finite waypoint raises :class:`DomainError`.
     y, dy : complex
         Initial data at ``path[0]``.
     log_scale : float
@@ -195,10 +204,10 @@ def transport(
     """
     step = _step_kernel(field.degree, _ORDER)
     p = field.coefficients
-    z, y, dy, log_scale = complex(path[0]), complex(y), complex(dy), float(log_scale)
+    z, y, dy, log_scale = _waypoint(path[0]), complex(y), complex(dy), float(log_scale)
     steps = 0
     for target in path[1:]:
-        target = complex(target)
+        target = _waypoint(target)
         seg = target - z
         length = abs(seg)
         if length <= 2e-14 * (1.0 + abs(z)):
@@ -222,9 +231,8 @@ def transport(
 
 def transport_states(field: ComplexPolynomial, path, y, dy) -> list:
     """Like :func:`transport` but records the state at every waypoint."""
-    out = [TransportState(complex(path[0]), complex(y), complex(dy))]
-    state = out[0]
+    out = [TransportState(_waypoint(path[0]), complex(y), complex(dy))]
     for target in path[1:]:
-        state = transport(field, [state.z, target], state.y, state.dy, state.log_scale)
-        out.append(TransportState(state.z, state.y, state.dy, state.log_scale))
+        st = out[-1]
+        out.append(transport(field, [st.z, target], st.y, st.dy, st.log_scale))
     return out

@@ -78,7 +78,7 @@ def horner_parts(p, x, y) -> tuple:
 
     The Horner pass is spelled out in float64 real arithmetic, exactly as
     Python multiplies and adds complex scalars; numpy's own complex
-    multiply rounds differently, and the envelope and the hop ranking must
+    multiply rounds differently, and the envelope and the hop estimates must
     match the scalar evaluation ``p(z)`` bit for bit.
     """
     re, im = np.zeros_like(x), np.zeros_like(y)

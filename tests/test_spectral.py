@@ -2,6 +2,7 @@ import cmath
 import gc
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -513,96 +514,6 @@ def test_invalid_spec_rejected():
         solve_eigenpair(HARMONIC, -1)
 
 
-class _TwoPathRule(EigenfunctionEvaluator):
-    """The hop rule before it was unified, as the reference for ``_hop_from``.
-
-    Skeleton builds ranked the anchors so far with Python's ``sorted``; later
-    evaluations first dropped anchors whose envelope lay more than
-    budget + 10 above the target's (all of them kept if none passed), then
-    ranked the rest by distance in numpy.  Where none of its five hops is
-    admitted it returns None.
-    """
-
-    def _build_skeleton(self):
-        self._building = True
-        super()._build_skeleton()
-        self._building = False
-        self._anchor_env = self.h * self._u_hat(self._anchor_z)
-
-    def _hop_from(self, z):
-        anchors = self._anchors
-        env_z = self.h * self._u_hat(np.array([z]))[0]
-        if not self._building:
-            mask = self._anchor_env <= env_z + self._HOP_BUDGET + 10.0
-            if not mask.any():
-                mask[:] = True
-            dists = np.abs(self._anchor_z - z)
-            dists[~mask] = np.inf
-            ranked = np.argsort(dists)[:24]
-            ranked = ranked[np.isfinite(dists[ranked])]
-            za = self._anchor_z[ranked]
-        else:
-            ranked = sorted(range(len(anchors)), key=lambda i: abs(anchors[i].z - z))[:24]
-            za = np.array([anchors[i].z for i in ranked], dtype=complex)
-        chords = za[:, None] + (z - za)[:, None] * (np.arange(9) / 8)
-        ridge = self.h * self._u_hat(chords).max(axis=1)
-        wr, wi = spectral._divide(0.5 * (za + z), self.f)
-        qr, qi = spectral.horner_parts(self._limit_complex().quaddiff.polynomial, wr, wi)
-        speed = np.sqrt(np.hypot(qr, qi))
-        cost = speed * np.hypot(z.real - za.real, z.imag - za.imag) / abs(self.f)
-        admissible = ridge <= env_z + self._HOP_BUDGET + 4.0
-        for i in np.lexsort((cost, ~admissible))[:5]:
-            got = self._monitored_hop(anchors[ranked[i]], z, self._HOP_BUDGET)
-            if got is not None:
-                return got
-        return None
-
-
-def _accepted(ev, z):
-    """The (state, loss) ``ev._hop_from(z)`` returns and the anchor it hopped from."""
-    accepted = []
-    hop = ev._monitored_hop
-
-    def recording(st, target, budget):
-        got = hop(st, target, budget)
-        if got is not None:
-            accepted.append(st)
-        return got
-
-    ev._monitored_hop = recording
-    try:
-        got = ev._hop_from(z)
-    finally:
-        del ev._monitored_hop
-    return got, (accepted[0] if accepted else None)
-
-
-@pytest.mark.parametrize("spec, n", [(ProblemSpec(4, 1), 1), (QUARTIC, 3)])
-def test_hop_rule_accepts_the_two_path_rules_anchor(spec, n):
-    pair = solve_eigenpair(spec, n)
-    ev, ref = EigenfunctionEvaluator(pair), _TwoPathRule(pair)
-    ev.eval(0j), ref.eval(0j)  # build both skeletons
-    # every sweep is seeded by a hop: equal skeletons mean equal seed hops
-    assert repr(ev._anchors) == repr(ref._anchors)
-    rng = np.random.default_rng(10 * spec.ell + n)
-    # criterion 7's window widened into the decay sectors, where the chord
-    # ridge decides some hops, and the imaginary axis, where mirror anchors tie
-    ws = [complex(x, y) for x, y in rng.uniform(-2.2, 2.2, size=(170, 2))]
-    ws += [1j * y for y in np.linspace(-1.6, 1.6, 30)]
-    refused = 0
-    for w in ws:
-        got, anchor = _accepted(ev, w * ev.f)
-        want, want_anchor = _accepted(ref, w * ev.f)
-        assert anchor is not None, w  # every state is an admitted hop
-        if want is None:
-            refused += 1
-            continue
-        assert repr(got) == repr(want), w
-        assert repr(anchor) == repr(want_anchor), w
-    # the decay sectors hold points whose five ranked anchors all refuse
-    assert 0 < refused < len(ws) // 2
-
-
 def test_unreachable_point_raises_naming_the_budget():
     pair = solve_eigenpair(ProblemSpec(4, 1), 1)
     ev = EigenfunctionEvaluator(pair)
@@ -650,41 +561,47 @@ def test_decay_sector_states_match_the_arc_construction(n):
     _assert_states_match_the_arc_construction(ev, ws)
 
 
-def test_cubic_states_past_the_ranked_anchors_match_the_arc_construction(monkeypatch):
-    # on a 41x41 grid over criterion 7's window these six points are the only
-    # ones of (3,1) n = 2 where all five ranked anchors refuse, so their
-    # states come from the anchors in _by_divergence order
+def test_cubic_states_past_the_ranked_anchors_match_the_arc_construction():
+    # on a 41x41 grid over criterion 7's window these six points of (3,1)
+    # n = 2 in its lower decay sector are the only ones where ranking the
+    # nearest anchors by their chord's envelope ridge put five refusals first
     ev = EigenfunctionEvaluator(solve_eigenpair(ProblemSpec(3, 1), 2))
-    ev.eval(0j)  # builds the anchor skeleton
-    reached = []
-    by_divergence = ev._by_divergence
-    monkeypatch.setattr(ev, "_by_divergence", lambda z: reached.append(z) or by_divergence(z))
     ws = [complex(s * 1.6, -y) for y in (1.04, 1.12, 1.20) for s in (1, -1)]
     _assert_states_match_the_arc_construction(ev, ws)
-    assert len(reached) == len(ws)
 
 
-class _OnePointRank(EigenfunctionEvaluator):
-    """The hop ranking written out on its own, as the reference for ``_rank``:
-    the 24 nearest anchors by a 1-D argsort, the chord ridge and
-    phase-distance cost of each, one lexsort.
-    """
+class _OneAnchorEstimate(EigenfunctionEvaluator):
+    """The hop estimate written out one anchor at a time, as the reference
+    for ``_estimate``: each anchor's chord in 1-D arrays of its nine points
+    and eight pieces.  ``_order_one`` is the reference for ``_hop_order``,
+    with Python's stable ``sorted`` in place of numpy's sorts."""
 
-    def _rank_one(self, z):
-        env_z = self.h * self._u_hat(np.array([z]))[0]
-        ranked = np.argsort(np.abs(self._anchor_z - z))[:24]
-        za = self._anchor_z[ranked]
-        chords = za[:, None] + (z - za)[:, None] * (np.arange(9) / 8)
-        ridge = self.h * self._u_hat(chords).max(axis=1)
-        wr, wi = spectral._divide(0.5 * (za + z), self.f)
+    def _estimate_one(self, z, i):
+        za = self._anchor_z[i]
+        pts = za + (z - za) * (np.arange(9) / 8)
+        env = self.h * self._u_hat(pts)
+        wr, wi = spectral._divide(0.5 * (pts[1:] + pts[:-1]), self.f)
         qr, qi = spectral.horner_parts(self._limit_complex().quaddiff.polynomial, wr, wi)
-        speed = np.sqrt(np.hypot(qr, qi))
-        cost = speed * np.hypot(z.real - za.real, z.imag - za.imag) / abs(self.f)
-        admissible = ridge <= env_z + self._HOP_BUDGET + 4.0
-        return ranked[np.lexsort((cost, ~admissible))[:5]]
+        phase = np.sqrt(qr + 1j * qi) * ((z - za) / (8.0 * self.f))
+        loss = np.maximum(0.0, self.h * np.abs(phase.real) - np.diff(env)).sum()
+        return loss, np.abs(phase).sum()
+
+    def _nearest_one(self, z):
+        # numpy's array abs may round a distance unlike its scalar abs
+        dist = np.abs(self._anchor_z - z).tolist()
+        return sorted(range(len(dist)), key=dist.__getitem__)[:24]
+
+    def _order_one(self, z):
+        budget = self._HOP_BUDGET
+        est = {i: self._estimate_one(z, i) for i in self._nearest_one(z)}
+        first = sorted((i for i in est if est[i][0] <= budget), key=lambda i: est[i][1])
+        yield from first
+        rest = [i for i in range(len(self._anchor_z)) if i not in first]
+        est = {i: self._estimate_one(z, i) for i in rest}
+        yield from sorted(rest, key=lambda i: (est[i][0] > budget, est[i][1]))
 
 
-def _rank_points(ev, seed):
+def _hop_targets(ev, seed):
     """200 targets: criterion 7's window widened into the decay sectors, and
     the imaginary axis, where mirror anchors tie in distance."""
     rng = np.random.default_rng(seed)
@@ -694,27 +611,91 @@ def _rank_points(ev, seed):
 
 
 @pytest.mark.parametrize("spec, n", [(ProblemSpec(4, 1), 1), (QUARTIC, 3)])
-def test_batched_rank_matches_one_point_rule(spec, n):
+def test_estimate_matches_one_anchor_reference(spec, n):
     pair = solve_eigenpair(spec, n)
-    ev, ref = EigenfunctionEvaluator(pair), _OnePointRank(pair)
+    ev, ref = EigenfunctionEvaluator(pair), _OneAnchorEstimate(pair)
     ev.eval(0j), ref.eval(0j)  # build both skeletons
-    # every sweep is seeded by a hop: equal skeletons mean equal seed rankings
+    # every sweep is seeded by a hop: equal skeletons mean equal seed hops
     assert repr(ev._anchors) == repr(ref._anchors)
-    zs = _rank_points(ev, 10 * spec.ell + n)
+    zs = _hop_targets(ev, 10 * spec.ell + n)
     ties = 0
     for z in zs[170:]:
         dist = np.sort(np.abs(ev._anchor_z - z))[:25]
         ties += bool(np.any(dist[1:] == dist[:-1]))
     assert ties > 0  # the tie-breaking of the distance sort is exercised
+    within = set()
     for z in zs:
-        assert ev._rank(z).tolist() == ref._rank_one(z).tolist(), z
+        near = ref._nearest_one(z)
+        loss, length = ev._estimate(z, np.array(near))
+        assert list(zip(loss, length)) == [ref._estimate_one(z, i) for i in near], z
+        # the first tier: the anchors of the 24 nearest estimated within budget
+        k = int(np.sum(loss <= ev._HOP_BUDGET))
+        within.add(k)
+        got = itertools.islice(ev._hop_order(z), k)
+        assert list(got) == list(itertools.islice(ref._order_one(z), k)), z
+    assert len(within) > 2
+
+
+@pytest.mark.parametrize("spec, n", [(ProblemSpec(4, 1), 1), (QUARTIC, 3), (PT_CUBIC, 2)])
+def test_every_target_is_an_admitted_hop_without_refusals(spec, n):
+    # the first anchor tried is admitted everywhere, the decay sectors
+    # included, where ranking by the chord's envelope ridge refused 15, 15
+    # and 30 hops
+    ev = EigenfunctionEvaluator(solve_eigenpair(spec, n))
+    ev.eval(0j)  # builds the anchor skeleton
+    built = dict(ev.counts)
+    zs = _hop_targets(ev, 10 * spec.ell + n)
+    assert [ev.eval(z).z for z in zs] == zs
+    assert ev.counts["hops"] - built["hops"] == len(zs)
+    assert ev.counts["hops_refused"] == built["hops_refused"] == 0
+
+
+def test_every_anchor_tier_reaches_the_arc_construction():
+    # points of (3,1) n = 10 near the real axis in its two decay sectors,
+    # where each of the 24 nearest anchors estimates its hop over budget:
+    # every anchor is estimated, tried in the reference's order, and the
+    # state agrees with the ray-recessive solution carried in along a far arc
+    ev = EigenfunctionEvaluator(solve_eigenpair(PT_CUBIC, 10))
+    ref = _OneAnchorEstimate(ev.pair)
+    ev.eval(0j), ref.eval(0j)  # build both skeletons
+    ws = [complex(2.3, 0.2), complex(-2.3, 0.2)]
+    for w in ws:
+        z = w * ev.f
+        near = np.argsort(np.abs(ev._anchor_z - z), kind="stable")[:24]
+        assert np.all(ev._estimate(z, near)[0] > ev._HOP_BUDGET), w
+        assert list(ev._hop_order(z)) == list(ref._order_one(z)), w
+    estimated = []
+    estimate = ev._estimate
+    ev._estimate = lambda z, idx: estimated.append(len(idx)) or estimate(z, idx)
+    _assert_states_match_the_arc_construction(ev, ws)
+    # per point: its 24 nearest, then every anchor (and one first tier for
+    # each of the ray points the construction compares against)
+    assert estimated.count(len(ev._anchors)) == len(ws)
+
+
+def test_refused_hops_stay_rare_in_criterion_7s_window():
+    # (4,1) n = 10 in criterion 7's window: 1 refused hop of 558 admitted
+    # (ranking by the chord's envelope ridge refused 64 of 555)
+    ev = EigenfunctionEvaluator(solve_eigenpair(ProblemSpec(4, 1), 10))
+    assert locate_zeros(rescale(ev), (-1.6, 1.6, -1.6, 1.6), resolution=0.015).total_count == 40
+    assert ev.counts["hops_refused"] <= 0.01 * ev.counts["hops"]
+
+
+def test_non_finite_point_raises():
+    ev = EigenfunctionEvaluator(solve_eigenpair(ProblemSpec(4, 1), 1))
+    for z in (complex(math.nan, 0.0), complex(0.3, math.inf)):
+        message = re.escape(f"waypoint z={z!r} is not finite")
+        with pytest.raises(DomainError, match=message):
+            ev.eval(z)
+        with pytest.raises(DomainError, match=message):
+            ev.eval_edge([0.1 + 0.2j, z])
 
 
 @pytest.mark.parametrize("spec, n", [(ProblemSpec(4, 1), 1), (QUARTIC, 3)])
 def test_point_states_do_not_depend_on_order(spec, n):
     pair = solve_eigenpair(spec, n)
     ahead, behind = EigenfunctionEvaluator(pair), EigenfunctionEvaluator(pair)
-    zs = _rank_points(ahead, n)[::3]  # 67 points
+    zs = _hop_targets(ahead, n)[::3]  # 67 points
     asked = zs + zs[::5] + [zs[0], zs[3]]  # with repeats
     got = [ahead.eval(z) for z in asked]
     assert repr(got) == repr([behind.eval(z) for z in reversed(asked)][::-1])

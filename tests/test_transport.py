@@ -1,8 +1,12 @@
 import math
 import random
+import re
 
+import pytest
+
+from stokeszeros.errors import DomainError
 from stokeszeros.polynomials import ComplexPolynomial
-from stokeszeros.transport import _step_kernel, transport
+from stokeszeros.transport import _step_kernel, transport, transport_states
 
 
 def _naive_series(bcoeffs, y, dy, order):
@@ -151,3 +155,21 @@ def test_transport_bits_match_reference_across_rescales():
         assert abs(end.log_scale) > 60, (coeffs, y, dy)
         assert repr((end.z, end.y, end.dy, end.log_scale)) == repr(want_end), (coeffs, y, dy)
         assert repr(got_steps) == repr(want_steps), (coeffs, y, dy)
+
+
+
+@pytest.mark.parametrize(
+    "path, bad",
+    [
+        ([0j, complex(math.nan, 0.0)], 1),
+        ([0j, 1.0, complex(0.0, math.inf)], 2),
+        ([complex(-math.inf, 0.0), 1.0], 0),
+    ],
+)
+def test_non_finite_waypoint_raises(path, bad):
+    # a NaN segment length fails every comparison, so the step loop would
+    # skip the segment and return the state from before it
+    message = re.escape(f"waypoint z={complex(path[bad])!r} is not finite")
+    for run in (transport, transport_states):
+        with pytest.raises(DomainError, match=message):
+            run(ComplexPolynomial([1.0]), path, 1.0, 0.0)
