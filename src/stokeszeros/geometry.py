@@ -40,13 +40,25 @@ def _project(z: complex, pts: np.ndarray) -> tuple:
     return t, a + t * ab
 
 
-def distance_to_polyline(z: complex, samples) -> float:
-    """Distance from z to a polyline (vectorized over segments)."""
+_BROADCAST = 4096  # (point, segment) pairs per broadcast: 64 KB complex temporaries
+
+
+def distance_to_polyline(zs, samples):
+    """Distance from each point of zs to a polyline, vectorized over points
+    and segments: a float for one point, an array for an array of points."""
     pts = np.asarray(samples, dtype=complex)
+    z = np.asarray(zs, dtype=complex)
     if pts.size == 1:
-        return abs(z - pts[0])
-    _, feet = _project(z, pts)
-    return float(np.min(np.abs(z - feet)))
+        dists = np.abs(z - pts[0])
+    else:
+        flat = z.reshape(-1, 1)
+        dists = np.empty(len(flat))
+        step = max(1, _BROADCAST // len(pts))
+        for lo in range(0, len(flat), step):
+            part = flat[lo : lo + step]
+            dists[lo : lo + step] = np.min(np.abs(part - _project(part, pts)[1]), axis=1)
+        dists = dists.reshape(z.shape)
+    return float(dists) if dists.ndim == 0 else dists
 
 
 def nearest_on_polyline(z: complex, samples) -> tuple:
@@ -76,59 +88,75 @@ def mid_arclength_index(samples) -> int:
 
 
 class SegmentSet:
-    """Fixed segments (p_i, q_i) in flat float arrays, tested many at a time.
+    """Fixed segments (p_i, q_i) in float arrays, tested many at a time.
 
-    One numpy broadcast tests the lines of a chunk of query segments
-    against every segment of the set; only the segments a line separates
-    are tested further.  The orientation products are those of the scalar
-    test, term for term in float64, so an answer never depends on how the
-    queries are batched.  Crossings are strict: touching endpoints and
-    collinear overlaps do not count.
+    The segments are kept in blocks of ``BLOCK`` consecutive ones, each
+    block with its min/max box widened by 1e-9 of its largest coordinate
+    (and by at least 1e-9).  A query is tested only against the segments of
+    the blocks whose box meets its own.  The margin is far above the
+    rounding of the orientation tests, so the boxes drop only segments that
+    the full test would not count, unless rounding alone makes it count a
+    nearly collinear, disjoint pair.  Queries go ``CHUNK`` at a time and
+    their (query, block) pairs ``PAIRS`` at a time, so no temporary grows
+    with the number of queries or segments.  The orientation products are
+    those of the scalar test, term for term in float64, so an answer never
+    depends on how the queries are batched.  Crossings are strict: touching
+    endpoints and collinear overlaps do not count.
     """
 
-    CHUNK = 8  # query segments per broadcast: bounds the (chunk, n) temporaries
+    BLOCK = 16  # consecutive segments per box
+    CHUNK = 64  # query segments per box test
+    PAIRS = 512  # (query, block) pairs per orientation test: 64 KB arrays
 
     def __init__(self, px, py, qx, qy):
-        self.px, self.py, self.qx, self.qy = px, py, qx, qy
+        # the last block is padded with the last end point twice, a
+        # segment with d3 = d4 that is never crossed and widens no box
+        pad = -len(px) % self.BLOCK
+        ex, ey = (qx[-1], qy[-1]) if pad else (0.0, 0.0)
+        self.px, self.py, self.qx, self.qy = (
+            np.concatenate([a, np.full(pad, e)]).reshape(-1, self.BLOCK)
+            for a, e in ((px, ex), (py, ey), (qx, ex), (qy, ey))
+        )
+        xs = np.concatenate([self.px, self.qx], axis=1)
+        ys = np.concatenate([self.py, self.qy], axis=1)
+        m = 1e-9 * np.maximum(1.0, np.maximum(np.abs(xs), np.abs(ys)).max(axis=1))
+        self.x0, self.x1 = xs.min(axis=1) - m, xs.max(axis=1) + m
+        self.y0, self.y1 = ys.min(axis=1) - m, ys.max(axis=1) + m
 
     @classmethod
     def from_polylines(cls, polylines) -> "SegmentSet":
         arrs = [np.asarray(pl, dtype=complex) for pl in polylines]
         p = np.concatenate([a[:-1] for a in arrs] + [np.zeros(0, complex)])
         q = np.concatenate([a[1:] for a in arrs] + [np.zeros(0, complex)])
-        return cls(p.real.copy(), p.imag.copy(), q.real.copy(), q.imag.copy())
-
-    def band(self, y0: float, y1: float) -> "SegmentSet":
-        """The segments whose y-range meets [y0, y1], widened by 1e-9.
-
-        A segment outside the band cannot be crossed by a query inside it,
-        and the margin is far above the rounding of the orientation tests,
-        so for such queries the band answers exactly as the whole set does.
-        """
-        m = 1e-9 * max(1.0, abs(y0), abs(y1))
-        keep = (np.maximum(self.py, self.qy) >= y0 - m) & (np.minimum(self.py, self.qy) <= y1 + m)
-        return SegmentSet(self.px[keep], self.py[keep], self.qx[keep], self.qy[keep])
+        return cls(p.real, p.imag, q.real, q.imag)
 
     def _crossings(self, ax, ay, bx, by):
         """(query k, d1, d2) for every strict crossing, one chunk at a time.
 
         d1 and d2 are the orientations of a_k and b_k against the crossed
-        segment.  The query's own line is tested against every segment
-        first; only the segments it separates are tested the other way.
+        segment.  The query's own line is tested against every segment of
+        the blocks its box meets; only the segments it separates are tested
+        the other way.
         """
         for lo in range(0, len(ax), self.CHUNK):
             sl = slice(lo, lo + self.CHUNK)
-            ux, uy = (bx[sl] - ax[sl])[:, None], (by[sl] - ay[sl])[:, None]
-            d3 = ux * (self.py - ay[sl, None]) - uy * (self.px - ax[sl, None])
-            d4 = ux * (self.qy - ay[sl, None]) - uy * (self.qx - ax[sl, None])
-            k, i = np.nonzero(d3 * d4 < 0)
-            k += lo
-            px, py = self.px[i], self.py[i]
-            ex, ey = self.qx[i] - px, self.qy[i] - py
-            d1 = ex * (ay[k] - py) - ey * (ax[k] - px)
-            d2 = ex * (by[k] - py) - ey * (bx[k] - px)
-            hit = d1 * d2 < 0
-            yield k[hit], d1[hit], d2[hit]
+            x0, x1 = np.minimum(ax[sl], bx[sl])[:, None], np.maximum(ax[sl], bx[sl])[:, None]
+            y0, y1 = np.minimum(ay[sl], by[sl])[:, None], np.maximum(ay[sl], by[sl])[:, None]
+            ks, blks = np.nonzero((x0 <= self.x1) & (x1 >= self.x0) & (y0 <= self.y1) & (y1 >= self.y0))
+            for at in range(0, len(ks), self.PAIRS):
+                k, blk = ks[at : at + self.PAIRS] + lo, blks[at : at + self.PAIRS]
+                kax, kay = ax[k, None], ay[k, None]
+                ux, uy = bx[k, None] - kax, by[k, None] - kay
+                d3 = ux * (self.py[blk] - kay) - uy * (self.px[blk] - kax)
+                d4 = ux * (self.qy[blk] - kay) - uy * (self.qx[blk] - kax)
+                r, c = np.nonzero(d3 * d4 < 0)
+                k, blk = k[r], blk[r]
+                px, py = self.px[blk, c], self.py[blk, c]
+                ex, ey = self.qx[blk, c] - px, self.qy[blk, c] - py
+                d1 = ex * (ay[k] - py) - ey * (ax[k] - px)
+                d2 = ex * (by[k] - py) - ey * (bx[k] - px)
+                hit = d1 * d2 < 0
+                yield k[hit], d1[hit], d2[hit]
 
     def crosses(self, ax, ay, bx, by) -> np.ndarray:
         """Whether each open query segment a_k -> b_k crosses a segment."""

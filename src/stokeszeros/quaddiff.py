@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .errors import DomainError, TraceError
-from .geometry import nearest_sign, wrap_angle
+from .geometry import wrap_angle
 from .polynomials import ComplexPolynomial, roots
 
 __all__ = [
@@ -147,7 +147,11 @@ class TraceCaps:
 
 @dataclass
 class StokesLine:
-    """A traced Stokes line (trajectory with an end at a turning point)."""
+    """A traced Stokes line (trajectory with an end at a turning point).
+
+    ``steps`` counts the tracer's accepted steps and ``rejected`` the
+    attempts it refused and retried with a shorter step.
+    """
 
     origin: int
     samples: list
@@ -157,43 +161,34 @@ class StokesLine:
     is_short: bool
     is_exceptional: bool = False
     re_zeta_drift: float = 0.0
+    steps: int = 0
+    rejected: int = 0
 
 
 _STEP_TOL = 1e-10  # local error per unit step of the trajectory tracer
 
-# Dormand-Prince 5(4) tableau; the direction field is autonomous, so no c nodes
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (
-    5179 / 57600,
-    0.0,
-    7571 / 16695,
-    393 / 640,
-    -92097 / 339200,
-    187 / 2100,
-    1 / 40,
-)
-
-
-def _velocity(q: QuadDiff, z: complex, ref: complex) -> tuple:
-    """Unit trace direction i conj(w)/|w| at z, and w, the branch of sqrt(Q) nearest ref."""
-    w = nearest_sign(cmath.sqrt(q(z)), ref)
-    mag = abs(w)
-    if mag == 0:
-        raise TraceError("trajectory hit a turning point exactly")
-    return 1j * w.conjugate() / mag, w
+# Dormand-Prince 5(4) tableau; the direction field is autonomous, so no c
+# nodes.  The zero entries a72, b2 and b7 have no terms below.
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+# the seventh stage sits at the fifth-order solution: a7j = b5j
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = 5179 / 57600, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40
 
 
 def trace_trajectory(q: QuadDiff, start: complex, initial_direction: float) -> StokesLine:
     """Trace one vertical trajectory until capture or escape.
+
+    The integrator is Dormand-Prince 5(4) on the unit direction field
+    i conj(w)/|w|, w the branch of sqrt(Q) continued stage to stage.  Its
+    seventh stage sits at the new point, so it is the next step's first
+    stage (first same as last), and its w is the branch the step ends on:
+    an accepted step evaluates sqrt(Q) 7 times, six stages and the midpoint
+    of the Simpson rule that integrates Re(zeta) along the chord.  A stage
+    that lands exactly on a turning point (w = 0) refuses the attempt.
 
     Parameters
     ----------
@@ -215,6 +210,16 @@ def trace_trajectory(q: QuadDiff, start: complex, initial_direction: float) -> S
     caps = TraceCaps.for_diff(q)
     tps = turning_points(q)
     dirs = stokes_directions(q.d, q.ell).stokes
+    top_down = q.polynomial.coefficients[::-1]
+    sqrt = cmath.sqrt
+
+    def root(z, ref):
+        # Horner as ComplexPolynomial.__call__, then the sign nearest ref
+        acc = 0j
+        for c in top_down:
+            acc = acc * z + c
+        w = sqrt(acc)
+        return -w if abs(w - ref) > abs(w + ref) else w
 
     # launch: offset away from a turning point along the requested tangent
     start = complex(start)
@@ -227,10 +232,10 @@ def trace_trajectory(q: QuadDiff, start: complex, initial_direction: float) -> S
             origin = idx
             break
 
-    w = cmath.sqrt(q(z))
-    vel = 1j * w.conjugate() / abs(w)
-    if (vel / tangent).real < 0:
-        w = -w
+    w_cur = sqrt(q(z))
+    if (1j * w_cur.conjugate() / abs(w_cur) / tangent).real < 0:
+        w_cur = -w_cur
+    k1 = 1j * w_cur.conjugate() / abs(w_cur)
 
     samples = [z]
     zeta_re_drift = 0.0
@@ -238,7 +243,7 @@ def trace_trajectory(q: QuadDiff, start: complex, initial_direction: float) -> S
     h = max(caps.launch_offset, 1e-6)
     terminal = None
     terminal_angle = None
-    w_cur = w
+    steps = rejected = 0
     # the launch point sits inside its own capture disc; arm it after leaving
     origin_armed = origin is None
 
@@ -250,50 +255,52 @@ def trace_trajectory(q: QuadDiff, start: complex, initial_direction: float) -> S
                 best, best_d = i, dist
         return best, best_d
 
+    _, dist = nearest_tp(z)
+
     max_steps = 400_000
     for _ in range(max_steps):
-        _, dist = nearest_tp(z)
         h = min(h, 0.25 * dist, 0.35)
         if h < 1e-15 * (1 + abs(z)):
             raise TraceError("step underflow near a singular point", partial=samples)
 
-        # one adaptive DP5(4) attempt
+        # one adaptive DP5(4) attempt; |w| = 0 divides by zero and refuses it
         while True:
-            ks = []
-            ref = w_cur
-            ok = True
-            for i in range(7):
-                zi = z
-                for j, aij in enumerate(_DP_A[i]):
-                    zi += h * aij * ks[j]
-                try:
-                    vel, ref = _velocity(q, zi, ref)
-                except TraceError:
-                    ok = False
-                    break
-                ks.append(vel)
-            if not ok:
+            try:
+                w = root(z + h * _A21 * k1, w_cur)
+                k2 = 1j * w.conjugate() / abs(w)
+                w = root(z + h * _A31 * k1 + h * _A32 * k2, w)
+                k3 = 1j * w.conjugate() / abs(w)
+                w = root(z + h * _A41 * k1 + h * _A42 * k2 + h * _A43 * k3, w)
+                k4 = 1j * w.conjugate() / abs(w)
+                w = root(z + h * _A51 * k1 + h * _A52 * k2 + h * _A53 * k3 + h * _A54 * k4, w)
+                k5 = 1j * w.conjugate() / abs(w)
+                w = root(
+                    z + h * _A61 * k1 + h * _A62 * k2 + h * _A63 * k3 + h * _A64 * k4 + h * _A65 * k5,
+                    w,
+                )
+                k6 = 1j * w.conjugate() / abs(w)
+                z5 = z + h * _B1 * k1 + h * _B3 * k3 + h * _B4 * k4 + h * _B5 * k5 + h * _B6 * k6
+                w7 = root(z5, w)
+                k7 = 1j * w7.conjugate() / abs(w7)
+            except ZeroDivisionError:
+                rejected += 1
                 h *= 0.3
                 continue
-            z5 = z
-            z4 = z
-            for i in range(7):
-                z5 += h * _DP_B5[i] * ks[i]
-                z4 += h * _DP_B4[i] * ks[i]
+            z4 = z + h * _E1 * k1 + h * _E3 * k3 + h * _E4 * k4 + h * _E5 * k5 + h * _E6 * k6 + h * _E7 * k7
             err = abs(z5 - z4)
             tol = _STEP_TOL * max(h, 1e-3)
             if err <= tol or h <= 1e-13 * (1 + abs(z)):
                 break
+            rejected += 1
             h *= max(0.2, min(0.9 * (tol / max(err, 1e-300)) ** 0.2, 0.8))
 
-        # accepted: update branch along the chord with a Simpson phase check
-        w_mid = nearest_sign(cmath.sqrt(q(0.5 * (z + z5))), w_cur)
-        w_new = nearest_sign(cmath.sqrt(q(z5)), w_mid)
-        dzeta = (w_cur + 4 * w_mid + w_new) / 6.0 * (z5 - z)
+        # accepted: w7 is the branch at z5; a Simpson phase check on the chord
+        w_mid = root(0.5 * (z + z5), w_cur)
+        dzeta = (w_cur + 4 * w_mid + w7) / 6.0 * (z5 - z)
         zeta_re_drift += dzeta.real
-        z = z5
-        w_cur = w_new
+        z, w_cur, k1 = z5, w7, k7
         arclength += h
+        steps += 1
         samples.append(z)
 
         grow = 0.9 * (tol / max(err, 1e-300)) ** 0.2
@@ -329,4 +336,6 @@ def trace_trajectory(q: QuadDiff, start: complex, initial_direction: float) -> S
         launch_angle=initial_direction,
         is_short=terminal is not None,
         re_zeta_drift=zeta_re_drift,
+        steps=steps,
+        rejected=rejected,
     )

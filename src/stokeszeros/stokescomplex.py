@@ -14,8 +14,10 @@ from __future__ import annotations
 import cmath
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
+
+import numpy as np
 
 from .errors import DomainError, StructuralError
 from .geometry import distance_to_polyline, wrap_angle
@@ -68,6 +70,9 @@ class StokesComplex:
     v_minus: int  # turning point of the omega- region
     e0_index: int  # the short exceptional line joining v_plus and v_minus
     boundary_rays: tuple  # (theta_minus, theta_plus)
+    # deterministic tracer work: traces run (a short line is traced from both
+    # ends and one copy dropped), their accepted steps and refused attempts
+    counts: dict = field(default_factory=dict)
 
     @property
     def half_plane_count(self) -> int:
@@ -134,6 +139,7 @@ class StokesComplex:
                 "half_plane_regions": self.half_plane_count,
                 "strip_regions": self.strip_count,
             },
+            "counts": dict(self.counts),
         }
 
 
@@ -202,9 +208,13 @@ def stokes_complex(d: int, ell: int) -> StokesComplex:
 
     lines: list = []
     short_seen = set()
+    counts = dict.fromkeys(("traces", "steps", "rejected"), 0)
     for v in tps:
         for phi in launch_directions(q, v):
             ln = trace_trajectory(q, v, phi)
+            counts["traces"] += 1
+            counts["steps"] += ln.steps
+            counts["rejected"] += ln.rejected
             if ln.is_short:
                 key = frozenset((ln.origin, ln.terminal))
                 if key in short_seen:
@@ -238,6 +248,7 @@ def stokes_complex(d: int, ell: int) -> StokesComplex:
         v_minus=v_minus,
         e0_index=e0_index,
         boundary_rays=boundary_rays,
+        counts=counts,
     )
 
 
@@ -391,33 +402,26 @@ def _check_mirror_symmetry(tps, lines, census_radius) -> float:
         ro = _reflect_index(tps, tps[ln.origin])
         if ro is None:
             raise StructuralError("turning points not mirror symmetric")
-        reflected = [(-s.conjugate()) for s in ln.samples]
-        cands = []
-        for other in lines:
-            if ln.is_short:
-                if other.is_short and {other.origin, other.terminal} == {
-                    ro,
-                    _reflect_index(tps, tps[ln.terminal]),
-                }:
-                    cands.append(other)
-            else:
-                if (
-                    not other.is_short
-                    and other.origin == ro
-                    and abs(wrap_angle(math.pi - ln.terminal_angle - other.terminal_angle))
-                    < 1e-6
-                ):
-                    cands.append(other)
+        if ln.is_short:
+            ends = {ro, _reflect_index(tps, tps[ln.terminal])}
+            cands = [o for o in lines if o.is_short and {o.origin, o.terminal} == ends]
+        else:
+            cands = [
+                o
+                for o in lines
+                if not o.is_short
+                and o.origin == ro
+                and abs(wrap_angle(math.pi - ln.terminal_angle - o.terminal_angle)) < 1e-6
+            ]
         if not cands:
             raise StructuralError("a Stokes line has no mirror partner")
         # unbounded traces overshoot the escape radius by one step each, so
         # only compare the geometry inside the census circle
-        clipped = [p for p in reflected[::9] if abs(p) <= census_radius]
-        clipped = clipped or reflected[:1]
-        dev = min(
-            max(distance_to_polyline(p, other.samples) for p in clipped)
-            for other in cands
-        )
+        reflected = -np.conj(np.array(ln.samples[::9], dtype=complex))
+        clipped = reflected[np.abs(reflected) <= census_radius]
+        if not clipped.size:
+            clipped = reflected[:1]
+        dev = min(float(np.max(distance_to_polyline(clipped, o.samples))) for o in cands)
         worst = max(worst, dev)
     scale = max(1.0, max(abs(v) for v in tps))
     if worst > 2e-4 * scale:

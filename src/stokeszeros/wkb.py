@@ -240,15 +240,15 @@ class PhaseIntegral:
             for k in range(12):
                 pts.append(radius * cmath.exp(1j * (2 * math.pi * k / 12 + 0.09)))
         self._waypoints = pts
-        n = len(pts)
-        self._adj = [[] for _ in range(n)]
-        for i in range(n - 1):
-            ok = self._edges_ok(pts[i], pts[i + 1 :])
-            for j in np.flatnonzero(ok).tolist():
-                j += i + 1
-                d = abs(pts[i] - pts[j])
-                self._adj[i].append((j, d))
-                self._adj[j].append((i, d))
+        self._adj = [[] for _ in pts]
+        # every pair (i, j), i < j, in one test, filled in row-major order
+        iu, ju = np.triu_indices(len(pts), 1)
+        arr = np.array(pts, dtype=complex)
+        ok = self._edges_ok(arr[iu], arr[ju])
+        for i, j in zip(iu[ok].tolist(), ju[ok].tolist()):
+            d = abs(pts[i] - pts[j])
+            self._adj[i].append((j, d))
+            self._adj[j].append((i, d))
 
     def _edges_ok(self, a, b, end_at_tp: bool = False) -> np.ndarray:
         """Whether each edge a_k -> b_k is clear for quadrature.
@@ -392,9 +392,8 @@ class PhaseIntegral:
             zeta_r, w_r = self._zeta_w(complex(z[r]))
             s_r = 1.0 if abs(w_r - dF[r]) <= abs(w_r + dF[r]) else -1.0
             chords = (np.full(z.shape, z[r].real), np.full(z.shape, z[r].imag), z.real, z.imag)
-            band = self._exc.band(t.imag - radius, t.imag + radius)
             cut = SegmentSet.from_polylines([[t, t - 2 * radius]])
-            flips = [len(e) + len(c) for e, c in zip(band.fractions(*chords), cut.fractions(*chords))]
+            flips = [len(e) + len(c) for e, c in zip(self._exc.fractions(*chords), cut.fractions(*chords))]
             s = np.where(np.array(flips) % 2, -s_r, s_r)
             u.flat[idx] = zeta_r.real - s_r * F[r].real + s * F.real
             w.flat[idx] = s * dF
@@ -407,16 +406,15 @@ class PhaseIntegral:
         up from the row below it.  Each step is a trapezoid rule whose
         branch sign flips where the step crosses the exceptional set, so the
         grid reproduces the creases of u; accuracy is grid-limited.  The
-        crossings of a whole row of steps are found in one call, against
-        only the exceptional segments that meet the row's band of y (an
-        exact prefilter).  Nodes within 0.25 minsep of a turning point are
-        not marched: they take the turning point's local series, with one
-        routed node per turning point (:meth:`_near_values`), and the march
-        continues from their branch; a step from a node on a turning point
-        itself, where w = 0, routes its end instead.  The grid is jittered
-        off axis-aligned positions so that no node lands exactly on an
-        exceptional line, which would defeat the crossing-parity
-        bookkeeping; the returned coordinates include the jitter.
+        crossings of a whole row of steps are found in one call.  Nodes
+        within 0.25 minsep of a turning point are not marched: they take the
+        turning point's local series, with one routed node per turning point
+        (:meth:`_near_values`), and the march continues from their branch; a
+        step from a node on a turning point itself, where w = 0, routes its
+        end instead.  The grid is jittered off axis-aligned positions so
+        that no node lands exactly on an exceptional line, which would defeat
+        the crossing-parity bookkeeping; the returned coordinates include the
+        jitter.
         """
         corner = complex(corner) + (3.7e-4 * dx + 2.3e-4j * dy)
         zs = np.array(
@@ -458,9 +456,7 @@ class PhaseIntegral:
             keep = ~near[iy, ixs]
             ixs, jxs = ixs[keep], jxs[keep]
             a, b = zs[jy, jxs], zs[iy, ixs]
-            rows = np.concatenate([zs[jy].imag, zs[iy].imag])
-            band = self._exc.band(rows.min(), rows.max())
-            crossings = band.fractions(a.real, a.imag, b.real, b.imag)
+            crossings = self._exc.fractions(a.real, a.imag, b.real, b.imag)
             for ix, jx, ts in zip(ixs.tolist(), jxs.tolist(), crossings):
                 u[iy, ix], wgrid[iy, ix] = advance(
                     complex(zs[jy, jx]), complex(zs[iy, ix]), u[jy, jx], wgrid[jy, jx], ts

@@ -161,6 +161,22 @@ def test_deterministic_outputs(tmp_path):
             assert (tmp_path / name).read_bytes() == first[name]
 
 
+def test_stokes_counts_repeat_across_builds(tmp_path):
+    # the tracer's work counts are deterministic: two fresh builds of the
+    # complex write the same bytes, counts block included
+    written = []
+    for _ in range(2):
+        _clear_program_caches()
+        assert run_cli(["stokes", "--d", "3", "--ell", "1", "--format", "json", "--out", str(tmp_path)]) == 0
+        written.append((tmp_path / "stokes.json").read_bytes())
+    assert written[0] == written[1]
+    payload = json.loads(written[0])["stokes_complex"]
+    # three launches from each of the three turning points; the short
+    # line's second trace is counted, then dropped
+    assert payload["counts"]["traces"] == 9 and len(payload["lines"]) == 8
+    assert payload["counts"]["steps"] > payload["counts"]["rejected"] > 0
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 

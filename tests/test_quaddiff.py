@@ -6,8 +6,10 @@ import pytest
 
 from stokeszeros.errors import DomainError
 from stokeszeros.polynomials import ComplexPolynomial
+from stokeszeros.geometry import wrap_angle
 from stokeszeros.quaddiff import (
     QuadDiff,
+    TraceCaps,
     build_quad_diff,
     launch_directions,
     stokes_directions,
@@ -250,3 +252,111 @@ def test_serialization_roundtrip_fields():
     assert len(d["lines"]) == len(sc.lines)
     assert any(ln["is_exceptional"] for ln in d["lines"])
     assert {r["label"] for r in d["regions"]} >= {"omega+", "omega-"}
+
+
+# -- bit identity with the plain Dormand-Prince loop ----------------------------
+# An in-test copy of the tracer before its step was unrolled: the tableau as
+# tuples, seven stages per attempt each evaluating sqrt(Q), and the branch at
+# the new point evaluated again after acceptance.  The limit geometry and the
+# envelope grid start from these samples, so they must match bit for bit.
+
+_DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+
+
+def _ref_nearest_sign(w, ref):
+    return -w if abs(w - ref) > abs(w + ref) else w
+
+
+def _ref_trace(q, v, phi):
+    """(samples, terminal, terminal_angle, re_zeta_drift, steps, rejected)."""
+    caps = TraceCaps.for_diff(q)
+    tps = turning_points(q)
+    dirs = stokes_directions(q.d, q.ell).stokes
+    tangent = cmath.exp(1j * phi)
+    origin = tps.index(v)
+    z = v + caps.launch_offset * tangent
+    w = cmath.sqrt(q(z))
+    if (1j * w.conjugate() / abs(w) / tangent).real < 0:
+        w = -w
+    samples, drift, arclength = [z], 0.0, 0.0
+    h = max(caps.launch_offset, 1e-6)
+    terminal = terminal_angle = None
+    steps = rejected = 0
+    armed = False
+
+    def nearest_tp(pt):
+        dists = [abs(pt - t) for t in tps]
+        best = min(dists)
+        return dists.index(best), best
+
+    while True:
+        h = min(h, 0.25 * nearest_tp(z)[1], 0.35)
+        while True:
+            ks, ref, ok = [], w, True
+            for i in range(7):
+                zi = z
+                for j, aij in enumerate(_DP_A[i]):
+                    zi += h * aij * ks[j]
+                ref = _ref_nearest_sign(cmath.sqrt(q(zi)), ref)
+                if abs(ref) == 0:
+                    ok = False
+                    break
+                ks.append(1j * ref.conjugate() / abs(ref))
+            if not ok:
+                rejected += 1
+                h *= 0.3
+                continue
+            z5, z4 = z, z
+            for i in range(7):
+                z5 += h * _DP_B5[i] * ks[i]
+                z4 += h * _DP_B4[i] * ks[i]
+            err = abs(z5 - z4)
+            tol = 1e-10 * max(h, 1e-3)
+            if err <= tol or h <= 1e-13 * (1 + abs(z)):
+                break
+            rejected += 1
+            h *= max(0.2, min(0.9 * (tol / max(err, 1e-300)) ** 0.2, 0.8))
+        w_mid = _ref_nearest_sign(cmath.sqrt(q(0.5 * (z + z5))), w)
+        w_new = _ref_nearest_sign(cmath.sqrt(q(z5)), w_mid)
+        drift += ((w + 4 * w_mid + w_new) / 6.0 * (z5 - z)).real
+        z, w = z5, w_new
+        arclength += h
+        steps += 1
+        samples.append(z)
+        h *= max(0.3, min(0.9 * (tol / max(err, 1e-300)) ** 0.2, 4.0))
+        idx, dist = nearest_tp(z)
+        armed = armed or idx != origin or dist > 5 * caps.capture_radius
+        if dist <= caps.capture_radius and armed:
+            terminal = idx
+            samples.append(tps[idx])
+            break
+        if abs(z) >= caps.escape_radius:
+            ang = cmath.phase(z)
+            terminal_angle = min(dirs, key=lambda t: abs(wrap_angle(ang - t)))
+            break
+    return samples, terminal, terminal_angle, drift, steps, rejected
+
+
+NINE_FAMILIES = [(2, 1), (3, 1), (4, 1), (4, 2), (4, 3), (6, 1), (6, 2), (6, 3), (6, 4)]
+
+
+@pytest.mark.parametrize("d, ell", NINE_FAMILIES)
+def test_trace_bits_match_plain_dp_loop(d, ell):
+    q = build_quad_diff(d, ell)
+    for v in turning_points(q):
+        for phi in launch_directions(q, v):
+            ln = trace_trajectory(q, v, phi)
+            got = (ln.samples, ln.terminal, ln.terminal_angle, ln.re_zeta_drift)
+            want = _ref_trace(q, v, phi)
+            assert repr(got) == repr(want[:4]), (v, phi)
+            assert (ln.steps, ln.rejected) == want[4:]
