@@ -269,6 +269,9 @@ def cmd_spectrum(args) -> int:
                 "im_lambda": pair.lam.imag,
                 "h": pair.h,
                 "residual": pair.residual,
+                "seed_radius": pair.seed_radius,
+                "seed_bound": pair.seed_bound,
+                "shots": pair.shots,
                 "y0": [pair.y0.real, pair.y0.imag],
                 "dy0": [pair.dy0.real, pair.dy0.imag],
                 "asymptotic_ratio": ratio,

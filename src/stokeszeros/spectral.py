@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -24,7 +24,7 @@ from .polynomials import ComplexPolynomial, roots
 from .quaddiff import _leading_coefficient, check_family, stokes_directions
 from .stokescomplex import stokes_complex
 from .transport import TransportState, _waypoint, transport, transport_states
-from .wkb import PhaseIntegral, eigenvalue_estimate, horner_parts
+from .wkb import PhaseIntegral, eigenvalue_estimate, horner_parts, seed_error_bound
 
 __all__ = [
     "ProblemSpec",
@@ -118,6 +118,10 @@ def wkb_seed(spec: ProblemSpec, lam: complex, ray_angle: float, R: float) -> tup
     return y, dy
 
 
+_GROWTH = 1.18  # one step of every seed-radius search
+_SEED_BOUND = 1e-15  # the largest seed error bound an eigenvalue is returned with
+
+
 def _dominance_radius(spec: ProblemSpec, lam: complex) -> float:
     """Smallest ray radius where the shifted field tracks its leading term.
 
@@ -129,7 +133,7 @@ def _dominance_radius(spec: ProblemSpec, lam: complex) -> float:
     R = max(1.0, (3.0 * max(abs(lam), 1.0) / lead) ** (1.0 / spec.d))
     for growths in range(61):
         if growths:
-            R *= 1.18
+            R *= _GROWTH
         zmag = R**spec.d * lead
         rest = abs(lam) + sum(
             abs(c) * R**k for k, c in enumerate(pot.coefficients[:-1])
@@ -153,18 +157,14 @@ class ShootingFrame:
     would cancel catastrophically; for self-adjoint problems the matching
     point is simply the origin.)  The transport runs down the boundary ray
     to the nearby turning point and then along the short line itself, so
-    the modulus envelope never descends along the way.
-
-    ``states`` holds the ray states already transported in this frame, by
-    (spec, lambda), so a lambda is shot once per frame: a polish whose
-    first step rounds to nothing returns the lambda it shot, and the
-    solve's final shot at it is a lookup.  A frame lives for one solve.
+    the modulus envelope never descends along the way.  An eigen-solve
+    shoots every lambda in one frame, whose R makes the WKB seed's error
+    bound (:meth:`seed_bound`) negligible.
     """
 
     R: float
     right_path: tuple
     left_path: tuple
-    states: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def z_match(self) -> complex:
@@ -198,6 +198,12 @@ class ShootingFrame:
         left_path = (R * cmath.exp(1j * left),) + tuple(f * z for z in from_minus)
         return ShootingFrame(R=R, right_path=right_path, left_path=left_path)
 
+    def seed_bound(self, spec: "ProblemSpec", lam: complex) -> float:
+        """The larger ray's V(R) e^{-2 Phi(R)} (:func:`seed_error_bound`) at
+        lambda: about how far, relative, the WKB seeds move the eigenvalue."""
+        field = spec.shifted_field(lam)
+        return max(seed_error_bound(field, self.right_path), seed_error_bound(field, self.left_path))
+
 
 def _ray_state(spec: ProblemSpec, lam: complex, ray_angle: float, path) -> TransportState:
     R = abs(path[0])
@@ -206,14 +212,10 @@ def _ray_state(spec: ProblemSpec, lam: complex, ray_angle: float, path) -> Trans
 
 
 def _miss_parts(spec: ProblemSpec, lam: complex, frame: ShootingFrame):
-    key = (spec, lam)
-    parts = frame.states.get(key)
-    if parts is None:
-        left, right = spec.boundary_rays
-        sl = _ray_state(spec, lam, left, frame.left_path)
-        sr = _ray_state(spec, lam, right, frame.right_path)
-        parts = frame.states[key] = (sl, sr, sl.y * sr.dy - sl.dy * sr.y)
-    return parts
+    left, right = spec.boundary_rays
+    sl = _ray_state(spec, lam, left, frame.left_path)
+    sr = _ray_state(spec, lam, right, frame.right_path)
+    return sl, sr, sl.y * sr.dy - sl.dy * sr.y
 
 
 def miss_function(spec: ProblemSpec, lam: complex, frame: ShootingFrame) -> complex:
@@ -249,7 +251,12 @@ def miss_surrogate(spec: ProblemSpec, lam: float, frame: ShootingFrame) -> float
 
 @dataclass(frozen=True)
 class Eigenpair:
-    """A converged eigenvalue with normalized initial data at the origin."""
+    """A converged eigenvalue with normalized initial data at the origin.
+
+    ``seed_radius`` is the R of the one frame the solve shot in,
+    ``seed_bound`` that frame's WKB seed bound at ``lam``, and ``shots``
+    the miss evaluations of the solve's searches.
+    """
 
     spec: ProblemSpec
     n: int
@@ -258,6 +265,8 @@ class Eigenpair:
     dy0: complex
     residual: float
     seed_radius: float
+    seed_bound: float
+    shots: int
 
     @property
     def h(self) -> float:
@@ -271,39 +280,29 @@ class Eigenpair:
         return cmath.exp(cmath.log(self.lam) / self.spec.d)
 
 
-def _search(spec: ProblemSpec, n: int, frame: ShootingFrame, chord=None) -> tuple:
-    """Eigenvalue n in one fixed frame, and the chord of its last secant step.
+def _search(spec: ProblemSpec, n: int, frame: ShootingFrame, start: complex) -> tuple:
+    """Eigenvalue n in one fixed frame, searched from ``start``.
 
     One damped secant iteration on the holomorphic miss function serves
     every spec.  Self-adjoint spectra are real: each iterate is projected
     onto the real axis, so every miss evaluation and the returned lambda
-    are exactly real.  A chord is (lambda, d lambda, d miss): the newest
-    iterate and the differences that gave the secant slope.  Without
-    ``chord`` the search starts wide from the growth-law seed, shooting two
-    lambdas.  With the previous frame's chord it polishes that chord's
-    lambda in a new frame: it shoots the lambda once and takes its first
-    step with the chord's slope, which the frames share to within the
-    seed's truncation error, then continues on chords of its own frame.
-    Convergence is tested on each new iterate before it is shot, so the
-    returned lambda is never shot here.  Returns ``(lambda, chord)``; a
-    search that does not converge raises :class:`IntegrationError`,
-    naming n.
+    are exactly real.  The search shoots ``start`` and a lambda 1e-3
+    relative beside it, then steps on secant chords.  Convergence is tested
+    on each new iterate before it is shot, so the returned lambda is never
+    shot here.  Returns ``(lambda, shots)``, shots being the miss
+    evaluations made; a search that does not converge raises
+    :class:`IntegrationError`, naming the spec, n and the last lambda.
     """
     seed = eigenvalue_estimate(spec.d, spec.ell, n, offset=0.5)
-    f = lambda z: miss_function(spec, z, frame)
-    if chord is None:
-        l0 = complex(seed)
-        l1 = complex(seed) * (1.0 + 1e-3) + 1e-6
-        f0, f1 = f(l0), f(l1)
-        dl, df = l1 - l0, f1 - f0
-        tol, iters = 1e-11, 60
-    else:
-        l1, dl, df = chord
-        f1 = f(l1)
-        tol, iters = 1e-12, 40
+    shot = []
+    f = lambda z: shot.append(z) or miss_function(spec, z, frame)
+    l0 = complex(start)
+    l1 = l0 * (1.0 + 1e-3) + 1e-6
+    f0, f1 = f(l0), f(l1)
+    dl, df = l1 - l0, f1 - f0
     # keep secant steps from tunnelling to a neighbouring eigenvalue
     max_step = 0.2 * abs(seed) + 1.0
-    for _ in range(iters):
+    for _ in range(60):
         if df == 0:
             l2 = l1 + 1e-8 * (1.0 + abs(l1))
             f2 = f(l2)
@@ -314,14 +313,35 @@ def _search(spec: ProblemSpec, n: int, frame: ShootingFrame, chord=None) -> tupl
             l2 = l1 + max_step * (l2 - l1) / abs(l2 - l1)
         if spec.is_self_adjoint:
             l2 = complex(l2.real, 0.0)
-        if abs(l2 - l1) <= tol * (1.0 + abs(l2)):
-            return l2, (l2, dl, df)
+        if abs(l2 - l1) <= 1e-11 * (1.0 + abs(l2)):
+            return l2, len(shot)
         f2 = f(l2)
         l1, f1, dl, df = l2, f2, l2 - l1, f2 - f1
     raise IntegrationError(
-        f"secant search did not converge for n={n}: lambda={l1:.12g}, "
+        f"secant search did not converge for {spec} n={n}: lambda={l1:.12g}, "
         f"last step {abs(dl):.3g}"
     )
+
+
+def _bound_error(spec: ProblemSpec, n: int, lam: complex, R: float, bound: float) -> IntegrationError:
+    return IntegrationError(
+        f"WKB seed bound not met for {spec} n={n}: at lambda={lam:.12g} and "
+        f"R={R:.6g} it is {bound:.3g}, above {_SEED_BOUND:g}"
+    )
+
+
+def _bounded_frame(spec: ProblemSpec, n: int, seed: float, lam: complex, R: float) -> ShootingFrame:
+    """The frame from radius R, grown by 18% at a time until its seed bound
+    at lambda is at most 1e-15; 40 growths that do not get there raise
+    :class:`IntegrationError`."""
+    for growths in range(41):
+        if growths:
+            R *= _GROWTH
+        frame = ShootingFrame.for_scale(spec, seed, R)
+        bound = frame.seed_bound(spec, lam)
+        if bound <= _SEED_BOUND:
+            return frame
+    raise _bound_error(spec, n, lam, R, bound)
 
 
 def _count_real_zeros(spec: ProblemSpec, lam: complex, y0, dy0, x_max: float) -> int:
@@ -364,38 +384,35 @@ def _real_bracket(spec: ProblemSpec, lam: complex) -> tuple:
 def solve_eigenpair(spec: ProblemSpec, n: int) -> Eigenpair:
     """Locate eigenvalue n and package normalized initial data.
 
-    One search (:func:`_search`, a damped secant iteration, kept on the
-    real axis for self-adjoint problems) starts from the asymptotic growth
-    law; the same search then polishes the eigenvalue while the seed
-    radius doubles, until it is stable to 1e-9 relative, which makes the
-    WKB truncation error measurable.  Each polish starts from the previous
-    frame's last secant chord, so it shoots the handed-over lambda once and
-    steps with that chord's slope.  No search shoots the lambda it returns:
-    the residual and the initial data come from the one shot at the final
-    lambda in the final frame.  A search that does not converge, or three
-    doublings after which lambda still moves, raises
-    :class:`IntegrationError`; for self-adjoint problems the
-    eigenfunction's real zeros are counted and must number n.
+    Every lambda is shot in one frame.  Its radius R grows from the
+    dominance radius until the WKB seed's error bound V(R) e^{-2 Phi(R)}
+    (:meth:`ShootingFrame.seed_bound`) at the growth-law seed is at most
+    1e-15, and one search (:func:`_search`, a damped secant iteration,
+    kept on the real axis for self-adjoint problems) starts from that seed.
+    The bound is checked again at the lambda found.  If it fails there, R
+    grows until the bound holds at that lambda and the search runs once
+    more, from it; a bound that fails again raises
+    :class:`IntegrationError`.  No search shoots the lambda it returns:
+    the residual and the initial data come from one shot at it.  For
+    self-adjoint problems the eigenfunction's real zeros are counted and
+    must number n.
     """
     if n < 0:
         raise DomainError("eigenvalue index must be nonnegative")
     seed = eigenvalue_estimate(spec.d, spec.ell, n, offset=0.5)
-    frame = ShootingFrame.for_scale(spec, seed)
-    lam, chord = _search(spec, n, frame)
-    for _ in range(3):
-        frame2 = ShootingFrame.for_scale(spec, seed, 2.0 * frame.R)
-        lam2, chord = _search(spec, n, frame2, chord)
-        shift = abs(lam2 - lam)
-        lam, frame = lam2, frame2
-        if shift <= 1e-9 * (1.0 + abs(lam)):
+    lam, R, shots = complex(seed), _dominance_radius(spec, seed), 0
+    for _ in range(2):
+        frame = _bounded_frame(spec, n, seed, lam, R)
+        lam, more = _search(spec, n, frame, lam)
+        shots += more
+        bound = frame.seed_bound(spec, lam)
+        if bound <= _SEED_BOUND:
             break
+        R = _GROWTH * frame.R
     else:
-        raise IntegrationError(
-            f"eigenvalue n={n} not stable under frame doubling: lambda={lam:.12g}, "
-            f"last shift {shift:.3g} at R={frame.R:.6g}"
-        )
+        raise _bound_error(spec, n, lam, frame.R, bound)
 
-    # the one shot at the returned lambda in the final frame
+    # the one shot at the returned lambda
     sl, sr, wr = _miss_parts(spec, lam, frame)
     # normalized initial data lives at the origin: climb there from the
     # matching point (the eigenfunction is dominant along that stretch)
@@ -411,7 +428,8 @@ def solve_eigenpair(spec: ProblemSpec, n: int) -> Eigenpair:
     residual = abs(wr) / denom
 
     pair = Eigenpair(
-        spec=spec, n=n, lam=lam, y0=y0, dy0=dy0, residual=residual, seed_radius=frame.R
+        spec=spec, n=n, lam=lam, y0=y0, dy0=dy0, residual=residual,
+        seed_radius=frame.R, seed_bound=bound, shots=shots,
     )
     if spec.is_self_adjoint:
         lo, hi = _real_bracket(spec, lam)
@@ -430,8 +448,10 @@ def ordering_violations(pairs) -> list:
     Solved indices are seeded independently, so for non-self-adjoint specs
     this check across a sorted set is what guards against index skips;
     self-adjoint indices are also certified by their real-zero count inside
-    :func:`solve_eigenpair`.  Two lambda within the solve's 1e-9 relative
-    tolerance of each other are one eigenvalue solved twice.
+    :func:`solve_eigenpair`.  Two lambda within 1e-9 relative of each other
+    are one eigenvalue solved twice: a solve is accurate to its seed bound
+    (at most 1e-15) and rounding, far inside that, and distinct
+    eigenvalues lie far outside it.
     """
     out = []
     for pa, pb in zip(pairs, pairs[1:]):
@@ -504,9 +524,13 @@ class EigenfunctionEvaluator:
 
         # ray solutions, seeded like the eigen-solve; each ray is rescaled
         # by its own endpoint so all anchors describe the one normalized
-        # eigenfunction (the rays agree only up to the converged residual)
+        # eigenfunction (the rays agree only up to the converged residual).
+        # They start at twice the solve's radius: that radius can be as
+        # small as 1.3 f, inside zero-set windows such as |Re|, |Im| <= 1.6 f,
+        # and past a ray's seed the eigenfunction decays outward, where no
+        # hop follows
         left, right = self.spec.boundary_rays
-        R = pair.seed_radius
+        R = 2.0 * pair.seed_radius
         for theta in (right, left):
             y, dy = wkb_seed(self.spec, pair.lam, theta, R)
             z0 = R * cmath.exp(1j * theta)
@@ -537,7 +561,7 @@ class EigenfunctionEvaluator:
             samples = [z for z in samples if abs(z) <= 2.6 * abs(f)]
             if len(samples) < 2:
                 continue
-            cur, _ = self._hop_from(samples[0])
+            cur, _ = self._hop_from(samples[0], self._seed_order(samples[0]))
             seg_anchors = [cur]
             acc = 0.0
             prev = samples[0]
@@ -663,14 +687,24 @@ class EigenfunctionEvaluator:
         loss, length = self._estimate(z, rest)
         yield from rest[np.lexsort((length, loss > budget))]
 
-    def _hop_from(self, z: complex) -> tuple:
+    def _seed_order(self, z: complex):
+        """Anchor indices in the order hops to a sweep's first sample are
+        tried: every anchor, by estimated loss, then phase length.  Every
+        anchor of the sweep carries the error its seed hop let grow, and a
+        hop from one of them may let it grow by a whole budget again, so a
+        sweep starts from the hop that loses least, not the shortest."""
+        loss, length = self._estimate(z, np.arange(len(self._anchor_z)))
+        return np.lexsort((length, loss))
+
+    def _hop_from(self, z: complex, order=None) -> tuple:
         """(state, measured loss) of the first admitted hop from an anchor to z.
 
-        The estimated divergence orders the anchors (:meth:`_hop_order`) and
-        the hop's own measured divergence admits it.  A point that no hop
-        reaches within the budget raises :class:`IntegrationError`.
+        The estimated divergence orders the anchors (:meth:`_hop_order`,
+        unless ``order`` is given) and the hop's own measured divergence
+        admits it.  A point that no hop reaches within the budget raises
+        :class:`IntegrationError`.
         """
-        for i in self._hop_order(z):
+        for i in self._hop_order(z) if order is None else order:
             hop = self._monitored_hop(self._anchors[i], z, self._HOP_BUDGET)
             if hop is not None:
                 self.counts["hops"] += 1

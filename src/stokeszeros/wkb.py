@@ -33,6 +33,7 @@ __all__ = [
     "arc_mass_profile",
     "liouville_g",
     "h0_bound",
+    "seed_error_bound",
     "WKBParameters",
     "WKBValue",
     "wkb_approximant",
@@ -498,9 +499,12 @@ def liouville_g(p: ComplexPolynomial, z: complex) -> complex:
     if abs(qz) < 1e-12 * max(1.0, p.scaled_magnitude(z)):
         raise DomainError("liouville_g is singular at a turning point")
     dp = p.derivative()
-    dq = dp(z)
-    ddq = dp.derivative()(z)
-    return -(5.0 / 16.0) * dq * dq / qz**3 + ddq / (4.0 * qz * qz)
+    return _liouville_g(qz, dp(z), dp.derivative()(z))
+
+
+def _liouville_g(q, dq, ddq):
+    """g from Q, Q' and Q'' at the same points, scalars or arrays."""
+    return -(5.0 / 16.0) * dq * dq / q**3 + ddq / (4.0 * q * q)
 
 
 def h0_bound(p: ComplexPolynomial, curve, s: float) -> tuple:
@@ -533,6 +537,44 @@ def h0_bound(p: ComplexPolynomial, curve, s: float) -> tuple:
         total += fine
         total_err += abs(fine - coarse)
     return total, total_err
+
+
+_V_PANELS = 8  # [R, 2R], [2R, 4R], ..., then [2^8 R, infinity)
+
+
+def seed_error_bound(p: ComplexPolynomial, path) -> float:
+    """V(R) e^{-2 Phi(R)}: how far a WKB seed at path[0] moves the path's end.
+
+    The recessive solution of y'' = p y along the ray through path[0] =
+    R e^{i theta} is seeded there with its WKB form, which errs by about
+    Olver's error-control variation V(R) = int_R^inf |g| |sqrt p| |dz| along
+    the ray (g as in :func:`liouville_g`).  Transported along ``path``, the
+    part of that error along the dominant solution decays by e^{-2 Phi},
+    Phi = Re int sqrt(p) dz from the path's end out to path[0] on the branch
+    that decays outward; the part along the recessive solution only
+    rescales the solution.  V is GL-16 on geometric panels in 1/t, Phi
+    GL-16 on every path segment, with the branch of sqrt(p) continued node
+    to node by a cumulative sign flip.
+    """
+    z0 = complex(path[0])
+    ray = z0 / abs(z0)
+    edges = 0.5 ** np.arange(_V_PANELS + 1) / abs(z0)
+    lo = np.append(edges[1:], 0.0)
+    s = 0.5 * (edges + lo)[:, None] + 0.5 * (edges - lo)[:, None] * _GL_NODES
+    dp = p.derivative()
+    z = ray / s
+    q = p(z)
+    g = _liouville_g(q, dp(z), dp.derivative()(z))
+    variation = np.sum(0.5 * (edges - lo)[:, None] * _GL_WEIGHTS * np.abs(g) * np.sqrt(np.abs(q)) / s**2)
+    pts = np.asarray(path, dtype=complex)
+    half = 0.5 * (pts[1:] - pts[:-1])[:, None]
+    w = _sqrt_q(p, (0.5 * (pts[1:] + pts[:-1])[:, None] + half * _GL_NODES).ravel())
+    w[1:] *= np.where(np.cumsum((w[1:] * w[:-1].conj()).real < 0) % 2, -1.0, 1.0)
+    if (w[0] * ray).real < 0:
+        w = -w
+    phi = -np.sum(half * _GL_WEIGHTS * w.reshape(half.shape[0], -1)).real
+    # a path along which the solution grows outward gets a huge bound, not an overflow
+    return float(variation * math.exp(min(-2.0 * phi, 700.0)))
 
 
 @dataclass(frozen=True)

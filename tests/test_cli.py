@@ -161,6 +161,22 @@ def test_deterministic_outputs(tmp_path):
             assert (tmp_path / name).read_bytes() == first[name]
 
 
+def test_spectrum_json_records_each_solve_and_repeats(tmp_path):
+    # the frame radius, its seed bound and the miss evaluations of each
+    # solve are deterministic: two fresh runs write the same bytes
+    args = ["spectrum", "--d", "4", "--ell", "1", "--n-min", "0", "--n-max", "3", "--format", "json", "--out", str(tmp_path)]
+    written = []
+    for _ in range(2):
+        _clear_program_caches()
+        assert run_cli(args) == 0
+        written.append((tmp_path / "spectrum.json").read_bytes())
+    assert written[0] == written[1]
+    for row in json.loads(written[0])["eigenvalues"]:
+        assert row["seed_radius"] > 1.0
+        assert 0.0 <= row["seed_bound"] <= 1e-15
+        assert row["shots"] >= 3
+
+
 def test_stokes_counts_repeat_across_builds(tmp_path):
     # the tracer's work counts are deterministic: two fresh builds of the
     # complex write the same bytes, counts block included

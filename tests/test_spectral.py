@@ -375,34 +375,26 @@ def test_pt_quartic_lambda_40_is_real():
     assert 482.4251 <= lam.real < 482.4252
 
 
-def test_failed_polish_raises(monkeypatch):
-    # a doubled frame that carries no root information must not hand back
-    # the seed frame's eigenvalue as if the polish had converged, on the
-    # complex search and on the real axis alike
-    real_miss = spectral.miss_function
-    frames = []
-
-    def flat_after_first_frame(spec, lam, frame=None):
-        if not frames:
-            frames.append(frame)
-        if frame == frames[0]:
-            return real_miss(spec, lam, frame)
-        return 1 + 0j
-
-    monkeypatch.setattr(spectral, "miss_function", flat_after_first_frame)
-    for spec in (PT_CUBIC, QUARTIC):
-        frames.clear()
+@pytest.mark.parametrize("spec", [PT_CUBIC, QUARTIC], ids=["(3,1)", "(4,2)"])
+def test_flat_miss_function_raises_naming_spec_and_n(monkeypatch, spec):
+    # a miss function that carries no root information in the one frame
+    # must not hand back a lambda, on the complex search and on the real
+    # axis alike; the error says which problem and which index
+    monkeypatch.setattr(spectral, "miss_function", lambda s, lam, frame: 1 + 0j)
+    solve_eigenpair.cache_clear()
+    try:
+        with pytest.raises(
+            IntegrationError,
+            match=rf"did not converge for {re.escape(repr(spec))} n=2: lambda=.*last step",
+        ):
+            solve_eigenpair(spec, 2)
+    finally:
         solve_eigenpair.cache_clear()
-        try:
-            with pytest.raises(IntegrationError, match="n=2"):
-                solve_eigenpair(spec, 2)
-        finally:
-            solve_eigenpair.cache_clear()
 
 
 def test_self_adjoint_solve_miss_budget(monkeypatch):
-    # the secant on the real axis closes the seed solve and every polish
-    # in about 9 miss evaluations in all
+    # the secant on the real axis closes the one-frame search in 5 miss
+    # evaluations, and the eigenpair records them
     real_miss = spectral.miss_function
     calls = []
 
@@ -417,7 +409,7 @@ def test_self_adjoint_solve_miss_budget(monkeypatch):
     finally:
         solve_eigenpair.cache_clear()
     assert pair.n == 10
-    assert len(calls) <= 25
+    assert pair.shots == len(calls) <= 5
 
 
 @pytest.mark.parametrize("spec", [QUARTIC, PT_CUBIC], ids=["(4,2)", "(3,1)"])
@@ -442,52 +434,68 @@ def test_solve_shoots_each_ray_once_per_lambda(monkeypatch, spec):
     assert shots and max(shots.values()) == 1
 
 
+def _alternating_bound():
+    # met where a frame is chosen, failed at each lambda a search returns
+    calls = itertools.count()
+    return lambda frame, spec, lam: float(next(calls) % 2)
+
+
+@pytest.mark.parametrize(
+    "bound", [lambda: lambda frame, spec, lam: 1.0, _alternating_bound], ids=["never", "after-search"]
+)
 @pytest.mark.parametrize("spec", [QUARTIC, PT_CUBIC], ids=["(4,2)", "(3,1)"])
-def test_unstable_frame_doubling_raises(monkeypatch, spec):
-    # a miss function whose root moves with the seed radius never settles
-    # under frame doubling: the solve must raise, not return the last lambda
-    real_miss = spectral.miss_function
-    monkeypatch.setattr(
-        spectral, "miss_function", lambda s, lam, frame: real_miss(s, lam - 1e-6 * frame.R, frame)
-    )
+def test_unmet_seed_bound_raises(monkeypatch, spec, bound):
+    # a bound that no radius meets, and one that fails at every lambda the
+    # search returns: the solve must raise, not return the last lambda
+    monkeypatch.setattr(ShootingFrame, "seed_bound", bound())
     solve_eigenpair.cache_clear()
     try:
-        with pytest.raises(IntegrationError, match=r"n=3 not stable.*lambda=.*last shift"):
+        with pytest.raises(
+            IntegrationError,
+            match=rf"bound not met for {re.escape(repr(spec))} n=3: at lambda=\S+ and R=\S+ it is 1, above 1e-15",
+        ):
             solve_eigenpair(spec, 3)
     finally:
         solve_eigenpair.cache_clear()
 
 
-@pytest.mark.parametrize("spec", [QUARTIC, PT_CUBIC], ids=["(4,2)", "(3,1)"])
-def test_stable_polish_shoots_twice(monkeypatch, spec):
-    # the polish steps with the seed frame's last chord instead of shooting
-    # a slope probe, and no search shoots an iterate that passes its
-    # convergence test: the final frame sees the handed-over lambda and the
-    # returned one, each shot along both rays, and the seed frame's last two
-    # shots are a secant step apart that did not converge
-    real_transport, real_miss = spectral.transport, spectral.miss_function
-    shots, misses = [], []
+STABILITY_CASES = [
+    (ProblemSpec(d, ell), n)
+    for d, ell in ((2, 1), (4, 2), (3, 1), (4, 1), (6, 3))
+    for n in (0, 1, 2, 5, 10)
+]
+STABILITY_IDS = [f"({s.d},{s.ell})-{n}" for s, n in STABILITY_CASES]
+EPS = np.finfo(float).eps
 
-    def counted(field, path, *args, **kwargs):
-        shots.append(abs(complex(path[0])))
-        return real_transport(field, path, *args, **kwargs)
 
-    def recorded(s, lam, frame):
-        misses.append((frame.R, lam))
-        return real_miss(s, lam, frame)
+def _frame_lambda(spec, n, R):
+    seed = spectral.eigenvalue_estimate(spec.d, spec.ell, n, offset=0.5)
+    frame = ShootingFrame.for_scale(spec, seed, R)
+    return frame, spectral._search(spec, n, frame, seed)[0]
 
-    monkeypatch.setattr(spectral, "transport", counted)
-    monkeypatch.setattr(spectral, "miss_function", recorded)
-    solve_eigenpair.cache_clear()
-    try:
-        pair = solve_eigenpair(spec, 10)
-    finally:
-        solve_eigenpair.cache_clear()
-    assert pair.n == 10
-    assert shots.count(pair.seed_radius) == 4
-    seed_lams = [lam for R, lam in misses if R == misses[0][0]]
-    a, b = seed_lams[-2:]
-    assert abs(b - a) > 1e-11 * (1.0 + abs(b))
+
+@pytest.mark.parametrize("spec, n", STABILITY_CASES, ids=STABILITY_IDS)
+def test_seed_bound_covers_the_shift_at_the_dominance_radius(spec, n):
+    # the model behind the one frame: with no growth, lambda moves against
+    # a frame of twice the radius by no more than V(R) e^{-2 Phi(R)} there
+    seed = spectral.eigenvalue_estimate(spec.d, spec.ell, n, offset=0.5)
+    R0 = spectral._dominance_radius(spec, seed)
+    frame, lam = _frame_lambda(spec, n, R0)
+    _, lam2 = _frame_lambda(spec, n, 2.0 * R0)
+    assert abs(lam - lam2) <= frame.seed_bound(spec, lam) * abs(lam) + 8 * EPS * (1 + abs(lam))
+
+
+@pytest.mark.parametrize("spec, n", STABILITY_CASES, ids=STABILITY_IDS)
+def test_solved_lambda_stable_under_frame_doubling(spec, n):
+    # the solve's one frame is stable to its recorded bound: a frame of
+    # twice its radius moves lambda by no more than seed_bound, relative,
+    # beyond rounding; rounding is allowed 8 eps on the search's own
+    # 1 + |lambda| scale, since the longer frame's rays alone moved (3,1)
+    # n = 0 by 12 eps and (6,3) n = 0 by 10 eps relative
+    pair = solve_eigenpair(spec, n)
+    assert pair.seed_bound <= 1e-15
+    _, lam2 = _frame_lambda(spec, n, 2.0 * pair.seed_radius)
+    assert abs(pair.lam - lam2) <= pair.seed_bound * abs(pair.lam) + 8 * EPS * (1 + abs(pair.lam))
 
 
 def test_dominance_radius_failure_raises():
@@ -527,9 +535,10 @@ def test_unreachable_point_raises_naming_the_budget():
 
 def _arc_reference(pair, z, theta):
     """log y(z) of the recessive solution of the boundary ray theta, seeded
-    by ``wkb_seed`` at 2R and transported along |z| = 2R to arg z, then
-    straight in to z; for z on the ray, straight down it."""
-    R2 = 2.0 * pair.seed_radius
+    by ``wkb_seed`` at twice the skeleton's ray radius 2R and transported
+    along that circle to arg z, then straight in to z; for z on the ray,
+    straight down it."""
+    R2 = 4.0 * pair.seed_radius
     y, dy = wkb_seed(pair.spec, pair.lam, theta, R2)
     phi = theta + wrap_angle(cmath.phase(z) - theta)
     arc = [R2 * cmath.exp(1j * (theta + (phi - theta) * k / 64)) for k in range(65)]
@@ -800,6 +809,31 @@ def test_edge_chain_reanchors_when_a_link_is_refused():
     before = dict(ev.counts)
     assert repr(ev.eval_edge(zs)) == repr(sts)
     assert ev.counts == {k: 2 * v - built[k] for k, v in before.items()}
+
+
+@pytest.mark.parametrize(
+    "spec, n", [(ProblemSpec(4, 1), 10), (PT_CUBIC, 10), (ProblemSpec(6, 1), 4)], ids=["(4,1)", "(3,1)", "(6,1)"]
+)
+def test_sweeps_start_from_the_hop_that_loses_least(spec, n):
+    # every anchor of a Stokes-line sweep carries the error its seed hop let
+    # grow, and a hop from one of them may let it grow by a whole budget
+    # again; seeded by the shortest admitted hop, the first sweep of each of
+    # these lost 5.67, 2.08 and 2.74, and a chain from one of (4,1)'s sweep
+    # anchors missed the anchored state by 1.2e-9
+    ev = EigenfunctionEvaluator(solve_eigenpair(spec, n))
+    hop = ev._monitored_hop
+    losses = []
+
+    def recording(st, z, budget):
+        got = hop(st, z, budget)
+        if got is not None:
+            losses.append(got[1])
+        return got
+
+    ev._monitored_hop = recording
+    ev._build_skeleton()
+    assert len(losses) == ev.counts["hops"] and ev.counts["hops_refused"] == 0
+    assert max(losses) <= 0.1
 
 
 def test_evaluator_keeps_no_state_per_point():

@@ -20,6 +20,7 @@ from stokeszeros.wkb import (
     h0_bound,
     horner_parts,
     liouville_g,
+    seed_error_bound,
     wkb_approximant,
 )
 
@@ -163,6 +164,18 @@ def test_liouville_g_pt_symmetry():
 def test_liouville_g_singular_at_turning_point():
     with pytest.raises(DomainError):
         liouville_g(build_quad_diff(2, 1).polynomial, 1.0)
+
+
+@pytest.mark.parametrize("R", [1.5, 3.0, 6.0])
+def test_seed_error_bound_harmonic_closed_form(R):
+    # Q = z^2 - 1 along [R, 1, 0]: |g| |sqrt Q| = (3x^2/4 + 1/2)(x^2 - 1)^{-5/2}
+    # integrates to V(R) = (R/2 - R^3/12)(R^2 - 1)^{-3/2} + 1/12, and
+    # Re int_1^R sqrt(x^2 - 1) dx = (R sqrt(R^2 - 1) - acosh R)/2 is Phi(R);
+    # the square-root zero at the turning point limits GL-16 to 1e-3
+    variation = (R / 2 - R**3 / 12) / (R * R - 1) ** 1.5 + 1 / 12
+    phi = (R * math.sqrt(R * R - 1) - math.acosh(R)) / 2
+    got = seed_error_bound(ComplexPolynomial([-1.0, 0.0, 1.0]), [R, 1.0, 0.0])
+    assert got == pytest.approx(variation * math.exp(-2.0 * phi), rel=1e-3)
 
 
 def test_h0_constant_field_zero():
