@@ -316,8 +316,12 @@ def cmd_zeros(args) -> int:
     all_zeros = []
     per_n = []
     for n in range(args.n_min, args.n_max + 1):
-        ev = EigenfunctionEvaluator(solve_eigenpair(spec, n))
-        zs = locate_zeros(rescale(ev), tuple(args.window), args.resolution)
+        pair = solve_eigenpair(spec, n)
+        ev = EigenfunctionEvaluator(pair)
+        try:
+            zs = locate_zeros(rescale(ev), tuple(args.window), args.resolution)
+        except StokesZerosError as exc:
+            raise type(exc)(f"zeros of {spec} n={n} at lambda={pair.lam:.12g}: {exc}") from exc
         rep = compare_to_limit(empirical_measure(zs, max(n, 1)), sc, delta=args.delta)
         per_n.append(
             {

@@ -14,7 +14,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -122,30 +121,6 @@ _GROWTH = 1.18  # one step of every seed-radius search
 _SEED_BOUND = 1e-15  # the largest seed error bound an eigenvalue is returned with
 
 
-def _dominance_radius(spec: ProblemSpec, lam: complex) -> float:
-    """Smallest ray radius where the shifted field tracks its leading term.
-
-    The radius grows by 18% at a time; a field still not dominated after 60
-    growths raises :class:`IntegrationError`.
-    """
-    pot = spec.potential
-    lead = abs(pot.coefficients[-1])
-    R = max(1.0, (3.0 * max(abs(lam), 1.0) / lead) ** (1.0 / spec.d))
-    for growths in range(61):
-        if growths:
-            R *= _GROWTH
-        zmag = R**spec.d * lead
-        rest = abs(lam) + sum(
-            abs(c) * R**k for k, c in enumerate(pot.coefficients[:-1])
-        )
-        if rest <= 0.12 * zmag:
-            return R
-    raise IntegrationError(
-        f"no seed radius for {spec} at lambda={lam:.6g}: after 60 growths, at "
-        f"R={R:.6g}, the lower-order terms are {rest / zmag:.3g} times the leading term"
-    )
-
-
 @dataclass(frozen=True)
 class ShootingFrame:
     """Fixed shooting geometry for one eigenvalue search.
@@ -158,8 +133,9 @@ class ShootingFrame:
     point is simply the origin.)  The transport runs down the boundary ray
     to the nearby turning point and then along the short line itself, so
     the modulus envelope never descends along the way.  An eigen-solve
-    shoots every lambda in one frame, whose R makes the WKB seed's error
-    bound (:meth:`seed_bound`) negligible.
+    shoots every lambda in one frame, whose R is the first radius beyond
+    the outermost turning point, in steps of 18%, where the WKB seed's
+    error bound (:meth:`seed_bound`) is negligible.
     """
 
     R: float
@@ -171,9 +147,7 @@ class ShootingFrame:
         return self.right_path[-1]
 
     @staticmethod
-    def for_scale(spec: "ProblemSpec", lam_scale: float, R: Optional[float] = None) -> "ShootingFrame":
-        if R is None:
-            R = _dominance_radius(spec, lam_scale)
+    def for_scale(spec: "ProblemSpec", lam_scale: float, R: float) -> "ShootingFrame":
         f = max(lam_scale, 1.0) ** (1.0 / spec.d)
         sc = _limit_complex_cached(spec.d, spec.ell)
         e0 = sc.lines[sc.e0_index]
@@ -290,12 +264,20 @@ def _search(spec: ProblemSpec, n: int, frame: ShootingFrame, start: complex) -> 
     relative beside it, then steps on secant chords.  Convergence is tested
     on each new iterate before it is shot, so the returned lambda is never
     shot here.  Returns ``(lambda, shots)``, shots being the miss
-    evaluations made; a search that does not converge raises
-    :class:`IntegrationError`, naming the spec, n and the last lambda.
+    evaluations made; a search that does not converge, or a shot whose
+    transport fails, raises :class:`IntegrationError`, naming the spec, n
+    and the lambda.
     """
     seed = eigenvalue_estimate(spec.d, spec.ell, n, offset=0.5)
     shot = []
-    f = lambda z: shot.append(z) or miss_function(spec, z, frame)
+
+    def f(z):
+        shot.append(z)
+        try:
+            return miss_function(spec, z, frame)
+        except IntegrationError as exc:
+            raise IntegrationError(f"shot failed for {spec} n={n} at lambda={z:.12g} and R={frame.R:.6g}: {exc}") from exc
+
     l0 = complex(start)
     l1 = l0 * (1.0 + 1e-3) + 1e-6
     f0, f1 = f(l0), f(l1)
@@ -330,10 +312,12 @@ def _bound_error(spec: ProblemSpec, n: int, lam: complex, R: float, bound: float
     )
 
 
-def _bounded_frame(spec: ProblemSpec, n: int, seed: float, lam: complex, R: float) -> ShootingFrame:
-    """The frame from radius R, grown by 18% at a time until its seed bound
-    at lambda is at most 1e-15; 40 growths that do not get there raise
-    :class:`IntegrationError`."""
+def _bounded_frame(spec: ProblemSpec, n: int, seed: float, lam: complex, floor: float) -> ShootingFrame:
+    """The frame whose R is the first radius where the seed bound at lambda
+    is at most 1e-15, searched from the larger of ``floor`` and 1.18 times
+    the largest |turning point| of P - lambda, 18% at a time; 40 growths
+    that do not get there raise :class:`IntegrationError`."""
+    R = max(floor, _GROWTH * max(abs(t) for t in roots(spec.shifted_field(lam), tol=1e-11)))
     for growths in range(41):
         if growths:
             R *= _GROWTH
@@ -384,31 +368,33 @@ def _real_bracket(spec: ProblemSpec, lam: complex) -> tuple:
 def solve_eigenpair(spec: ProblemSpec, n: int) -> Eigenpair:
     """Locate eigenvalue n and package normalized initial data.
 
-    Every lambda is shot in one frame.  Its radius R grows from the
-    dominance radius until the WKB seed's error bound V(R) e^{-2 Phi(R)}
-    (:meth:`ShootingFrame.seed_bound`) at the growth-law seed is at most
-    1e-15, and one search (:func:`_search`, a damped secant iteration,
-    kept on the real axis for self-adjoint problems) starts from that seed.
-    The bound is checked again at the lambda found.  If it fails there, R
-    grows until the bound holds at that lambda and the search runs once
-    more, from it; a bound that fails again raises
-    :class:`IntegrationError`.  No search shoots the lambda it returns:
-    the residual and the initial data come from one shot at it.  For
-    self-adjoint problems the eigenfunction's real zeros are counted and
-    must number n.
+    Every lambda is shot in one frame.  Its radius R starts one 18% step
+    beyond the outermost turning point of P minus the growth-law seed and
+    grows by 18% at a time until the WKB seed's error bound
+    V(R) e^{-2 Phi(R)} (:meth:`ShootingFrame.seed_bound`) at that seed is
+    at most 1e-15, and one search (:func:`_search`, a damped secant
+    iteration, kept on the real axis for self-adjoint problems) starts
+    from the seed.  The bound is checked again at the lambda found.  If it
+    fails there, R grows, from one step beyond the frame's, until the
+    bound holds at that lambda and the search runs once more, from it; a
+    bound that fails again raises :class:`IntegrationError`, and so does a
+    search's shot whose transport fails, naming the spec, n, lambda and R.
+    No search shoots the lambda it returns: the residual and the initial
+    data come from one shot at it.  For self-adjoint problems the
+    eigenfunction's real zeros are counted and must number n.
     """
     if n < 0:
         raise DomainError("eigenvalue index must be nonnegative")
     seed = eigenvalue_estimate(spec.d, spec.ell, n, offset=0.5)
-    lam, R, shots = complex(seed), _dominance_radius(spec, seed), 0
+    lam, floor, shots = complex(seed), 0.0, 0
     for _ in range(2):
-        frame = _bounded_frame(spec, n, seed, lam, R)
+        frame = _bounded_frame(spec, n, seed, lam, floor)
         lam, more = _search(spec, n, frame, lam)
         shots += more
         bound = frame.seed_bound(spec, lam)
         if bound <= _SEED_BOUND:
             break
-        R = _GROWTH * frame.R
+        floor = _GROWTH * frame.R
     else:
         raise _bound_error(spec, n, lam, frame.R, bound)
 
@@ -526,9 +512,9 @@ class EigenfunctionEvaluator:
         # by its own endpoint so all anchors describe the one normalized
         # eigenfunction (the rays agree only up to the converged residual).
         # They start at twice the solve's radius: that radius can be as
-        # small as 1.3 f, inside zero-set windows such as |Re|, |Im| <= 1.6 f,
-        # and past a ray's seed the eigenfunction decays outward, where no
-        # hop follows
+        # small as 1.18 f, inside zero-set windows such as |Re|, |Im| <= 1.6 f,
+        # whose corner lies at 2.26 f, and past a ray's seed the
+        # eigenfunction decays outward, where no hop follows
         left, right = self.spec.boundary_rays
         R = 2.0 * pair.seed_radius
         for theta in (right, left):

@@ -12,7 +12,7 @@ import pytest
 import stokeszeros
 from stokeszeros import cli, spectral, stokescomplex, verify, wkb
 from stokeszeros.cli import _spec, main
-from stokeszeros.errors import DomainError, StructuralError
+from stokeszeros.errors import DomainError, GeometryError, StructuralError
 
 ZEROS_SMALL = [
     "zeros",
@@ -175,6 +175,16 @@ def test_spectrum_json_records_each_solve_and_repeats(tmp_path):
         assert row["seed_radius"] > 1.0
         assert 0.0 <= row["seed_bound"] <= 1e-15
         assert row["shots"] >= 3
+
+
+def test_zeros_error_names_the_solve(tmp_path, monkeypatch, capsys):
+    def failing(resc, window, resolution):
+        raise GeometryError("no boundary free of zeros at z=0.5")
+
+    monkeypatch.setattr(cli, "locate_zeros", failing)
+    assert run_cli(ZEROS_SMALL + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"zeros of ProblemSpec\(d=2, ell=1, a=\(\)\) n=3 at lambda=7\S*: no boundary free of zeros at z=0\.5", err), err
 
 
 def test_stokes_counts_repeat_across_builds(tmp_path):

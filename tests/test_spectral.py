@@ -92,14 +92,14 @@ def test_miss_function_at_eigenvalue_and_midpoint():
 
 
 def test_miss_surrogate_sign_change():
-    a = miss_surrogate(HARMONIC, 0.8, ShootingFrame.for_scale(HARMONIC, 0.8))
-    b = miss_surrogate(HARMONIC, 1.2, ShootingFrame.for_scale(HARMONIC, 1.2))
+    a = miss_surrogate(HARMONIC, 0.8, ShootingFrame.for_scale(HARMONIC, 0.8, R=8.0))
+    b = miss_surrogate(HARMONIC, 1.2, ShootingFrame.for_scale(HARMONIC, 1.2, R=8.0))
     assert a * b < 0
 
 
 def test_miss_function_analytic_in_lambda():
     # Cauchy-Riemann residual of finite differences at non-eigenvalue points
-    frame = ShootingFrame.for_scale(HARMONIC, 6.0)
+    frame = ShootingFrame.for_scale(HARMONIC, 6.0, R=8.0)
     rng = np.random.default_rng(2)
     for _ in range(3):
         lam = complex(rng.uniform(4.0, 8.0), rng.uniform(-0.5, 0.5))
@@ -169,7 +169,7 @@ def test_wronskian_constant_along_connection():
     from stokeszeros.spectral import _ray_state
 
     lam = 4.0 + 0.3j
-    frame = ShootingFrame.for_scale(HARMONIC, abs(lam))
+    frame = ShootingFrame.for_scale(HARMONIC, abs(lam), R=8.0)
     left, right = HARMONIC.boundary_rays
     field = HARMONIC.shifted_field(lam)
     from stokeszeros.transport import transport, transport_states
@@ -474,15 +474,70 @@ def _frame_lambda(spec, n, R):
     return frame, spectral._search(spec, n, frame, seed)[0]
 
 
+def _start_radius(spec, lam):
+    # one growth step beyond the outermost turning point of P - lambda
+    return spectral._GROWTH * max(abs(t) for t in spectral.roots(spec.shifted_field(lam), tol=1e-11))
+
+
 @pytest.mark.parametrize("spec, n", STABILITY_CASES, ids=STABILITY_IDS)
 def test_seed_bound_covers_the_shift_at_the_dominance_radius(spec, n):
     # the model behind the one frame: with no growth, lambda moves against
-    # a frame of twice the radius by no more than V(R) e^{-2 Phi(R)} there
+    # a frame of twice the radius by no more than V(R) e^{-2 Phi(R)} there.
+    # R is the smallest radius of the seed ladder at which the search
+    # converges, where the bound is largest; at the ladder's start (2,1)
+    # and (4,2) n = 0 do not converge, their bound there being about 0.1
     seed = spectral.eigenvalue_estimate(spec.d, spec.ell, n, offset=0.5)
-    R0 = spectral._dominance_radius(spec, seed)
-    frame, lam = _frame_lambda(spec, n, R0)
+    R0 = _start_radius(spec, seed)
+    for _ in range(10):
+        try:
+            frame, lam = _frame_lambda(spec, n, R0)
+            break
+        except IntegrationError:
+            R0 *= spectral._GROWTH
+    else:
+        pytest.fail("no search converged within 10 growths of the ladder's start")
     _, lam2 = _frame_lambda(spec, n, 2.0 * R0)
     assert abs(lam - lam2) <= frame.seed_bound(spec, lam) * abs(lam) + 8 * EPS * (1 + abs(lam))
+
+
+def _translate(d, ell, c):
+    """The lower-order terms of L (z + c)^d - L c^d, L the leading coefficient."""
+    lead = ProblemSpec(d, ell).potential.coefficients[-1]
+    return tuple(lead * math.comb(d, k) * c ** (d - k) for k in range(1, d))
+
+
+RULE_SPECS = [ProblemSpec(d, ell) for d, ell in ((2, 1), (4, 2), (3, 1), (4, 1), (6, 3))]
+RULE_SPECS += [ProblemSpec(4, 1, (0, 3)), ProblemSpec(4, 2, _translate(4, 2, 1.0))]
+
+
+@pytest.mark.parametrize("spec", RULE_SPECS, ids=repr)
+def test_seed_frame_radius_is_the_first_that_meets_the_bound(spec):
+    # the one radius rule: the frame chosen at the seed starts one growth
+    # step beyond the outermost turning point, and grows only while the
+    # seed bound fails, also where the lower-order terms are large
+    for n in (0, 1, 2, 5, 10, 20, 40):
+        seed = spectral.eigenvalue_estimate(spec.d, spec.ell, n, offset=0.5)
+        frame = spectral._bounded_frame(spec, n, seed, complex(seed), 0.0)
+        assert frame.seed_bound(spec, seed) <= spectral._SEED_BOUND
+        start = _start_radius(spec, seed)
+        if frame.R != start:
+            below = ShootingFrame.for_scale(spec, seed, frame.R / spectral._GROWTH)
+            assert below.seed_bound(spec, seed) > spectral._SEED_BOUND, n
+
+
+@pytest.mark.parametrize(
+    "d, ell, c", [(4, 1, 0.5), (4, 1, 0.5j), (3, 1, 0.5), (3, 1, -0.5j), (4, 2, 0.5), (4, 2, 0.7j)]
+)
+def test_translate_spectrum_is_the_shifted_spectrum(d, ell, c):
+    # P(z + c) = P(z) + L c^d term for term beyond the constant, so the
+    # translate's lambda_n + L c^d is the unperturbed lambda_n for every c;
+    # |c| >= 1 is left out, where the growth-law seed lands on another index
+    spec = ProblemSpec(d, ell, _translate(d, ell, c))
+    lead = spec.potential.coefficients[-1]
+    for n in range(6):
+        ref = solve_eigenpair(ProblemSpec(d, ell), n).lam
+        lam = solve_eigenpair(spec, n).lam
+        assert abs(lam + lead * c**d - ref) <= 1e-10 * abs(ref), n
 
 
 @pytest.mark.parametrize("spec, n", STABILITY_CASES, ids=STABILITY_IDS)
@@ -498,12 +553,15 @@ def test_solved_lambda_stable_under_frame_doubling(spec, n):
     assert abs(pair.lam - lam2) <= pair.seed_bound * abs(pair.lam) + 8 * EPS * (1 + abs(pair.lam))
 
 
-def test_dominance_radius_failure_raises():
-    # z^3 carries 1e6: after 60 growths the lower-order terms are still ~37
-    # times the leading term, so no seed radius is handed back
+def test_failed_shot_names_the_solve():
+    # z^3 carries 1e6: the frame starts beyond the turning point near 1e6,
+    # and the first shot's transport from there underflows its step
     spec = ProblemSpec(4, 1, (0, 0, 1e6j))
-    with pytest.raises(IntegrationError, match=r"ProblemSpec\(d=4, ell=1.*lambda=1\b.*R=27052"):
-        spectral._dominance_radius(spec, 1.0)
+    with pytest.raises(
+        IntegrationError,
+        match=rf"shot failed for {re.escape(repr(spec))} n=0 at lambda=\S+ and R=1\.18e\+06: step underflow at z=",
+    ):
+        solve_eigenpair(spec, 0)
 
 
 @pytest.mark.parametrize("y0", [1e-15, -1e-15, 0.0, 5e-13, -5e-13])
