@@ -1,8 +1,8 @@
 """Zero location by the argument principle and empirical zero measures.
 
 Winding numbers over rectangle boundaries drive a quadtree subdivision
-until every cell isolates one zero (then Newton-polished) or bottoms out at
-the resolution (then reported with its multiplicity).  The function is
+until every cell isolates one zero (its converged Newton limit) or several
+at the resolution (then reported with their count).  The function is
 reached through one contract, one point or one edge: ``state(z)`` gives
 the transport state (y, y', log scale) at a point, ``edge_states(zs)`` the
 same for the ordered base samples of one boundary segment, and
@@ -50,13 +50,14 @@ _NUDGE_STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1))
 
 @dataclass(frozen=True)
 class ZeroSet:
-    """Zeros with multiplicities inside a window, one entry per reporting
-    cell (see :func:`locate_zeros`); nothing is merged."""
+    """Zeros inside a window, one entry per reporting cell: a converged
+    Newton limit with multiplicity 1, or a floor cell's centre with its
+    count (see :func:`locate_zeros`); nothing is merged."""
 
     zeros: tuple  # ((position, multiplicity), ...), lexicographic order
     window: tuple  # (x0, x1, y0, y1); may differ from the request by nudges
     # work done: cells counted, edge samples, samples reused, refinement
-    # midpoints, window and cross nudges
+    # midpoints, window and cross nudges, Newton polishes that found no limit
     counts: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -178,7 +179,7 @@ class _Boundary:
         self.lines = {}
         self._evaluated = 0  # points asked of f, to tell reused samples
         self.counts = dict.fromkeys(
-            ("cells", "edge_samples", "reused", "midpoints", "window_nudges", "cross_nudges"), 0
+            ("cells", "edge_samples", "reused", "midpoints", "window_nudges", "cross_nudges", "newton_failures"), 0
         )
 
     def _line(self, vertical: bool, c: float) -> _Line:
@@ -328,8 +329,9 @@ def count_zeros_rect(f, rect) -> int:
 
 
 def _newton_polish(f, z0, rect):
-    """Newton's limit from z0 if it lies in the closed cell (outside it
-    lies a neighbour's zero), else None."""
+    """Newton's limit from z0: the first iterate whose step is at most
+    1e-10·(1 + |z|), if it lies in the closed cell (outside it lies a
+    neighbour's zero); else, or if 40 steps do not converge, None."""
     x0, x1, y0, y1 = rect
     z = complex(z0)
     pad = 0.75 * max(x1 - x0, y1 - y0)
@@ -342,11 +344,9 @@ def _newton_polish(f, z0, rect):
         if not (abs(step) < pad):
             return None
         z -= step
-        if abs(step) <= 1e-13 * (1.0 + abs(z)):
-            break
-    if not (x0 <= z.real <= x1 and y0 <= z.imag <= y1):
-        return None
-    return z
+        if abs(step) <= 1e-10 * (1.0 + abs(z)):
+            return z if x0 <= z.real <= x1 and y0 <= z.imag <= y1 else None
+    return None
 
 
 _SIDES = ("bottom", "right", "top", "left")
@@ -369,9 +369,10 @@ def locate_zeros(f, window, resolution: float) -> ZeroSet:
     """All zeros of f in the window, quadtree-isolated and Newton-polished.
 
     Each cell reports its own zeros, and nothing is merged.  A
-    multiplicity-1 entry is the Newton limit inside the cell that counted
-    it, or the centre of a resolution-floor cell where Newton failed; a
-    multiplicity above 1 is a floor cell's centre with its count.  All
+    multiplicity-1 entry is the converged Newton limit inside the cell
+    that counted it; a one-zero cell where Newton finds none splits on.
+    The resolution floors only cells of two or more zeros, each reported
+    at its centre with its count.  All
     cells share one store of boundary samples, kept per grid line, so a
     split samples only its cross: the halves of the parent's sides reuse
     the parent's samples.  The four children share their cross increments
@@ -402,16 +403,13 @@ def locate_zeros(f, window, resolution: float) -> ZeroSet:
         if n == 0:
             return
         x0, x1, y0, y1 = rect
-        size = max(x1 - x0, y1 - y0)
         if n == 1:
             z = _newton_polish(f, complex(0.5 * (x0 + x1), 0.5 * (y0 + y1)), rect)
             if z is not None:
                 found.append((z, 1))
                 return
-            if size <= resolution:
-                found.append((complex(0.5 * (x0 + x1), 0.5 * (y0 + y1)), 1))
-                return
-        elif size <= resolution:
+            store.counts["newton_failures"] += 1
+        elif max(x1 - x0, y1 - y0) <= resolution:
             found.append((complex(0.5 * (x0 + x1), 0.5 * (y0 + y1)), n))
             return
         if depth > 60:

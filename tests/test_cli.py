@@ -97,7 +97,8 @@ def test_zeros_json_records_the_quadtree_work_counts(tmp_path):
     result = json.loads((tmp_path / "zeros.json").read_text())["results"][0]
     counts = result["quadtree"]
     assert set(counts) == {
-        "cells", "edge_samples", "reused", "midpoints", "window_nudges", "cross_nudges"
+        "cells", "edge_samples", "reused", "midpoints", "window_nudges", "cross_nudges",
+        "newton_failures",
     }
     # no nudge here, so the window and four children per split were counted
     assert counts["window_nudges"] == counts["cross_nudges"] == 0

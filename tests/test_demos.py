@@ -67,4 +67,7 @@ def test_tracked_pt_zero_cloud_matches_its_demo():
     zs = locate_zeros(rescale(EigenfunctionEvaluator(pair)), window, resolution=0.02)
     svg = render_zeros_svg(stokes_complex(4, 1), list(zs.zeros), window)
     assert svg.encode() == (out / "pt_quartic_zeros_n24.svg").read_bytes()
+    # the PT mirror z -> -conj(z) maps the drawn set onto itself
+    pos = [z for z, _ in zs.zeros]
+    assert max(min(abs(w + z.conjugate()) for w in pos) for z in pos) < 1e-8
     assert {p.name: p.stat().st_mtime_ns for p in out.iterdir()} == before

@@ -7,6 +7,7 @@ from stokeszeros.errors import GeometryError
 from stokeszeros.polynomials import ComplexPolynomial, roots
 from stokeszeros.spectral import EigenfunctionEvaluator, ProblemSpec, rescale, solve_eigenpair
 from stokeszeros.stokescomplex import stokes_complex
+from stokeszeros.wkb import growth_constant
 from stokeszeros.zeros import (
     PolynomialStates,
     compare_to_limit,
@@ -91,6 +92,19 @@ def test_locate_matches_roots_oracle_on_random_polynomials():
         assert len(got) == len(oracle)
         for r in oracle:
             assert min(abs(r - g) for g in got) < 1e-8
+
+
+def test_locate_reports_no_newton_cycle_as_a_zero():
+    # Newton from the window's centre runs the 2-cycle 0 -> 1 -> 0 of
+    # z^3 - 2z + 2, whose one root in the window is real; the cell splits
+    # until Newton converges inside it
+    p = ComplexPolynomial([2, -2, 0, 1])
+    zs = locate_zeros(PolynomialStates(p), (-2, 2, -0.3, 0.3), resolution=1e-3)
+    real_root = min(roots(p), key=lambda r: abs(r.imag))
+    assert len(zs.zeros) == 1
+    z, m = zs.zeros[0]
+    assert m == 1 and abs(z - real_root) < 1e-12
+    assert zs.counts["newton_failures"] > 0
 
 
 def test_count_conservation_through_subdivision():
@@ -358,3 +372,74 @@ def test_split_samples_only_its_cross():
     zs = locate_zeros(rescale(ev), (-1.6, 1.6, -1.6, 1.6), resolution=0.015)
     assert zs.total_count == 40
     assert ev.counts["points"] <= 10_000
+
+
+@pytest.fixture(scope="module")
+def criterion7_set():
+    """Criterion 7's zero set: (4,1), n = 40, window +-1.6, resolution 0.015."""
+    pair = solve_eigenpair(ProblemSpec(4, 1), 40)
+    zs = locate_zeros(rescale(EigenfunctionEvaluator(pair)), (-1.6, 1.6, -1.6, 1.6), resolution=0.015)
+    return pair, zs
+
+
+def test_every_simple_entry_is_a_converged_newton_limit(criterion7_set):
+    # an unconverged 40th iterate read |Y/Y'| up to 6.9e-3 here, and two of
+    # them stood where the zeros +-0.724786 + 0.770606i went missing
+    pair, zs = criterion7_set
+    probe = rescale(EigenfunctionEvaluator(pair))
+    for z, m in zs.zeros:
+        if m == 1:
+            st = probe.state(z)
+            assert abs(st.y / st.dy) <= 1e-12 * (1 + abs(z)), z
+    for zero in (-0.724786 + 0.770606j, 0.724786 + 0.770606j):
+        assert min(abs(z - zero) for z, _ in zs.zeros) < 1e-5
+    floor = sum(1 for _, m in zs.zeros if m > 1)
+    assert (zs.total_count, len(zs.zeros), floor) == (160, 153, 7)
+
+
+def _weak_star_distance(zeros, n, sc, centres, sigma=0.15):
+    """D_n = max over the centres a of |(1/n) sum_k m_k phi_a(z_k) - int phi_a dmu|,
+    phi_a(z) = exp(-|z - a|^2 / 2 sigma^2), for the zero entries (z_k, m_k).
+
+    The limit law mu has density (c/pi) sqrt|Q| |dz| on the exceptional
+    lines of ``sc``; its side is 8-point Gauss-Legendre on 16 sub-panels of
+    every sample segment (4 nodes per segment leave a floor of 5e-3).
+    """
+    x, w = np.polynomial.legendre.leggauss(8)
+    t = ((np.arange(16)[:, None] + 0.5 * (x + 1)) / 16).ravel()  # nodes on [0, 1]
+    wt = np.tile(w / 2, 16) / 16
+    nodes, weights = [], []
+    for samples in sc.exceptional_arcs():
+        pts = np.asarray(samples, dtype=complex)
+        a, b = pts[:-1, None], pts[1:, None]
+        nodes.append((a + (b - a) * t).ravel())
+        weights.append((np.abs(b - a) * wt).ravel())
+    nodes, weights = np.concatenate(nodes), np.concatenate(weights)
+    q = sc.quaddiff
+    weights *= growth_constant(q.d, q.ell) / np.pi * np.sqrt(np.abs(q(nodes)))
+    zs = np.array([complex(z) for z, _ in zeros])
+    ms = np.array([m for _, m in zeros]) / n
+    centres = np.asarray(centres, dtype=complex)[:, None]
+    phi = lambda z: np.exp(-np.abs(z[None, :] - centres) ** 2 / (2 * sigma**2))
+    return float(np.max(np.abs(phi(zs) @ ms - phi(nodes) @ weights)))
+
+
+@pytest.mark.parametrize("n", [10, 20, 40, 80])
+def test_weak_star_distance_of_exact_harmonic_zeros(n):
+    # n D_n = 0.256, 0.245, 0.235 and 0.230 at n = 10, 20, 40 and 80
+    zeros = np.polynomial.hermite.hermgauss(n)[0] / np.sqrt(2 * n + 1)
+    centres = [complex(x, y) for y in (0.0, 0.2) for x in np.linspace(-1.2, 1.2, 13)]
+    dist = _weak_star_distance([(z, 1) for z in zeros], n, stokes_complex(2, 1), centres)
+    assert n * dist <= 0.26
+
+
+def test_weak_star_distance_of_pt_quartic_zero_sets(criterion7_set):
+    # n D_n = 0.179 at n = 10 and 0.177 at n = 40, the level of n = 20 and 30;
+    # with two unconverged iterates in the n = 40 set it read 0.992
+    grid = np.linspace(-1, 1, 11)
+    centres = [complex(x, y) for x in grid for y in grid]
+    sc = stokes_complex(4, 1)
+    pair = solve_eigenpair(ProblemSpec(4, 1), 10)
+    small = locate_zeros(rescale(EigenfunctionEvaluator(pair)), (-1.6, 1.6, -1.6, 1.6), resolution=0.015)
+    for n, zs in ((10, small), (40, criterion7_set[1])):
+        assert n * _weak_star_distance(zs.zeros, n, sc, centres) <= 0.2
